@@ -32,6 +32,7 @@
 #include "rio/runtime.hpp"
 #include "support/clock.hpp"
 #include "support/thread_pool.hpp"
+#include "stf/flow_image.hpp"
 #include "stf/task_flow.hpp"
 
 using namespace rio;
@@ -83,6 +84,7 @@ int main(int argc, char** argv) {
   json.note("tasks", std::to_string(n));
 
   const stf::TaskFlow flow = make_chains(n);
+  const stf::FlowImage image = stf::FlowImage::compile(flow);
   support::ThreadPool pool(
       *std::max_element(workers.begin(), workers.end()));
 
@@ -99,7 +101,7 @@ int main(int argc, char** argv) {
       eng.attach_pool(&pool);
       return min_wall_ms(reps, [&] {
         if (hub != nullptr) hub->reset();
-        eng.run(stf::FlowRange(flow), mapping);
+        eng.run(image, mapping);
       });
     };
 

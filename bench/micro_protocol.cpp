@@ -6,16 +6,14 @@
 //   * section "protocol" — the micro_unroll shape (1 write/task, 64
 //     chains), swept across workers x policy x engine, so spin rows are
 //     directly comparable with BENCH_unroll.json;
-//   * section "fan" — 8 writes/task (8 chain groups x 8 chains), where
-//     per-word notify cost dominates the block policy: the shape that
-//     shows the doorbell-batching win.
+//   * section "fan" — 8 writes/task (8 chain groups x 8 chains), where a
+//     per-word notify would dominate the block policy: the shape that
+//     prices the doorbell batching (docs/perf.md keeps the historical
+//     per-word A/B numbers).
 //
 // Engines:
 //   * rio / rio-pruned — Algorithm 2 publications; under kBlock the
 //     per-worker doorbells batch wakeups (src/rio/doorbell.hpp);
-//   * rio-wordnotify / rio-pruned-wordnotify (block rows only) — the same
-//     runtimes with Config::doorbells off: the legacy per-word notify_all
-//     path, i.e. the measured pre-change baseline;
 //   * coor-locked — centralized runtime, mutex+condvar ReadyQueue;
 //   * coor-ring — centralized runtime, wait-free MPMC ready ring
 //     (coor/ready_ring.hpp).
@@ -35,7 +33,6 @@
 #include "coor/runtime.hpp"
 #include "obs/obs.hpp"
 #include "rio/mapping.hpp"
-#include "rio/pruning.hpp"
 #include "rio/runtime.hpp"
 #include "support/clock.hpp"
 #include "support/thread_pool.hpp"
@@ -142,39 +139,26 @@ void run_section(const Sweep& s, const char* section,
             .num(per_task(obs::Counter::kWakeupsElided), 3);
       };
 
-      const auto rio_cfg = [&](obs::Hub* hub, bool doorbells) {
-        rt::Config cfg;
-        cfg.num_workers = w;
-        cfg.wait_policy = policy;
-        cfg.collect_stats = false;
-        cfg.doorbells = doorbells;
-        cfg.obs = hub;
-        return cfg;
-      };
-      const auto rio_run = [&](bool doorbells) {
-        return [&, doorbells](obs::Hub* hub) {
-          auto eng = std::make_shared<rt::Runtime>(rio_cfg(hub, doorbells));
+      const auto rio_run = [&](bool pruned) {
+        return [&, pruned](obs::Hub* hub) {
+          rt::Config cfg;
+          cfg.num_workers = w;
+          cfg.wait_policy = policy;
+          cfg.collect_stats = false;
+          cfg.obs = hub;
+          auto eng = std::make_shared<rt::Runtime>(cfg);
           eng->attach_pool(s.pool);
-          return [&, eng] { eng->run(image, mapping); };
-        };
-      };
-      const auto pruned_run = [&](bool doorbells) {
-        return [&, doorbells](obs::Hub* hub) {
-          auto eng =
-              std::make_shared<rt::PrunedRuntime>(rio_cfg(hub, doorbells));
-          eng->attach_pool(s.pool);
-          return [&, eng] { eng->run(image, mapping); };
+          return [&, eng, pruned] {
+            if (pruned)
+              eng->run_pruned(image, mapping);
+            else
+              eng->run(image, mapping);
+          };
         };
       };
 
-      measure("rio", rio_run(true));
-      measure("rio-pruned", pruned_run(true));
-      if (policy == support::WaitPolicy::kBlock) {
-        // Legacy per-word notify path = the pre-change block baseline,
-        // measured in the same binary for an honest A/B.
-        measure("rio-wordnotify", rio_run(false));
-        measure("rio-pruned-wordnotify", pruned_run(false));
-      }
+      measure("rio", rio_run(false));
+      measure("rio-pruned", rio_run(true));
       if (s.with_coor) {
         const auto coor_run = [&](coor::QueueKind queue) {
           return [&, queue](obs::Hub* hub) {
@@ -218,17 +202,16 @@ int main(int argc, char** argv) {
 
   Sweep sweep{&json, &opt, &pool, n, reps, /*with_coor=*/true};
   run_section(sweep, "protocol", stf::FlowImage::compile(make_chains(n)));
-  sweep.with_coor = false;  // coor pays per-access master cost; rio A/B only
+  sweep.with_coor = false;  // coor pays per-access master cost: rio only
   run_section(sweep, "fan", stf::FlowImage::compile(make_fans(n)));
 
   std::cout
       << "Expected shape: block-policy rio within noise of spin/yield "
          "(doorbell batching elides per-word notifies on stall-free "
-         "workloads: issued_per_task ~ 0), rio-wordnotify paying one "
-         "notify per write (the \"fan\" section multiplies it by "
+         "workloads: issued_per_task ~ 0, also in the "
       << kFan
-      << "); coor-ring at or below coor-locked (wait-free push/pop, "
-         "wakeups only when a consumer is parked).\n";
+      << "-write \"fan\" section); coor-ring at or below coor-locked "
+         "(wait-free push/pop, wakeups only when a consumer is parked).\n";
   bench::finish(json);
   return 0;
 }

@@ -3,16 +3,14 @@
 // The paper's cost model prices a NON-mapped task at one or two private
 // writes per access; everything else a replay pays on top of that is
 // representation overhead. This bench isolates it by replaying the same
-// flow three ways on the real rio engine:
+// compiled flow two ways on the real rio engine:
 //
-//   * streaming      — Runtime::run(FlowRange): walks the AoS Task array
-//                      (std::function + std::string per record);
-//   * image          — Runtime::run(FlowImage): walks the compiled SoA
-//                      image (stf/flow_image.hpp), 8-byte spans + flat
+//   * image          — Runtime::run(FlowImage, Mapping): walks the compiled
+//                      SoA image (stf/flow_image.hpp), 8-byte spans + flat
 //                      access array;
-//   * pruned-image   — PrunedRuntime::run(FlowImage, Mapping): each worker
+//   * pruned-image   — Runtime::run_pruned(FlowImage, Mapping): each worker
 //                      only visits its own tasks; the plan comes from the
-//                      internal cache, so repeated runs pay zero
+//                      runtime's cache, so repeated runs pay zero
 //                      recompilation.
 //
 // The workload is stall-free by construction (see make_chains), so wall
@@ -25,7 +23,6 @@
 
 #include "bench_common.hpp"
 #include "rio/mapping.hpp"
-#include "rio/pruning.hpp"
 #include "rio/runtime.hpp"
 #include "support/clock.hpp"
 #include "support/thread_pool.hpp"
@@ -81,7 +78,7 @@ int main(int argc, char** argv) {
   bench::header("micro_unroll",
                 std::to_string(n) +
                     " empty single-write tasks, stall-free chains; replay "
-                    "overhead per task: streaming vs image vs pruned image");
+                    "overhead per task: image vs pruned image");
 
   const stf::TaskFlow flow = make_chains(n);
 
@@ -106,17 +103,15 @@ int main(int argc, char** argv) {
                            .collect_stats = false};
       rt::Runtime eng(cfg);
       eng.attach_pool(&pool);
-      rt::PrunedRuntime pruned(cfg);
+      rt::Runtime pruned(cfg);
       pruned.attach_pool(&pool);
 
-      const double streaming_ms = min_wall_ms(
-          reps, [&] { eng.run(stf::FlowRange(flow), mapping); });
       const double image_ms =
           min_wall_ms(reps, [&] { eng.run(image, mapping); });
       // First call compiles the plan into the cache; every rep after (and
       // every future run with this image+mapping) replays it for free.
       const double pruned_ms =
-          min_wall_ms(reps, [&] { pruned.run(image, mapping); });
+          min_wall_ms(reps, [&] { pruned.run_pruned(image, mapping); });
       total_plan_compiles += pruned.plan_compiles();
 
       const auto add = [&](const char* engine, double ms) {
@@ -127,7 +122,6 @@ int main(int argc, char** argv) {
             .num(ms, 3)
             .num(ms * 1e6 / static_cast<double>(n), 1);
       };
-      add("streaming", streaming_ms);
       add("image", image_ms);
       add("pruned-image", pruned_ms);
     }
@@ -139,9 +133,9 @@ int main(int argc, char** argv) {
             << n << " tasks; pruned plans compiled " << total_plan_compiles
             << "x (one per worker-count/policy runtime, cached across "
             << reps << " reps each)\n"
-            << "Expected shape: image < streaming per task (dense spans vs "
-               "AoS Task records); pruned-image lowest (each worker visits "
-               "only its own tasks).\n";
+            << "Expected shape: pruned-image below image per task (each "
+               "worker visits only its own tasks instead of declaring the "
+               "rest).\n";
   bench::finish(json);
   return 0;
 }

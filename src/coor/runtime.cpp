@@ -274,11 +274,6 @@ support::RunStats Runtime::run(const stf::TaskFlow& flow) {
   return run(stf::ImageRange(image));
 }
 
-support::RunStats Runtime::run(const stf::FlowRange& range) {
-  const stf::FlowImage image = stf::FlowImage::compile(range);
-  return run(stf::ImageRange(image));
-}
-
 support::RunStats Runtime::run(const stf::FlowImage& image) {
   return run(stf::ImageRange(image));
 }

@@ -31,7 +31,6 @@
 #include "coor/ready_queue.hpp"
 #include "coor/ready_ring.hpp"
 #include "stf/flow_image.hpp"
-#include "stf/flow_range.hpp"
 #include "stf/frontier.hpp"
 #include "stf/task_flow.hpp"
 #include "stf/trace.hpp"
@@ -94,17 +93,14 @@ class Runtime {
   /// flow repeatedly should compile once and use the image overloads.
   support::RunStats run(const stf::TaskFlow& flow);
 
-  /// Range variant for hybrid phase execution: all tasks preceding the
-  /// range must already be complete (dependencies are derived within the
-  /// range only).
-  support::RunStats run(const stf::FlowRange& range);
-
   /// Fast replay from a compiled image: the master's incremental unroll and
   /// the locality router walk the image's flat metadata (stf/flow_image.hpp)
   /// instead of Task records. Compile once, run many times.
   support::RunStats run(const stf::FlowImage& image);
 
-  /// Image-slice variant (hybrid phase execution).
+  /// Image-slice variant for hybrid phase execution: all tasks preceding
+  /// the slice must already be complete (dependencies are derived within
+  /// the slice only).
   support::RunStats run(const stf::ImageRange& range);
 
   [[nodiscard]] const stf::Trace& trace() const noexcept { return trace_; }

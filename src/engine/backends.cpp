@@ -9,7 +9,6 @@
 #include "engine/registry.hpp"
 #include "coor/runtime.hpp"
 #include "hybrid/runtime.hpp"
-#include "rio/pruning.hpp"
 #include "rio/runtime.hpp"
 #include "sim/simulate.hpp"
 #include "stf/sequential.hpp"
@@ -128,8 +127,8 @@ class PrunedBackend final : public Backend {
   [[nodiscard]] Outcome run(const stf::FlowImage& image,
                             const Launch& launch) const override {
     validate(*this, launch);
-    rt::PrunedRuntime eng(make_rio_config(launch));
-    Outcome out = base_outcome(eng.run(image, launch.mapping), caps());
+    rt::Runtime eng(make_rio_config(launch));
+    Outcome out = base_outcome(eng.run_pruned(image, launch.mapping), caps());
     out.trace = eng.trace();
     out.sync = eng.sync_trace();
     out.plan_compiles = eng.plan_compiles();

@@ -640,6 +640,12 @@ class Explorer {
       : flow_(flow), mapping_(mapping), opts_(opts) {
     n_threads_ = opts.workers + (opts.engine == EngineKind::kCoor ? 1 : 0);
     build_check_plan();
+    if (opts.engine == EngineKind::kRioPruned) {
+      // The production pruned path compiles its plan from an image; the
+      // image (and the plan) live as long as the exploration.
+      image_ = stf::FlowImage::compile(flow_);
+      pruned_.emplace(image_, mapping_, opts.workers);
+    }
   }
 
   /// Recovery phase 1: the thread executing `crash_task` dies right after
@@ -762,7 +768,6 @@ class Explorer {
     };
     std::vector<CoorNode> nodes;
     Word<std::uint64_t> completed;
-    std::shared_ptr<const rt::PrunedPlan> pruned;
     // Per-worker doorbells: the rio engines' kBlock path parks on bells
     // (word_notify = false + release-boundary ring_doorbell), exactly as
     // the production launch() gates it for unwatched block runs.
@@ -788,9 +793,6 @@ class Explorer {
         bells.resize(opts_.workers);
         for (auto& b : bells) b = {&ctl, ctl.new_word(0)};
       }
-      if (opts_.engine == EngineKind::kRioPruned)
-        pruned = std::make_shared<const rt::PrunedPlan>(flow_, mapping_,
-                                                        opts_.workers);
     } else {
       nodes.resize(n_tasks);
       for (auto& node : nodes) {
@@ -808,42 +810,51 @@ class Explorer {
       }
     }
 
+    // The owned-task path both rio engines share, as the production
+    // execute_owned() runs it minus telemetry: get_* every access, the
+    // task start/finish markers, terminate_*, then — under kBlock — the
+    // waits park on the worker's bell, publishes skip the per-word notify
+    // and the release boundary rings every peer's bell (the production
+    // doorbell gate). Returns false when the worker dies on this task.
+    auto execute_owned = [&](std::uint32_t w, const stf::Task& task,
+                             std::vector<rt::LocalDataState>& local) {
+      Word<std::uint64_t>* bell = use_bells ? &bells[w] : nullptr;
+      for (const stf::Access& a : task.accesses) {
+        if (stf::is_write(a.mode))
+          rt::get_write(shared[a.data], local[a.data], policy, nullptr,
+                        nullptr, bell);
+        else
+          rt::get_read(shared[a.data], local[a.data], policy, nullptr,
+                       nullptr, bell);
+      }
+      ctl.task_started(task.id);
+      if (crash_mode_ && task.id == crash_task_) return false;
+      ctl.task_finished(task.id);
+      for (const stf::Access& a : task.accesses) {
+        if (stf::is_write(a.mode))
+          rt::terminate_write(shared[a.data], local[a.data], task.id, policy,
+                              !use_bells);
+        else
+          rt::terminate_read(shared[a.data], local[a.data], policy,
+                             !use_bells);
+      }
+      if (use_bells) {
+        for (std::uint32_t peer = 0; peer < opts_.workers; ++peer)
+          if (peer != w) rt::ring_doorbell(bells[peer], policy);
+      }
+      return true;
+    };
+
     auto body = [&](std::uint32_t w) {
       switch (opts_.engine) {
         case EngineKind::kRio: {
           // Algorithm 1: unroll the whole flow, execute own tasks through
-          // the real Algorithm 2 routines, declare the rest. Under kBlock
-          // the waits park on the worker's bell and publishes skip the
-          // per-word notify — the production doorbell configuration.
+          // the real Algorithm 2 routines, declare the rest.
           std::vector<rt::LocalDataState> local(n_data);
-          Word<std::uint64_t>* bell = use_bells ? &bells[w] : nullptr;
-          const bool word_notify = !use_bells;
           for (stf::TaskId t = 0; t < n_tasks; ++t) {
             const stf::Task& task = flow_.task(t);
             if (mapping_(t) == w) {
-              for (const stf::Access& a : task.accesses) {
-                if (stf::is_write(a.mode))
-                  rt::get_write(shared[a.data], local[a.data], policy,
-                                nullptr, nullptr, bell);
-                else
-                  rt::get_read(shared[a.data], local[a.data], policy,
-                               nullptr, nullptr, bell);
-              }
-              ctl.task_started(t);
-              if (crash_mode_ && t == crash_task_) return;  // worker dies
-              ctl.task_finished(t);
-              for (const stf::Access& a : task.accesses) {
-                if (stf::is_write(a.mode))
-                  rt::terminate_write(shared[a.data], local[a.data], t,
-                                      policy, word_notify);
-                else
-                  rt::terminate_read(shared[a.data], local[a.data], policy,
-                                     word_notify);
-              }
-              if (use_bells) {
-                for (std::uint32_t peer = 0; peer < opts_.workers; ++peer)
-                  if (peer != w) rt::ring_doorbell(bells[peer], policy);
-              }
+              if (!execute_owned(w, task, local)) return;  // worker dies
             } else {
               for (const stf::Access& a : task.accesses) {
                 if (stf::is_write(a.mode))
@@ -856,30 +867,13 @@ class Explorer {
           break;
         }
         case EngineKind::kRioPruned: {
-          // Pruned executor: wait on the plan's precomputed expectations,
-          // publish through the same terminate halves — the production
-          // run_pruned loop minus telemetry (incl. its doorbell gate).
-          Word<std::uint64_t>* bell = use_bells ? &bells[w] : nullptr;
-          const bool word_notify = !use_bells;
-          for (const rt::PrunedTask& pt : pruned->tasks_for(w)) {
+          // Pruning: walk only this worker's plan slice and seed the
+          // replica from the plan's expectations instead of declaring.
+          std::vector<rt::LocalDataState> local(n_data);
+          for (const rt::PrunedTask& pt : pruned_->tasks_for(w)) {
             for (const rt::PrunedAccess& pa : pt.accesses)
-              rt::acquire_for(shared[pa.data], pa.expected_writer,
-                              pa.expected_reads, stf::is_write(pa.mode),
-                              policy, nullptr, nullptr, bell);
-            ctl.task_started(pt.id);
-            if (crash_mode_ && pt.id == crash_task_) return;  // worker dies
-            ctl.task_finished(pt.id);
-            for (const rt::PrunedAccess& pa : pt.accesses) {
-              if (stf::is_write(pa.mode))
-                rt::publish_write(shared[pa.data], pt.id, policy,
-                                  word_notify);
-              else
-                rt::publish_read(shared[pa.data], policy, word_notify);
-            }
-            if (use_bells) {
-              for (std::uint32_t peer = 0; peer < opts_.workers; ++peer)
-                if (peer != w) rt::ring_doorbell(bells[peer], policy);
-            }
+              local[pa.data] = {pa.expected_writer, pa.expected_reads};
+            if (!execute_owned(w, flow_.task(pt.id), local)) return;
           }
           break;
         }
@@ -1227,6 +1221,8 @@ class Explorer {
   Options opts_;
   std::uint32_t n_threads_ = 0;
   CheckPlan plan_;
+  stf::FlowImage image_;                  ///< kRioPruned: the plan's source
+  std::optional<rt::PrunedPlan> pruned_;  ///< kRioPruned: per-worker slices
   std::vector<Frame> stack_;
   std::vector<std::uint64_t> clock_at_;  ///< own-clock value per step
   bool crash_mode_ = false;              ///< recovery phase 1

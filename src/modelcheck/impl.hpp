@@ -2,8 +2,8 @@
 //
 // spec.hpp enumerates the paper's TLA+ *specifications*; this module
 // enumerates the interleavings of the *implementation*: the Algorithm 2
-// routines of src/rio/data_object.hpp, the pruned executor's
-// acquire/publish pairs, and COOR's dependency-counter protocol
+// routines of src/rio/data_object.hpp (driven by the full and the pruned
+// rio unroll alike), and COOR's dependency-counter protocol
 // (src/coor/sync_ops.hpp) — the very same template functions production
 // builds inline to raw atomics — instantiated with a checker-instrumented
 // word type (the proto:: seam, src/rio/proto.hpp) and driven by a

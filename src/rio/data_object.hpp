@@ -99,9 +99,9 @@ struct NoBell {};
 /// acquire_for: the protocol wait both executors share. Blocks until the
 /// shared last-executed write equals `expected_writer`; a write access
 /// additionally waits until the shared read count equals `expected_reads`
-/// (write-after-read ordering). The full runtime passes the worker's local
-/// replica; the pruned executor passes precomputed expectations — same
-/// waits, same seam. Returns whether the access stalled (feeds the
+/// (write-after-read ordering). get_read / get_write pass the worker's
+/// local replica — declared by a full unroll, seeded from the plan by a
+/// pruned one. Returns whether the access stalled (feeds the
 /// idle-time statistics). A non-null `abort` (the progress watchdog's flag)
 /// lets the wait give up so a stalled run can drain instead of hanging; a
 /// non-null `spins` accumulates wait rounds for the obs spin-iteration

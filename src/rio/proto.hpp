@@ -1,7 +1,7 @@
 // proto:: — the sync-word seam between shipped and verified code.
 //
-// Algorithm 2 (src/rio/data_object.hpp), the pruned executor
-// (src/rio/pruning.cpp), COOR's dependency counters (src/coor), the
+// Algorithm 2 (src/rio/data_object.hpp, shared by the full and the pruned
+// rio unroll), COOR's dependency counters (src/coor), the
 // wait-free ready ring (src/coor/ready_ring.hpp) and the per-worker
 // doorbells (src/rio/doorbell.hpp) all reduce to a handful of tiny
 // operations on a shared machine word:

@@ -1,21 +1,6 @@
 #include "rio/pruning.hpp"
 
-#include <atomic>
-#include <barrier>
-#include <exception>
-#include <mutex>
-#include <optional>
-#include <thread>
-#include <utility>
-
-#include "obs/obs.hpp"
 #include "support/assert.hpp"
-#include "support/clock.hpp"
-#include "support/topology.hpp"
-#include "support/watchdog.hpp"
-#include "rio/stall_diag.hpp"
-#include "stf/failure.hpp"
-#include "stf/resilience.hpp"
 
 namespace rio::rt {
 namespace {
@@ -27,313 +12,9 @@ struct ScanState {
   std::uint64_t reads_since_write = 0;
 };
 
-/// Core pruned execution: fork p workers, each walks only its own plan
-/// slice, waiting on precomputed protocol values. `body_of(id)` resolves a
-/// task id to its source descriptor (TaskFlow or FlowImage backed).
-template <typename BodyOf>
-support::RunStats run_pruned(const Config& cfg, support::ThreadPool* pool,
-                             const stf::DataRegistry& registry,
-                             std::size_t num_data, const PrunedPlan& plan,
-                             stf::Trace& trace_out, stf::SyncTrace& sync_out,
-                             RunArenas& arenas, BodyOf&& body_of) {
-  RIO_ASSERT_MSG(plan.num_workers() == cfg.num_workers,
-                 "plan built for a different worker count");
-  const std::uint32_t p = cfg.num_workers;
-  // Crash-armed plans force a watchdog, same contract as the full
-  // runtime's launch(): a worker death escalates as stf::WorkerLost.
-  const bool crash_armed =
-      cfg.fault != nullptr && cfg.fault->plan().crash_armed();
-  const std::uint64_t watchdog_ns =
-      cfg.watchdog_ns > 0 ? cfg.watchdog_ns
-                          : (crash_armed ? 100'000'000ULL : 0);
-  const bool watched_pre = watchdog_ns > 0;
-  // Doorbell batching replaces per-word notifies for unwatched kBlock runs
-  // (same gate as the full runtime's launch()).
-  const bool use_bells = cfg.wait_policy == support::WaitPolicy::kBlock &&
-                         !watched_pre && cfg.doorbells;
-
-  // Recycled sync-word arena: reset in place when it already fits (the
-  // replay loop `while (...) prt.run(image, mapping)` is the hot consumer).
-  std::vector<SharedDataState>& shared = arenas.shared;
-  if (shared.size() < num_data) {
-    shared = std::vector<SharedDataState>(num_data);
-  } else {
-    for (std::size_t d = 0; d < num_data; ++d) {
-      shared[d].last_executed_write.value.store(kNoWrite,
-                                                std::memory_order_relaxed);
-      shared[d].nb_reads_since_write.value.store(0, std::memory_order_relaxed);
-    }
-  }
-  if (use_bells) {
-    if (arenas.bells.size() < p) {
-      arenas.bells = std::vector<support::AlignedAtomic<std::uint64_t>>(p);
-    } else {
-      for (std::uint32_t w = 0; w < p; ++w)
-        arenas.bells[w].value.store(0, std::memory_order_relaxed);
-    }
-  }
-  std::atomic<std::uint64_t> seq{0};
-  std::atomic<std::uint64_t> sync_stamp{0};
-  std::atomic<bool> cancelled{false};
-  std::atomic<bool> abort{false};  // set only by a firing watchdog
-  std::exception_ptr first_error;
-  std::mutex error_mu;
-  stf::DeathBoard deaths;
-
-  const bool watched = watchdog_ns > 0;
-  std::vector<support::WorkerProbe> probes(watched ? p : 0);
-  stf::ResilienceOpts res_proto;
-  res_proto.retry = cfg.retry;
-  res_proto.fault = cfg.fault;
-  res_proto.abort = watched ? &abort : nullptr;
-  const bool resilient = res_proto.active();
-
-  std::barrier start(static_cast<std::ptrdiff_t>(p));
-  std::vector<support::WorkerStats> wstats(p);
-  std::vector<std::uint64_t> worker_wall(p, 0);
-  std::vector<std::vector<stf::TraceEvent>> traces(p);
-  std::vector<std::vector<stf::SyncEvent>> syncs(p);
-  if (cfg.obs != nullptr) cfg.obs->ensure_workers(p);
-  std::vector<obs::WorkerObs> obses(p);
-  for (std::uint32_t w = 0; w < p; ++w) obses[w].bind(cfg.obs, w);
-
-  const std::uint32_t cpus = support::detect_topology().logical_cpus;
-  const auto body = [&](std::uint32_t w) {
-    if (cfg.pin_workers) support::pin_current_thread(w % cpus);
-    const auto& mine = plan.tasks_for(w);
-    support::WorkerStats& st = wstats[w];
-    const auto policy = cfg.wait_policy;
-    std::atomic<std::uint64_t>* bell =
-        use_bells ? &arenas.bells[w].value : nullptr;
-    const bool word_notify = !use_bells;
-    support::WorkerProbe* probe = watched ? &probes[w] : nullptr;
-    const std::atomic<bool>* abort_flag = res_proto.abort;
-    stf::ResilienceOpts res = res_proto;  // worker-private copy
-    stf::DataSnapshot snapshot;
-    std::uint32_t checkpoint_pending = 0;
-    obs::WorkerObs& ob = obses[w];
-    res.obs = &ob;
-    const bool timed = cfg.collect_stats || cfg.collect_trace || ob.recording();
-    start.arrive_and_wait();
-    const std::uint64_t begin = support::monotonic_ns();
-    for (const PrunedTask& pt : mine) {
-      // Wait on the precomputed expectations — no local replica needed.
-      bool stalled = false;
-      std::uint64_t wait_begin = 0;
-      std::uint64_t wait_cause = obs::kNoCause;
-      if (timed) wait_begin = support::monotonic_ns();
-      for (const PrunedAccess& pa : pt.accesses) {
-        const SharedDataState& s = shared[pa.data];
-        if (probe != nullptr) {
-          probe->task.store(pt.id, std::memory_order_relaxed);
-          probe->data.store(pa.data, std::memory_order_relaxed);
-          probe->expected_writer.store(pa.expected_writer,
-                                       std::memory_order_relaxed);
-          probe->expected_reads.store(pa.expected_reads,
-                                      std::memory_order_relaxed);
-          probe->set_state(support::ProbeState::kWaiting);
-        }
-        // Same protocol wait as the full runtime (acquire_for through the
-        // proto:: seam), with precomputed expectations in place of the
-        // local replica.
-        const bool waited =
-            acquire_for(s, pa.expected_writer, pa.expected_reads,
-                        is_write(pa.mode), policy, abort_flag,
-                        &ob.spin_iters, bell);
-        // Wait-cause: the last stalling access's (data, expected writer)
-        // pair — the plan carries the expectations precomputed.
-        if (waited) wait_cause = obs::make_cause(pa.expected_writer, pa.data);
-        stalled |= waited;
-      }
-      if (probe != nullptr) probe->set_state(support::ProbeState::kExecuting);
-      if (stalled) {
-        if (timed)
-          ob.span(obs::Phase::kAcquireWait, pt.id, wait_begin,
-                  support::monotonic_ns(), wait_cause);
-        ob.count(obs::Counter::kProtocolWaits);
-        if (cfg.collect_stats) ++st.waits;
-      }
-
-      // Acquire stamps after all waits completed — same invariant as the
-      // full runtime, so the happens-before checker accepts pruned traces.
-      if (cfg.collect_sync) {
-        for (const PrunedAccess& pa : pt.accesses)
-          syncs[w].push_back(
-              {pt.id, w, pa.data, pa.mode, stf::SyncKind::kAcquire,
-               sync_stamp.fetch_add(1, std::memory_order_acq_rel)});
-      }
-
-      // Resume replay: protocol ops only, body/faults/mark skipped — same
-      // contract as the full runtime (runtime.cpp execute_owned).
-      const bool replay = cfg.resume != nullptr && cfg.resume->done(pt.id);
-      bool body_ok = !replay;
-      bool crashed = false;
-      const stf::Task& task = body_of(pt.id);
-      std::uint64_t t0 = 0;
-      if (timed) t0 = support::monotonic_ns();
-      if (replay) {
-        ob.count(obs::Counter::kTasksReplayed);
-      } else if (resilient) {
-        if (!cancelled.load(std::memory_order_acquire)) {
-          stf::BodyResult r =
-              stf::execute_body(task, registry, w, res, snapshot);
-          if (r.crashed) {
-            crashed = true;
-          } else if (!r.ok) {
-            body_ok = false;
-            std::lock_guard lock(error_mu);
-            if (!first_error) first_error = std::move(r.error);
-            cancelled.store(true, std::memory_order_release);
-          }
-        } else {
-          body_ok = false;
-        }
-      } else if (task.fn && !cancelled.load(std::memory_order_acquire)) {
-        stf::TaskContext tc(task, registry, w);
-        try {
-          task.fn(tc);
-        } catch (...) {
-          body_ok = false;
-          std::lock_guard lock(error_mu);
-          if (!first_error) first_error = std::current_exception();
-          cancelled.store(true, std::memory_order_release);
-        }
-      } else if (cancelled.load(std::memory_order_acquire)) {
-        body_ok = false;
-      }
-      std::uint64_t t1 = 0;
-      if (timed) {
-        t1 = support::monotonic_ns();
-        ob.span(obs::Phase::kBody, pt.id, t0, t1);
-      }
-
-      if (crashed) {
-        // Permanent worker death: record the dirty spans, publish nothing,
-        // and stop walking this worker's plan slice (see runtime.cpp).
-        stf::DeathRecord d;
-        d.worker = w;
-        d.task = pt.id;
-        d.dirty = std::move(snapshot);
-        deaths.record(std::move(d));
-        break;
-      }
-
-      if (cfg.checkpoint != nullptr && body_ok) {
-        cfg.checkpoint->mark(pt.id);
-        cfg.checkpoint->note_completion(checkpoint_pending);
-      }
-
-      // Release stamps before anything is published.
-      if (cfg.collect_sync) {
-        for (const PrunedAccess& pa : pt.accesses)
-          syncs[w].push_back(
-              {pt.id, w, pa.data, pa.mode, stf::SyncKind::kRelease,
-               sync_stamp.fetch_add(1, std::memory_order_acq_rel)});
-      }
-
-      for (const PrunedAccess& pa : pt.accesses) {
-        SharedDataState& s = shared[pa.data];
-        if (is_write(pa.mode))
-          publish_write(s, pt.id, policy, word_notify);
-        else
-          publish_read(s, policy, word_notify);
-      }
-      if (use_bells) {
-        // Release boundary: one doorbell ring per parked peer instead of
-        // one notify per published word (see docs/perf.md).
-        std::uint64_t issued = 0;
-        for (std::uint32_t peer = 0; peer < p; ++peer) {
-          if (peer == w) continue;
-          if (ring_doorbell(arenas.bells[peer].value, policy)) ++issued;
-        }
-        ob.count(obs::Counter::kWakeups, p - 1);
-        ob.count(obs::Counter::kWakeupsIssued, issued);
-        ob.count(obs::Counter::kWakeupsElided, (p - 1) - issued);
-      } else {
-        ob.count(obs::Counter::kWakeups, pt.accesses.size());
-      }
-      if (timed)
-        ob.span(obs::Phase::kRelease, pt.id, t1, support::monotonic_ns());
-      ob.count(obs::Counter::kTasksExecuted);
-      if (cfg.collect_trace)
-        traces[w].push_back(
-            {pt.id, w, t0, t1,
-             seq.fetch_add(1, std::memory_order_relaxed)});
-      if (probe != nullptr)
-        probe->progress.fetch_add(1, std::memory_order_relaxed);
-      if (cfg.collect_stats) ++st.tasks_executed;
-    }
-    if (probe != nullptr) probe->set_state(support::ProbeState::kDone);
-    worker_wall[w] = support::monotonic_ns() - begin;
-  };
-
-  // Same watchdog contract as the full runtime (runtime.cpp): capture the
-  // diagnostic first, then cancel + abort so the waits drain.
-  std::optional<support::Watchdog> watchdog;
-  if (watched) {
-    watchdog.emplace(
-        watchdog_ns,
-        [&probes, p, hub = cfg.obs]() noexcept {
-          if (hub != nullptr)
-            hub->global_counters().add(obs::Counter::kWatchdogProbes);
-          std::uint64_t sum = 0;
-          for (std::uint32_t w = 0; w < p; ++w)
-            sum += probes[w].progress.load(std::memory_order_relaxed);
-          return sum;
-        },
-        [&] {
-          if (cfg.obs != nullptr) {
-            const std::uint64_t now = support::monotonic_ns();
-            for (std::uint32_t w = 0; w < p; ++w)
-              cfg.obs->instant(
-                  {now, now, probes[w].task.load(std::memory_order_relaxed), w,
-                   obs::Phase::kStallSnapshot});
-          }
-          return stall_diagnostic("rio-pruned", watchdog_ns, probes.data(),
-                                  p, shared.data(), num_data);
-        },
-        [&] {
-          cancelled.store(true, std::memory_order_release);
-          abort.store(true, std::memory_order_release);
-        },
-        crash_armed ? std::function<bool()>([&deaths] {
-          return deaths.any_death();
-        })
-                    : std::function<bool()>());
-  }
-
-  const std::uint64_t t0 = support::monotonic_ns();
-  support::run_parallel(pool, p, body);
-  if (watchdog) watchdog->stop();
-
-  support::RunStats stats;
-  stats.wall_ns = support::monotonic_ns() - t0;
-  stats.workers = std::move(wstats);
-  trace_out.clear();
-  sync_out.clear();
-  for (std::uint32_t w = 0; w < p; ++w) {
-    if (cfg.collect_stats) {
-      // Buckets derived from the obs phase accumulators (same contract as
-      // the full runtime).
-      stats.workers[w].buckets = obses[w].buckets(worker_wall[w]);
-    }
-    obses[w].commit(cfg.obs);
-    for (const stf::TraceEvent& ev : traces[w]) trace_out.record(ev);
-    for (const stf::SyncEvent& ev : syncs[w]) sync_out.record(ev);
-  }
-  // Worker loss outranks a stall outranks a task failure (runtime.cpp).
-  if (deaths.any_death())
-    throw stf::WorkerLost(deaths.take(), watchdog && watchdog->fired()
-                                             ? watchdog->diagnostic()
-                                             : std::string());
-  if (watchdog && watchdog->fired()) throw stf::StallError(watchdog->diagnostic());
-  if (first_error) std::rethrow_exception(first_error);
-  return stats;
-}
-
 }  // namespace
 
-PrunedPlan::PrunedPlan(const stf::TaskFlow& flow, const Mapping& mapping,
+PrunedPlan::PrunedPlan(const stf::FlowImage& image, const Mapping& mapping,
                        std::uint32_t num_workers) {
   RIO_ASSERT(mapping.valid() && num_workers > 0);
   per_worker_.resize(num_workers);
@@ -341,43 +22,6 @@ PrunedPlan::PrunedPlan(const stf::TaskFlow& flow, const Mapping& mapping,
   // The same scan state the dependency analyzer uses, but instead of
   // emitting edges we snapshot the (last_writer, reads_since) pair into the
   // owner's plan.
-  std::vector<ScanState> data(flow.num_data());
-
-  for (const stf::Task& task : flow.tasks()) {
-    const stf::WorkerId owner = mapping(task.id);
-    RIO_ASSERT_MSG(owner < num_workers, "mapping produced out-of-range worker");
-
-    PrunedTask pt;
-    pt.id = task.id;
-    for (const stf::Access& a : task.accesses) {
-      const ScanState& s = data[a.data];
-      PrunedAccess pa;
-      pa.data = a.data;
-      pa.mode = a.mode;
-      pa.expected_writer = s.last_writer;
-      pa.expected_reads = s.reads_since_write;
-      pt.accesses.push_back(pa);
-    }
-    per_worker_[owner].push_back(std::move(pt));
-    ++total_;
-
-    for (const stf::Access& a : task.accesses) {
-      ScanState& s = data[a.data];
-      if (is_write(a.mode)) {
-        s.last_writer = task.id;
-        s.reads_since_write = 0;
-      } else {
-        s.reads_since_write += 1;
-      }
-    }
-  }
-}
-
-PrunedPlan::PrunedPlan(const stf::FlowImage& image, const Mapping& mapping,
-                       std::uint32_t num_workers) {
-  RIO_ASSERT(mapping.valid() && num_workers > 0);
-  per_worker_.resize(num_workers);
-
   std::vector<ScanState> data(image.num_data());
   const stf::FlowImage::Span* spans = image.spans();
   const stf::Access* acc = image.accesses();
@@ -432,35 +76,6 @@ std::shared_ptr<const PrunedPlan> PrunedPlanCache::get(
   ++compiles_;
   entries_.push_back({key, plan});
   return plan;
-}
-
-PrunedRuntime::PrunedRuntime(Config cfg) : cfg_(cfg) {
-  RIO_ASSERT(cfg_.num_workers > 0);
-}
-
-support::RunStats PrunedRuntime::run(const stf::TaskFlow& flow,
-                                     const PrunedPlan& plan) {
-  return run_pruned(cfg_, pool_, flow.registry(), flow.num_data(), plan,
-                    trace_, sync_trace_, arenas_,
-                    [&](stf::TaskId id) -> const stf::Task& {
-                      return flow.task(id);
-                    });
-}
-
-support::RunStats PrunedRuntime::run(const stf::FlowImage& image,
-                                     const PrunedPlan& plan) {
-  const stf::TaskId first = image.first_id();
-  return run_pruned(cfg_, pool_, image.registry(), image.num_data(), plan,
-                    trace_, sync_trace_, arenas_,
-                    [&, first](stf::TaskId id) -> const stf::Task& {
-                      return image.task(id - first);
-                    });
-}
-
-support::RunStats PrunedRuntime::run(const stf::FlowImage& image,
-                                     const Mapping& mapping) {
-  const auto plan = cache_.get(image, mapping, cfg_.num_workers);
-  return run(image, *plan);
 }
 
 }  // namespace rio::rt

@@ -2,25 +2,28 @@
 //
 // The decentralized model's main drawback is that every worker unrolls the
 // whole flow: total unrolling work grows as p * n. Pruning lets each worker
-// visit only the tasks it executes. Because a materialized flow is static,
-// we can go further than the paper's sketch and precompute, for every
-// access of every mapped task, the exact protocol values the worker would
-// have accumulated in its local state had it unrolled everything:
+// visit only the tasks it executes. Because a compiled flow is static, we
+// can go further than the paper's sketch and precompute, for every access
+// of every mapped task, the exact protocol values the worker would have
+// accumulated in its local replica had it unrolled everything:
 //
 //   * for a read:  the Task ID of the last write preceding it, and
 //   * for a write: additionally the number of reads since that write.
 //
-// At execution time a pruned worker walks its own task list and waits
-// directly on those expected values — zero declare operations, O(own tasks)
-// unrolling. The precomputation is a single O(n) scan shared by all
-// workers (analogous to the compiler-assisted pruning used in
+// Pruned execution is then Algorithm 1 with the declare step skipped: a
+// worker walks only its own plan slice, SEEDS its private replica from the
+// plan (local[data] = {expected_writer, expected_reads}) and runs the very
+// same get_* / body / terminate_* path a full unroll uses — zero declare
+// operations, O(own tasks) unrolling. Runtime::run(image, plan) and the
+// cached Runtime::run_pruned(image, mapping) are the entry points
+// (rio/runtime.hpp). The precomputation is a single O(n) scan shared by
+// all workers (analogous to the compiler-assisted pruning used in
 // distributed-memory STF runtimes [Agullo et al., TPDS 2017]).
 //
-// Plans compile fastest from a stf::FlowImage (flat access array, no Task
-// records touched), and PrunedPlanCache memoizes them keyed by
-// (image serial, image fingerprint, mapping identity, worker count) so a
-// run loop pays the O(n) compilation exactly once per distinct
-// (flow, rewrite, mapping) triple.
+// Plans compile from a stf::FlowImage (flat access array, no Task records
+// touched), and PrunedPlanCache memoizes them keyed by (image serial, image
+// fingerprint, mapping identity, worker count) so a run loop pays the O(n)
+// compilation exactly once per distinct (flow, rewrite, mapping) triple.
 #pragma once
 
 #include <cstdint>
@@ -28,11 +31,9 @@
 #include <vector>
 
 #include "support/inline_vec.hpp"
-#include "support/stats.hpp"
+#include "rio/data_object.hpp"
 #include "rio/mapping.hpp"
-#include "rio/runtime.hpp"
 #include "stf/flow_image.hpp"
-#include "stf/task_flow.hpp"
 
 namespace rio::rt {
 
@@ -55,12 +56,8 @@ struct PrunedTask {
 /// dependency expectations. Build once, execute many times.
 class PrunedPlan {
  public:
-  /// O(num_tasks) scan; evaluates `mapping` once per task.
-  PrunedPlan(const stf::TaskFlow& flow, const Mapping& mapping,
-             std::uint32_t num_workers);
-
-  /// Same scan over a compiled image: walks the flat access array instead
-  /// of per-task Access lists. Ids stay global (image.first_id() based).
+  /// O(num_tasks) scan over the image's flat access array; evaluates
+  /// `mapping` once per task. Ids stay global (image.first_id() based).
   PrunedPlan(const stf::FlowImage& image, const Mapping& mapping,
              std::uint32_t num_workers);
 
@@ -72,7 +69,7 @@ class PrunedPlan {
     return per_worker_[w];
   }
 
-  /// Total tasks across workers (== flow.num_tasks()).
+  /// Total tasks across workers (== image.size()).
   [[nodiscard]] std::size_t total_tasks() const noexcept { return total_; }
 
  private:
@@ -82,11 +79,11 @@ class PrunedPlan {
 
 /// Memoizes compiled plans keyed by (FlowImage::serial(),
 /// FlowImage::fingerprint(), Mapping::identity(), worker count). A repeated
-/// run() over the same image+mapping pays ZERO plan recomputation — the
-/// property micro_unroll measures and the replay tests assert via
-/// compiles(). The fingerprint matters for flowpass rewrites: an optimized
-/// image inherits its source's serial, and only the content hash keeps it
-/// from reusing the unoptimized plan.
+/// Runtime::run_pruned() over the same image+mapping pays ZERO plan
+/// recomputation — the property micro_unroll measures and the replay tests
+/// assert via compiles(). The fingerprint matters for flowpass rewrites: an
+/// optimized image inherits its source's serial, and only the content hash
+/// keeps it from reusing the unoptimized plan.
 ///
 /// Not thread-safe: one cache belongs to one driving thread (the engines
 /// themselves are already single-entry).
@@ -117,51 +114,6 @@ class PrunedPlanCache {
   };
   std::vector<Entry> entries_;  // few distinct keys per process: linear scan
   std::uint64_t compiles_ = 0;
-};
-
-/// Executes a flow through a pruned plan. Same synchronization protocol as
-/// Runtime::run, but each worker only ever touches its own tasks.
-class PrunedRuntime {
- public:
-  explicit PrunedRuntime(Config cfg);
-
-  support::RunStats run(const stf::TaskFlow& flow, const PrunedPlan& plan);
-
-  /// Image replay through an explicit plan (bodies come from image.task()).
-  support::RunStats run(const stf::FlowImage& image, const PrunedPlan& plan);
-
-  /// Cached fast path: compiles the plan on first call for this
-  /// (image, mapping) pair, replays from cache afterwards. The bench loop
-  /// is literally `while (...) prt.run(image, mapping);`.
-  support::RunStats run(const stf::FlowImage& image, const Mapping& mapping);
-
-  /// Trace of the last run (empty unless cfg.collect_trace).
-  [[nodiscard]] const stf::Trace& trace() const noexcept { return trace_; }
-
-  /// Synchronization events of the last run (empty unless cfg.collect_sync).
-  [[nodiscard]] const stf::SyncTrace& sync_trace() const noexcept {
-    return sync_trace_;
-  }
-
-  /// Cache-miss counter of the internal plan cache (test hook for the
-  /// "second run recompiles nothing" guarantee).
-  [[nodiscard]] std::uint64_t plan_compiles() const noexcept {
-    return cache_.compiles();
-  }
-
-  [[nodiscard]] const Config& config() const noexcept { return cfg_; }
-
-  /// Same contract as Runtime::attach_pool: reuse `pool` for all subsequent
-  /// runs instead of spawning threads per run.
-  void attach_pool(support::ThreadPool* pool) noexcept { pool_ = pool; }
-
- private:
-  Config cfg_;
-  stf::Trace trace_;
-  stf::SyncTrace sync_trace_;
-  PrunedPlanCache cache_;
-  support::ThreadPool* pool_ = nullptr;
-  RunArenas arenas_;  ///< recycled across runs (never shrinks)
 };
 
 }  // namespace rio::rt

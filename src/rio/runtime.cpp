@@ -29,7 +29,6 @@ constexpr std::uint64_t kDefaultCrashWatchdogNs = 100'000'000;  // 100ms
 /// worker's stack; the vectors are worker-private by construction.
 struct WorkerCtx {
   stf::WorkerId self = 0;
-  const Mapping* mapping = nullptr;
   SharedDataState* shared = nullptr;  // array indexed by DataId
   LocalDataState* local = nullptr;    // worker-private mirror (arena-backed)
   const stf::DataRegistry* registry = nullptr;
@@ -89,7 +88,8 @@ void record_failure(WorkerCtx& ctx, std::exception_ptr error) {
 /// The mapped-here half of Algorithm 1: acquire every access (get_*), run
 /// the body, then release (terminate_*). Acquisition cannot deadlock: a
 /// get_* only waits on the completion of strictly earlier tasks, never on
-/// another waiting worker.
+/// another waiting worker. Every front end funnels its owned tasks through
+/// here; a pruned worker seeds ctx.local from its plan beforehand.
 void execute_owned(const stf::Task& task, WorkerCtx& ctx) {
   bool stalled = false;
   std::uint64_t wait_begin = 0;
@@ -260,9 +260,9 @@ void execute_owned(const stf::Task& task, WorkerCtx& ctx) {
 /// Handles one task in flow order: execute it if mapped here, otherwise
 /// register its accesses locally. This is the body of Algorithm 1
 /// generalized to tasks with several accesses.
-void process_task(const stf::Task& task, WorkerCtx& ctx) {
-  const stf::WorkerId executor = (*ctx.mapping)(task.id);
-  if (executor != ctx.self) {
+void process_task(const stf::Task& task, const Mapping& mapping,
+                  WorkerCtx& ctx) {
+  if (mapping(task.id) != ctx.self) {
     // Not ours: one or two private-memory writes per access, no atomics.
     for (const stf::Access& a : task.accesses) {
       if (is_write(a.mode))
@@ -282,7 +282,8 @@ void process_task(const stf::Task& task, WorkerCtx& ctx) {
 /// program).
 class ReplaySink final : public stf::SubmitSink {
  public:
-  explicit ReplaySink(WorkerCtx& ctx) : ctx_(ctx) {}
+  ReplaySink(const Mapping& mapping, WorkerCtx& ctx)
+      : mapping_(mapping), ctx_(ctx) {}
 
   void submit(stf::TaskFn fn, stf::AccessList accesses, std::uint64_t cost,
               std::string name) override {
@@ -296,27 +297,28 @@ class ReplaySink final : public stf::SubmitSink {
     t.accesses = std::move(accesses);
     t.cost = cost;
     t.name = std::move(name);
-    process_task(t, ctx_);
+    process_task(t, mapping_, ctx_);
   }
 
  private:
+  const Mapping& mapping_;
   WorkerCtx& ctx_;
   stf::TaskId next_id_ = 0;
 };
 
-/// Shared fork-join scaffolding of every run flavour: allocates the shared
+/// The one fork-join core of every run flavour: allocates the shared
 /// protocol words and per-worker contexts, aligns the workers on a start
 /// barrier, runs `unroll(ctx)` on each, then folds stats/traces back
-/// together. `unroll` is the whole per-worker walk (streaming, ranged, or
-/// compiled-image replay).
+/// together. `unroll` is the whole per-worker walk (compiled-image unroll,
+/// pruned plan slice, or streaming program); `engine` labels the stall
+/// diagnostic ("rio" or "rio-pruned").
 template <typename UnrollFn>
-support::RunStats launch(const Config& cfg, support::ThreadPool* pool,
+support::RunStats launch(const Config& cfg, const char* engine,
+                         support::ThreadPool* pool,
                          const stf::DataRegistry& registry,
                          std::size_t num_data, std::size_t trace_reserve,
                          stf::Trace& trace_out, stf::SyncTrace& sync_out,
-                         const Mapping& mapping, RunArenas& arenas,
-                         UnrollFn&& unroll) {
-  RIO_ASSERT(mapping.valid());
+                         RunArenas& arenas, UnrollFn&& unroll) {
   const std::uint32_t p = cfg.num_workers;
   // Crash-armed plans force a watchdog (default window when unset): a
   // worker death must escalate as stf::WorkerLost, never hang the run —
@@ -326,11 +328,11 @@ support::RunStats launch(const Config& cfg, support::ThreadPool* pool,
   const std::uint64_t watchdog_ns =
       cfg.watchdog_ns > 0 ? cfg.watchdog_ns
                           : (crash_armed ? kDefaultCrashWatchdogNs : 0);
-  const bool watched_early = watchdog_ns > 0;
+  const bool watched = watchdog_ns > 0;
   // Doorbell batching replaces per-word notifies for unwatched kBlock runs;
-  // watched runs keep the classic path so abort-aware waits can poll.
-  const bool use_bells = cfg.wait_policy == support::WaitPolicy::kBlock &&
-                         !watched_early && cfg.doorbells;
+  // watched runs keep the per-word path so abort-aware waits can poll.
+  const bool use_bells =
+      cfg.wait_policy == support::WaitPolicy::kBlock && !watched;
 
   // Recycled sync-word arena: reset in place when it already fits.
   // SharedDataState holds atomics (not copyable), so growth recreates.
@@ -363,7 +365,6 @@ support::RunStats launch(const Config& cfg, support::ThreadPool* pool,
   std::mutex error_mu;
   stf::DeathBoard deaths;  // crash blotter; observed by the tripwire
 
-  const bool watched = watchdog_ns > 0;
   std::vector<support::WorkerProbe> probes(watched ? p : 0);
 
   std::vector<WorkerCtx> ctxs(p);
@@ -371,7 +372,6 @@ support::RunStats launch(const Config& cfg, support::ThreadPool* pool,
   for (std::uint32_t w = 0; w < p; ++w) {
     WorkerCtx& c = ctxs[w];
     c.self = w;
-    c.mapping = &mapping;
     c.shared = shared.data();
     // Recycled worker-private replica array (assign keeps capacity).
     arenas.locals[w].assign(num_data, LocalDataState{});
@@ -449,7 +449,7 @@ support::RunStats launch(const Config& cfg, support::ThreadPool* pool,
                   {now, now, probes[w].task.load(std::memory_order_relaxed), w,
                    obs::Phase::kStallSnapshot});
           }
-          return stall_diagnostic("rio", watchdog_ns, probes.data(), p,
+          return stall_diagnostic(engine, watchdog_ns, probes.data(), p,
                                   shared.data(), num_data);
         },
         [&] {
@@ -509,18 +509,8 @@ Runtime::Runtime(Config cfg) : cfg_(cfg) {
 
 support::RunStats Runtime::run(const stf::TaskFlow& flow,
                                const Mapping& mapping) {
-  return run(stf::FlowRange(flow), mapping);
-}
-
-support::RunStats Runtime::run(const stf::FlowRange& range,
-                               const Mapping& mapping) {
-  return launch(cfg_, pool_, range.registry(), range.num_data(), range.size(),
-                trace_, sync_trace_, mapping, arenas_, [&](WorkerCtx& c) {
-                  for (const stf::Task& task : range) {
-                    process_task(task, c);
-                    if (c.dead) break;
-                  }
-                });
+  const stf::FlowImage image = stf::FlowImage::compile(flow);
+  return run(stf::ImageRange(image), mapping);
 }
 
 support::RunStats Runtime::run(const stf::FlowImage& image,
@@ -530,6 +520,7 @@ support::RunStats Runtime::run(const stf::FlowImage& image,
 
 support::RunStats Runtime::run(const stf::ImageRange& range,
                                const Mapping& mapping) {
+  RIO_ASSERT(mapping.valid());
   // Hoist everything the unroll loop needs out of the per-task path: the
   // span and access arrays are the ONLY memory a worker touches for a task
   // it skips (plus its private local[] words) — the dense metadata that
@@ -539,13 +530,12 @@ support::RunStats Runtime::run(const stf::ImageRange& range,
   const stf::Access* acc = range.accesses_base();
   const stf::TaskId first = n > 0 ? range.first_id() : 0;
   return launch(
-      cfg_, pool_, range.registry(), range.num_data(), n, trace_, sync_trace_,
-      mapping, arenas_, [&, n, spans, acc, first](WorkerCtx& c) {
-        const Mapping& map = *c.mapping;
+      cfg_, "rio", pool_, range.registry(), range.num_data(), n, trace_,
+      sync_trace_, arenas_, [&, n, spans, acc, first](WorkerCtx& c) {
         std::uint64_t skipped = 0;  // batched: keeps the declare loop tight
         for (std::size_t i = 0; i < n; ++i) {
           const stf::TaskId id = first + i;
-          if (map(id) != c.self) {
+          if (mapping(id) != c.self) {
             const stf::FlowImage::Span s = spans[i];
             for (std::uint32_t k = s.begin; k != s.end; ++k) {
               const stf::Access a = acc[k];
@@ -565,12 +555,39 @@ support::RunStats Runtime::run(const stf::ImageRange& range,
       });
 }
 
+support::RunStats Runtime::run(const stf::FlowImage& image,
+                               const PrunedPlan& plan) {
+  RIO_ASSERT_MSG(plan.num_workers() == cfg_.num_workers,
+                 "plan built for a different worker count");
+  const stf::TaskId first = image.first_id();
+  return launch(cfg_, "rio-pruned", pool_, image.registry(), image.num_data(),
+                image.size(), trace_, sync_trace_, arenas_,
+                [&, first](WorkerCtx& c) {
+                  for (const PrunedTask& pt : plan.tasks_for(c.self)) {
+                    // Seed the replica with exactly what a full unroll
+                    // would have declared up to this task.
+                    for (const PrunedAccess& pa : pt.accesses)
+                      c.local[pa.data] = {pa.expected_writer,
+                                          pa.expected_reads};
+                    execute_owned(image.task(pt.id - first), c);
+                    if (c.dead) break;
+                  }
+                });
+}
+
+support::RunStats Runtime::run_pruned(const stf::FlowImage& image,
+                                      const Mapping& mapping) {
+  const auto plan = plans_.get(image, mapping, cfg_.num_workers);
+  return run(image, *plan);
+}
+
 support::RunStats Runtime::run_program(const stf::DataRegistry& registry,
                                        const stf::ProgramFn& program,
                                        const Mapping& mapping) {
-  return launch(cfg_, pool_, registry, registry.size(), 0, trace_, sync_trace_,
-                mapping, arenas_, [&](WorkerCtx& c) {
-                  ReplaySink sink(c);
+  RIO_ASSERT(mapping.valid());
+  return launch(cfg_, "rio", pool_, registry, registry.size(), 0, trace_,
+                sync_trace_, arenas_, [&](WorkerCtx& c) {
+                  ReplaySink sink(mapping, c);
                   program(sink);  // the worker IS the unroller
                 });
 }

@@ -9,8 +9,14 @@
 //   * cross-worker synchronization happens exclusively through the two
 //     shared words of each data object (data_object.hpp).
 //
-// Two front ends are provided:
-//   * run(flow, mapping)          — replays a materialized TaskFlow;
+// One fork-join core and one owned-task path (get_* / body / terminate_*)
+// serve every front end; they differ only in how a worker walks the flow:
+//   * run(image, mapping)         — unrolls a compiled FlowImage: own tasks
+//                                   execute, the rest are declared;
+//   * run(image, plan) /
+//     run_pruned(image, mapping)  — Section 3.5 pruning: a worker walks only
+//                                   its own plan slice and seeds its replica
+//                                   from the plan instead of declaring;
 //   * run_program(reg, prog, map) — every worker executes the user program
 //                                   itself (the paper's true decentralized
 //                                   unrolling; nothing is ever stored).
@@ -25,9 +31,9 @@
 #include "support/wait.hpp"
 #include "rio/data_object.hpp"
 #include "rio/mapping.hpp"
+#include "rio/pruning.hpp"
 #include "stf/access_guard.hpp"
 #include "stf/flow_image.hpp"
-#include "stf/flow_range.hpp"
 #include "stf/frontier.hpp"
 #include "stf/task_flow.hpp"
 #include "stf/trace.hpp"
@@ -40,8 +46,8 @@ namespace rio::rt {
 
 /// Per-run allocations recycled across runs of one Runtime: the per-handle
 /// sync-word array, each worker's private replica array, and the per-worker
-/// doorbells. Repeat runs (benches, hybrid phases, the pruned-plan replay
-/// path) reset these in place instead of reallocating — the task-pool
+/// doorbells. Repeat runs (benches, hybrid phases, full and pruned runs
+/// alike) reset these in place instead of reallocating — the task-pool
 /// recycling half of the wait/notify hot-path work (docs/perf.md).
 struct RunArenas {
   std::vector<SharedDataState> shared;
@@ -62,10 +68,6 @@ struct Config {
                                ///< the happens-before checker (src/analysis)
   bool enable_guard = false;   ///< dynamic data-race detection (tests)
   bool pin_workers = false;    ///< pin worker w to logical CPU w mod #cpus
-  bool doorbells = true;       ///< kBlock: batch wakeups through per-worker
-                               ///< doorbells (src/rio/doorbell.hpp); false
-                               ///< keeps the legacy per-word notify_all —
-                               ///< the A/B knob bench/micro_protocol flips
 
   // Resilience (docs/robustness.md). All default-off: the fast path is
   // byte-identical to the pre-resilience runtime.
@@ -95,25 +97,34 @@ class Runtime {
  public:
   explicit Runtime(Config cfg);
 
-  /// Executes a materialized flow under `mapping`. Blocks until all tasks
-  /// completed on all workers. Thread-safe data access is entirely the
-  /// protocol's job — this call performs no per-task allocation.
+  /// Convenience: compiles a throwaway FlowImage and runs it under
+  /// `mapping`. Callers that run one flow repeatedly should compile once and
+  /// use the image overloads.
   support::RunStats run(const stf::TaskFlow& flow, const Mapping& mapping);
 
-  /// Range variant: executes a slice of a flow (all tasks before the slice
-  /// must already be complete — the hybrid runtime's phase barrier
-  /// guarantees this). Task ids stay global; the mapping sees them as-is.
-  support::RunStats run(const stf::FlowRange& range, const Mapping& mapping);
-
-  /// Fast replay from a compiled FlowImage (stf/flow_image.hpp): the
-  /// non-mapped path is a tight loop over the image's flat access array —
-  /// no Task records, no InlineVec iteration, just the one-or-two private
-  /// writes per access the cost model promises. Compile the image once,
-  /// run it many times.
+  /// Executes a compiled FlowImage (stf/flow_image.hpp) under `mapping`.
+  /// Blocks until all tasks completed on all workers. The non-mapped path
+  /// is a tight loop over the image's flat access array — just the
+  /// one-or-two private writes per access the cost model promises — and
+  /// the call performs no per-task allocation.
   support::RunStats run(const stf::FlowImage& image, const Mapping& mapping);
 
-  /// Image-slice variant (hybrid phase execution).
+  /// Image-slice variant (hybrid phase execution): all tasks before the
+  /// slice must already be complete — the hybrid runtime's phase barrier
+  /// guarantees this. Task ids stay global; the mapping sees them as-is.
   support::RunStats run(const stf::ImageRange& range, const Mapping& mapping);
+
+  /// Pruned execution through an explicit plan (rio/pruning.hpp) built for
+  /// `image` and config().num_workers: each worker visits only its own
+  /// tasks. Same protocol, same owned-task path as the mapped overloads.
+  support::RunStats run(const stf::FlowImage& image, const PrunedPlan& plan);
+
+  /// Cached pruned path: compiles the plan on first call for this
+  /// (image, mapping) pair, replays from this runtime's plan cache
+  /// afterwards. A bench loop is literally
+  /// `while (...) rt.run_pruned(image, mapping);`.
+  support::RunStats run_pruned(const stf::FlowImage& image,
+                               const Mapping& mapping);
 
   /// Streaming mode: each worker runs `program` itself against a
   /// pre-registered data registry; tasks are executed or declared on the
@@ -121,6 +132,12 @@ class Runtime {
   support::RunStats run_program(const stf::DataRegistry& registry,
                                 const stf::ProgramFn& program,
                                 const Mapping& mapping);
+
+  /// Cache misses of the run_pruned() plan cache (test hook for the
+  /// "second run recompiles nothing" guarantee).
+  [[nodiscard]] std::uint64_t plan_compiles() const noexcept {
+    return plans_.compiles();
+  }
 
   /// Trace of the last run (empty unless cfg.collect_trace).
   [[nodiscard]] const stf::Trace& trace() const noexcept { return trace_; }
@@ -144,6 +161,7 @@ class Runtime {
   stf::SyncTrace sync_trace_;
   support::ThreadPool* pool_ = nullptr;
   RunArenas arenas_;  ///< recycled across runs (never shrinks)
+  PrunedPlanCache plans_;
 };
 
 }  // namespace rio::rt

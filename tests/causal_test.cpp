@@ -196,11 +196,12 @@ TEST(CausalRio, PrunedRuntimeAttributesToo) {
   const std::uint32_t p = 2;
   auto wl = chain(24, 100000, p, workloads::BodyKind::kCounter);
   obs::Hub hub(obs::HubOptions{.recorder = true});
-  rt::PrunedPlan plan(wl.flow, wl.mapping(p), p);
-  rt::PrunedRuntime eng(rt::Config{.num_workers = p,
-                                   .collect_stats = true,
-                                   .obs = &hub});
-  eng.run(wl.flow, plan);
+  const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
+  rt::PrunedPlan plan(image, wl.mapping(p), p);
+  rt::Runtime eng(rt::Config{.num_workers = p,
+                             .collect_stats = true,
+                             .obs = &hub});
+  eng.run(image, plan);
   ASSERT_EQ(hub.dropped(), 0u);
 
   const obs::causal::Analysis an = obs::causal::analyze(hub);

@@ -8,6 +8,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "coor/coor.hpp"
 #include "engine/registry.hpp"
@@ -544,16 +545,150 @@ TEST(Resilience, PrunedCachedPlanSurvivesFailure) {
              {stf::readwrite(d)});
   const auto image = stf::FlowImage::compile(flow);
   const auto mapping = rt::mapping::round_robin(2);
-  rt::PrunedRuntime runtime(rt::Config{.num_workers = 2});
+  rt::Runtime runtime(rt::Config{.num_workers = 2});
 
-  EXPECT_THROW(runtime.run(image, mapping), BoomError);
+  EXPECT_THROW(runtime.run_pruned(image, mapping), BoomError);
   EXPECT_EQ(executed.load(), 7);
 
   armed.store(false);
   executed.store(0);
-  runtime.run(image, mapping);  // must not throw
+  runtime.run_pruned(image, mapping);  // must not throw
   EXPECT_EQ(executed.load(), 20);
   EXPECT_EQ(runtime.plan_compiles(), 1u);  // plan compiled exactly once
+}
+
+/// Order-sensitive flow over four scalars: task i folds its id and a
+/// neighbour's value into d[i mod 4], so the final bytes pin the exact
+/// dependency order. While `armed` is set, task `throw_at` always throws.
+stf::TaskFlow folding_flow(int n, int throw_at, const std::atomic<bool>& armed) {
+  stf::TaskFlow flow;
+  std::vector<stf::DataHandle<std::uint64_t>> d;
+  for (int k = 0; k < 4; ++k)
+    d.push_back(flow.create_data<std::uint64_t>("d" + std::to_string(k)));
+  for (int i = 0; i < n; ++i) {
+    const auto mine = d[i % 4];
+    const auto next = d[(i + 1) % 4];
+    flow.add("fold" + std::to_string(i),
+             [i, throw_at, mine, next, &armed](stf::TaskContext& ctx) {
+               if (i == throw_at && armed.load()) throw BoomError{};
+               ctx.scalar(mine) = ctx.scalar(mine) * 31 +
+                                  ctx.scalar(next, stf::AccessMode::kRead) +
+                                  static_cast<std::uint64_t>(i);
+             },
+             {stf::readwrite(mine), stf::read(next)});
+  }
+  return flow;
+}
+
+std::vector<std::uint64_t> scalars(const stf::DataRegistry& r) {
+  std::vector<std::uint64_t> out;
+  for (stf::DataId id = 0; id < r.size(); ++id)
+    out.push_back(*static_cast<const std::uint64_t*>(r.raw(id)));
+  return out;
+}
+
+void zero_scalars(const stf::DataRegistry& r) {
+  for (stf::DataId id = 0; id < r.size(); ++id)
+    *static_cast<std::uint64_t*>(r.raw(id)) = 0;
+}
+
+TEST(Resilience, FullAndPrunedRunsShareArenasWithoutLeaks) {
+  // One Runtime, one image, alternating front ends around a failed run:
+  // full -> pruned (task 7 exhausts its retries) -> pruned -> full. Both
+  // front ends recycle the same RunArenas, so a replica or sync word left
+  // dirty by an earlier (or a cancelled) run would corrupt the next one.
+  const std::atomic<bool> never{false};
+  stf::TaskFlow oracle_flow = folding_flow(48, 7, never);
+  stf::SequentialExecutor{}.run(oracle_flow);
+  const std::vector<std::uint64_t> oracle = scalars(oracle_flow.registry());
+
+  std::atomic<bool> armed{false};
+  stf::TaskFlow flow = folding_flow(48, 7, armed);
+  const auto image = stf::FlowImage::compile(flow);
+  const auto mapping = rt::mapping::round_robin(3);
+  // The watchdog turns a leaked sync word (a wait that can never be
+  // satisfied) into a StallError instead of a hung test.
+  rt::Runtime runtime(rt::Config{.num_workers = 3,
+                                 .retry = {.max_attempts = 2},
+                                 .watchdog_ns = 2'000'000'000ull});
+
+  runtime.run(image, mapping);
+  EXPECT_EQ(scalars(flow.registry()), oracle) << "full run";
+
+  zero_scalars(flow.registry());
+  armed.store(true);
+  try {
+    runtime.run_pruned(image, mapping);
+    FAIL() << "expected TaskFailure";
+  } catch (const stf::TaskFailure& f) {
+    EXPECT_EQ(f.report().task, 7u);
+    EXPECT_EQ(f.report().attempts, 2u);
+  }
+  armed.store(false);
+
+  zero_scalars(flow.registry());
+  runtime.run_pruned(image, mapping);
+  EXPECT_EQ(scalars(flow.registry()), oracle) << "pruned run after failure";
+
+  zero_scalars(flow.registry());
+  runtime.run(image, mapping);
+  EXPECT_EQ(scalars(flow.registry()), oracle) << "full run after pruned";
+
+  EXPECT_EQ(runtime.plan_compiles(), 1u);  // both pruned runs share a plan
+}
+
+TEST(Resilience, PrunedStallDiagnosticNamesPrunedEngine) {
+  // The fork-join core is shared, so the engine label is the only thing
+  // telling a pruned stall from a full one in the diagnostic.
+  stf::DataHandle<int> d;
+  auto flow = increment_chain(30, d);
+  const auto image = stf::FlowImage::compile(flow);
+  const auto mapping = rt::mapping::round_robin(2);
+  support::FaultPlan plan;
+  plan.stall_tasks = {10};
+  plan.stall_ns = 10'000'000'000ull;  // 10 s — far beyond the window
+  support::FaultInjector injector(plan);
+  rt::Runtime runtime(rt::Config{.num_workers = 2,
+                                 .fault = &injector,
+                                 .watchdog_ns = 200'000'000ull});
+  try {
+    runtime.run_pruned(image, mapping);
+    FAIL() << "expected StallError";
+  } catch (const stf::StallError& e) {
+    EXPECT_EQ(e.diagnostic().rfind("rio-pruned: no progress", 0), 0u)
+        << e.diagnostic();
+    EXPECT_NE(e.diagnostic().find("worker 1"), std::string::npos);
+  }
+  try {
+    runtime.run(image, mapping);
+    FAIL() << "expected StallError";
+  } catch (const stf::StallError& e) {
+    EXPECT_EQ(e.diagnostic().rfind("rio: no progress", 0), 0u)
+        << e.diagnostic();
+  }
+}
+
+TEST(Recovery, PrunedCrashWithoutWatchdogEscalatesWorkerLost) {
+  // No watchdog configured: the crash-armed plan must still arm the
+  // default one on the pruned path, so the death escalates instead of
+  // hanging the survivors.
+  stf::DataHandle<int> d;
+  auto flow = increment_chain(20, d);
+  const auto image = stf::FlowImage::compile(flow);
+  support::FaultPlan plan;
+  plan.crash_tasks = {8};
+  plan.max_crashes = 1;
+  support::FaultInjector injector(plan);
+  rt::Runtime runtime(rt::Config{.num_workers = 2, .fault = &injector});
+  try {
+    runtime.run_pruned(image, rt::mapping::round_robin(2));
+    FAIL() << "expected WorkerLost";
+  } catch (const stf::WorkerLost& loss) {
+    ASSERT_EQ(loss.deaths().size(), 1u);
+    EXPECT_EQ(loss.deaths()[0].task, 8u);
+    EXPECT_EQ(loss.deaths()[0].worker, 8u % 2);
+  }
+  EXPECT_EQ(injector.injected_crashes(), 1u);
 }
 
 }  // namespace

@@ -181,9 +181,9 @@ TEST(FlowImageReplay, RioStreamingImageAndPrunedAgree) {
   expect_same_registry(wl_image.flow.registry(), wl_seq.flow.registry(),
                        "image");
 
-  rt::PrunedRuntime pruned(cfg);
+  rt::Runtime pruned(cfg);
   const stf::FlowImage pruned_image = stf::FlowImage::compile(wl_pruned.flow);
-  pruned.run(pruned_image, wl_pruned.mapping(kWorkers));
+  pruned.run_pruned(pruned_image, wl_pruned.mapping(kWorkers));
   ASSERT_TRUE(pruned.trace().validate(wl_pruned.flow, graph, true).ok());
   expect_clean_sync(wl_pruned.flow, pruned.sync_trace(), "pruned");
   expect_same_registry(wl_pruned.flow.registry(), wl_seq.flow.registry(),
@@ -233,20 +233,20 @@ TEST(PruningCache, SecondRunCompilesNothing) {
   const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
   const rt::Mapping mapping = wl.mapping(2);
 
-  rt::PrunedRuntime prt(rt::Config{.num_workers = 2});
+  rt::Runtime prt(rt::Config{.num_workers = 2});
   EXPECT_EQ(prt.plan_compiles(), 0u);
-  prt.run(image, mapping);
+  prt.run_pruned(image, mapping);
   EXPECT_EQ(prt.plan_compiles(), 1u);
-  prt.run(image, mapping);
-  prt.run(image, mapping);
+  prt.run_pruned(image, mapping);
+  prt.run_pruned(image, mapping);
   EXPECT_EQ(prt.plan_compiles(), 1u);  // cache hit: zero recomputation
 
   // A different mapping is a different key...
-  prt.run(image, rt::mapping::round_robin(2));
+  prt.run_pruned(image, rt::mapping::round_robin(2));
   EXPECT_EQ(prt.plan_compiles(), 2u);
   // ...and a recompiled image of the same flow is too (new serial).
   const stf::FlowImage again = stf::FlowImage::compile(wl.flow);
-  prt.run(again, mapping);
+  prt.run_pruned(again, mapping);
   EXPECT_EQ(prt.plan_compiles(), 3u);
 }
 
@@ -268,29 +268,45 @@ TEST(PruningCache, CopiedMappingSharesIdentity) {
 }
 
 TEST(PruningCache, ImagePlanMatchesFlowPlan) {
+  // The image-compiled plan must carry exactly the (last writer, reads
+  // since) pair a full unroll of the source TaskFlow would have declared
+  // before each task: recompute that reference straight from the Task
+  // records and compare field by field.
   auto wl = make_equivalence_workload();
   const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
   const rt::Mapping mapping = wl.mapping(3);
-  const rt::PrunedPlan from_flow(wl.flow, mapping, 3);
-  const rt::PrunedPlan from_image(image, mapping, 3);
-  ASSERT_EQ(from_flow.total_tasks(), from_image.total_tasks());
-  for (stf::WorkerId w = 0; w < 3; ++w) {
-    const auto& fa = from_flow.tasks_for(w);
-    const auto& fb = from_image.tasks_for(w);
-    ASSERT_EQ(fa.size(), fb.size()) << "worker " << w;
-    for (std::size_t i = 0; i < fa.size(); ++i) {
-      EXPECT_EQ(fa[i].id, fb[i].id);
-      ASSERT_EQ(fa[i].accesses.size(), fb[i].accesses.size());
-      for (std::size_t k = 0; k < fa[i].accesses.size(); ++k) {
-        EXPECT_EQ(fa[i].accesses[k].data, fb[i].accesses[k].data);
-        EXPECT_EQ(fa[i].accesses[k].mode, fb[i].accesses[k].mode);
-        EXPECT_EQ(fa[i].accesses[k].expected_writer,
-                  fb[i].accesses[k].expected_writer);
-        EXPECT_EQ(fa[i].accesses[k].expected_reads,
-                  fb[i].accesses[k].expected_reads);
-      }
+  const rt::PrunedPlan plan(image, mapping, 3);
+  ASSERT_EQ(plan.total_tasks(), wl.flow.num_tasks());
+
+  struct Replica {
+    stf::TaskId writer = rt::kNoWrite;
+    std::uint64_t reads = 0;
+  };
+  std::vector<Replica> replica(wl.flow.num_data());
+  std::vector<std::size_t> cursor(3, 0);
+  for (const stf::Task& task : wl.flow.tasks()) {
+    const stf::WorkerId w = mapping(task.id);
+    const auto& mine = plan.tasks_for(w);
+    ASSERT_LT(cursor[w], mine.size()) << "worker " << w;
+    const rt::PrunedTask& pt = mine[cursor[w]++];
+    EXPECT_EQ(pt.id, task.id);
+    ASSERT_EQ(pt.accesses.size(), task.accesses.size());
+    for (std::size_t k = 0; k < task.accesses.size(); ++k) {
+      const stf::Access& a = task.accesses[k];
+      EXPECT_EQ(pt.accesses[k].data, a.data);
+      EXPECT_EQ(pt.accesses[k].mode, a.mode);
+      EXPECT_EQ(pt.accesses[k].expected_writer, replica[a.data].writer);
+      EXPECT_EQ(pt.accesses[k].expected_reads, replica[a.data].reads);
+    }
+    for (const stf::Access& a : task.accesses) {
+      if (stf::is_write(a.mode))
+        replica[a.data] = {task.id, 0};
+      else
+        replica[a.data].reads += 1;
     }
   }
+  for (stf::WorkerId w = 0; w < 3; ++w)
+    EXPECT_EQ(cursor[w], plan.tasks_for(w).size()) << "worker " << w;
 }
 
 // ------------------------------------------------------------------- sim ---

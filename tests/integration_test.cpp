@@ -64,10 +64,11 @@ TEST(FlowRange, RioRunsSubRange) {
   for (int i = 0; i < 8; ++i)
     flow.add("inc", [d](stf::TaskContext& ctx) { ctx.scalar(d) += 1; },
              {stf::readwrite(d)});
+  const stf::FlowImage image = stf::FlowImage::compile(flow);
   rt::Runtime runtime(rt::Config{.num_workers = 2});
-  runtime.run(stf::FlowRange(flow, 0, 5), rt::mapping::round_robin(2));
+  runtime.run(stf::ImageRange(image, 0, 5), rt::mapping::round_robin(2));
   EXPECT_EQ(*flow.registry().typed<std::uint64_t>(d), 5u);
-  runtime.run(stf::FlowRange(flow, 5, 3), rt::mapping::round_robin(2));
+  runtime.run(stf::ImageRange(image, 5, 3), rt::mapping::round_robin(2));
   EXPECT_EQ(*flow.registry().typed<std::uint64_t>(d), 8u);
 }
 

@@ -227,12 +227,13 @@ TEST(ObsReconcile, PrunedRioAgreesToo) {
   const std::uint32_t p = 2;
   auto wl = cholesky(4, p);
   obs::Hub hub(obs::HubOptions{.recorder = true});
-  rt::PrunedPlan plan(wl.flow, wl.mapping(p), p);
-  rt::PrunedRuntime eng(rt::Config{.num_workers = p,
-                                   .collect_stats = true,
-                                   .collect_trace = true,
-                                   .obs = &hub});
-  const auto stats = eng.run(wl.flow, plan);
+  const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
+  rt::PrunedPlan plan(image, wl.mapping(p), p);
+  rt::Runtime eng(rt::Config{.num_workers = p,
+                             .collect_stats = true,
+                             .collect_trace = true,
+                             .obs = &hub});
+  const auto stats = eng.run(image, plan);
   const auto busy = trace_busy(eng.trace(), p);
   const auto body = ring_body(hub);
   for (std::uint32_t w = 0; w < p; ++w) {

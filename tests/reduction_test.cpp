@@ -171,9 +171,10 @@ TEST(ReductionEngines, RioExecutesReductionsInOrder) {
 TEST(ReductionEngines, PrunedRioMatches) {
   auto flow = histogram_flow(90, 2);
   const auto mapping = rt::mapping::round_robin(2);
-  rt::PrunedPlan plan(flow, mapping, 2);
-  rt::PrunedRuntime prt(rt::Config{.num_workers = 2});
-  prt.run(flow, plan);
+  const FlowImage image = FlowImage::compile(flow);
+  rt::PrunedPlan plan(image, mapping, 2);
+  rt::Runtime prt(rt::Config{.num_workers = 2});
+  prt.run(image, plan);
   EXPECT_EQ(*flow.registry().typed<std::uint64_t>(
                 DataHandle<std::uint64_t>{2}),
             expected_total(90));

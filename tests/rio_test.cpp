@@ -395,7 +395,8 @@ TEST(Pruning, PlanPartitionsAllTasks) {
   spec.body = workloads::BodyKind::kNone;
   spec.num_workers = 3;
   auto wl = workloads::make_lu_dag(spec);
-  rt::PrunedPlan plan(wl.flow, wl.mapping(3), 3);
+  const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
+  rt::PrunedPlan plan(image, wl.mapping(3), 3);
   EXPECT_EQ(plan.total_tasks(), wl.flow.num_tasks());
   std::size_t sum = 0;
   for (std::uint32_t w = 0; w < 3; ++w) sum += plan.tasks_for(w).size();
@@ -410,7 +411,8 @@ TEST(Pruning, ExpectationsMatchDependencyAnalysis) {
   flow.add("r1", {}, {stf::read(d)});
   flow.add("r2", {}, {stf::read(d)});
   flow.add("w3", {}, {stf::write(d)});
-  rt::PrunedPlan plan(flow, rt::mapping::single(), 1);
+  const stf::FlowImage image = stf::FlowImage::compile(flow);
+  rt::PrunedPlan plan(image, rt::mapping::single(), 1);
   const auto& tasks = plan.tasks_for(0);
   ASSERT_EQ(tasks.size(), 4u);
   EXPECT_EQ(tasks[0].accesses[0].expected_writer, rt::kNoWrite);
@@ -426,9 +428,10 @@ TEST(Pruning, PrunedExecutionMatchesOracle) {
   auto sequential = make_order_sensitive_random(99, workers);
   stf::SequentialExecutor{}.run(sequential.flow);
 
-  rt::PrunedPlan plan(parallel.flow, parallel.mapping(workers), workers);
-  rt::PrunedRuntime prt(Config{.num_workers = workers});
-  auto stats = prt.run(parallel.flow, plan);
+  const stf::FlowImage image = stf::FlowImage::compile(parallel.flow);
+  rt::PrunedPlan plan(image, parallel.mapping(workers), workers);
+  Runtime prt(Config{.num_workers = workers});
+  auto stats = prt.run(image, plan);
   EXPECT_EQ(stats.tasks_executed(), parallel.flow.num_tasks());
 
   const auto& pr = parallel.flow.registry();
@@ -448,9 +451,10 @@ TEST(Pruning, NumericLuThroughPrunedRuntime) {
   stf::SequentialExecutor{}.run(wl_seq.flow);
 
   auto wl_par = workloads::make_lu_numeric(a2, workers);
-  rt::PrunedPlan plan(wl_par.flow, wl_par.mapping(workers), workers);
-  rt::PrunedRuntime prt(Config{.num_workers = workers});
-  prt.run(wl_par.flow, plan);
+  const stf::FlowImage image = stf::FlowImage::compile(wl_par.flow);
+  rt::PrunedPlan plan(image, wl_par.mapping(workers), workers);
+  Runtime prt(Config{.num_workers = workers});
+  prt.run(image, plan);
 
   EXPECT_EQ(a1.max_abs_diff(a2), 0.0);
 }
