@@ -1,15 +1,17 @@
 // Built-in backends. This file is the "exactly one place" a new backend is
 // added: implement engine::Backend (usually a thin facade over an existing
-// runtime) and append one line to register_builtins() at the bottom.
+// runtime) and append one line to register_builtins() at the bottom. rio
+// and rio-pruned are facades over one shared RioExecutor (executor.hpp)
+// that keeps their threads, arenas and plan resident between runs.
 
 #include <memory>
 #include <optional>
 #include <utility>
 
+#include "engine/executor.hpp"
 #include "engine/registry.hpp"
 #include "coor/runtime.hpp"
 #include "hybrid/runtime.hpp"
-#include "rio/runtime.hpp"
 #include "sim/simulate.hpp"
 #include "stf/sequential.hpp"
 
@@ -34,22 +36,6 @@ hybrid::PartialMapping default_partial(std::uint32_t workers) {
   };
 }
 
-rt::Config make_rio_config(const Launch& l) {
-  return rt::Config{.num_workers = l.workers,
-                    .wait_policy = l.wait_policy,
-                    .collect_stats = l.collect_stats,
-                    .collect_trace = l.collect_trace,
-                    .collect_sync = l.collect_sync,
-                    .enable_guard = l.enable_guard,
-                    .pin_workers = l.pin_workers,
-                    .retry = l.retry,
-                    .fault = l.fault,
-                    .watchdog_ns = l.watchdog_ns,
-                    .resume = l.resume,
-                    .checkpoint = l.checkpoint,
-                    .obs = l.obs};
-}
-
 class SeqBackend final : public Backend {
  public:
   [[nodiscard]] std::string_view name() const noexcept override {
@@ -71,6 +57,9 @@ class SeqBackend final : public Backend {
 
 class RioBackend final : public Backend {
  public:
+  explicit RioBackend(std::shared_ptr<RioExecutor> executor)
+      : executor_(std::move(executor)) {}
+
   [[nodiscard]] std::string_view name() const noexcept override {
     return "rio";
   }
@@ -95,16 +84,18 @@ class RioBackend final : public Backend {
   [[nodiscard]] Outcome run(const stf::FlowImage& image,
                             const Launch& launch) const override {
     validate(*this, launch);
-    rt::Runtime eng(make_rio_config(launch));
-    Outcome out = base_outcome(eng.run(image, launch.mapping), caps());
-    out.trace = eng.trace();
-    out.sync = eng.sync_trace();
-    return out;
+    return executor_->run(image, launch, RioExecutor::Walk::kFull);
   }
+
+ private:
+  std::shared_ptr<RioExecutor> executor_;
 };
 
 class PrunedBackend final : public Backend {
  public:
+  explicit PrunedBackend(std::shared_ptr<RioExecutor> executor)
+      : executor_(std::move(executor)) {}
+
   [[nodiscard]] std::string_view name() const noexcept override {
     return "rio-pruned";
   }
@@ -127,13 +118,11 @@ class PrunedBackend final : public Backend {
   [[nodiscard]] Outcome run(const stf::FlowImage& image,
                             const Launch& launch) const override {
     validate(*this, launch);
-    rt::Runtime eng(make_rio_config(launch));
-    Outcome out = base_outcome(eng.run_pruned(image, launch.mapping), caps());
-    out.trace = eng.trace();
-    out.sync = eng.sync_trace();
-    out.plan_compiles = eng.plan_compiles();
-    return out;
+    return executor_->run(image, launch, RioExecutor::Walk::kPruned);
   }
+
+ private:
+  std::shared_ptr<RioExecutor> executor_;
 };
 
 class CoorBackend final : public Backend {
@@ -348,8 +337,10 @@ namespace detail {
 
 void register_builtins(Registry& reg) {
   reg.add(std::make_unique<SeqBackend>());
-  reg.add(std::make_unique<RioBackend>());
-  reg.add(std::make_unique<PrunedBackend>());
+  // rio and rio-pruned share one persistent executor (engine/executor.hpp).
+  auto rio_executor = std::make_shared<RioExecutor>();
+  reg.add(std::make_unique<RioBackend>(rio_executor));
+  reg.add(std::make_unique<PrunedBackend>(std::move(rio_executor)));
   reg.add(std::make_unique<CoorBackend>());
   reg.add(std::make_unique<HybridBackend>());
   reg.add(std::make_unique<SimRioBackend>());

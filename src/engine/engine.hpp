@@ -136,7 +136,9 @@ struct Outcome {
   std::size_t phases = 0;
   std::size_t completed_phases = 0;
 
-  // rio-pruned extra: plan-cache misses paid by this run.
+  // rio-pruned extra: plan-cache misses paid by THIS call — 1 when the
+  // plan for (image, mapping, workers) had to be compiled, 0 on a warm hit
+  // of the backend's resident plan. Always 0 on other backends.
   std::uint64_t plan_compiles = 0;
 
   // Recovery extras (filled by engine::run_supervised, or by simulators
@@ -159,9 +161,14 @@ class UnsupportedLaunch : public std::runtime_error {
                            "' cannot run this launch: " + detail) {}
 };
 
-/// A registered execution backend. Implementations are stateless facades:
-/// run() builds a fresh underlying runtime per call, so backends are safe to
-/// share and re-enter from different tests/commands.
+/// A registered execution backend. run() is const and safe to call from
+/// any thread, concurrently and re-entrantly. Most implementations build a
+/// fresh underlying runtime per call. rio and rio-pruned instead share one
+/// persistent executor (engine/executor.hpp) that lives as long as the
+/// registry and keeps W parked threads, the runtime's arenas and one
+/// compiled pruned plan resident between calls; a call that finds it busy
+/// (another thread, or a task body re-entering the backend) falls back to
+/// a private one-shot runtime.
 class Backend {
  public:
   Backend() = default;

@@ -870,10 +870,14 @@ class Explorer {
           // Pruning: walk only this worker's plan slice and seed the
           // replica from the plan's expectations instead of declaring.
           std::vector<rt::LocalDataState> local(n_data);
-          for (const rt::PrunedTask& pt : pruned_->tasks_for(w)) {
-            for (const rt::PrunedAccess& pa : pt.accesses)
-              local[pa.data] = {pa.expected_writer, pa.expected_reads};
-            if (!execute_owned(w, flow_.task(pt.id), local)) return;
+          for (const std::uint32_t i : pruned_->tasks_for(w)) {
+            const stf::FlowImage::Span s = image_.spans()[i];
+            for (std::uint32_t k = s.begin; k != s.end; ++k) {
+              const rt::PrunedSeed& seed = pruned_->seed(k);
+              local[image_.accesses()[k].data] = {seed.expected_writer,
+                                                  seed.expected_reads};
+            }
+            if (!execute_owned(w, image_.task(i), local)) return;
           }
           break;
         }

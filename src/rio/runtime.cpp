@@ -503,8 +503,11 @@ support::RunStats launch(const Config& cfg, const char* engine,
 
 }  // namespace
 
-Runtime::Runtime(Config cfg) : cfg_(cfg) {
-  RIO_ASSERT_MSG(cfg_.num_workers > 0, "need at least one worker");
+Runtime::Runtime(Config cfg) { configure(cfg); }
+
+void Runtime::configure(const Config& cfg) {
+  RIO_ASSERT_MSG(cfg.num_workers > 0, "need at least one worker");
+  cfg_ = cfg;
 }
 
 support::RunStats Runtime::run(const stf::TaskFlow& flow,
@@ -559,17 +562,23 @@ support::RunStats Runtime::run(const stf::FlowImage& image,
                                const PrunedPlan& plan) {
   RIO_ASSERT_MSG(plan.num_workers() == cfg_.num_workers,
                  "plan built for a different worker count");
-  const stf::TaskId first = image.first_id();
+  RIO_ASSERT_MSG(plan.total_tasks() == image.size(),
+                 "plan built for a different image");
+  const stf::FlowImage::Span* spans = image.spans();
+  const stf::Access* acc = image.accesses();
   return launch(cfg_, "rio-pruned", pool_, image.registry(), image.num_data(),
                 image.size(), trace_, sync_trace_, arenas_,
-                [&, first](WorkerCtx& c) {
-                  for (const PrunedTask& pt : plan.tasks_for(c.self)) {
+                [&, spans, acc](WorkerCtx& c) {
+                  for (const std::uint32_t i : plan.tasks_for(c.self)) {
                     // Seed the replica with exactly what a full unroll
                     // would have declared up to this task.
-                    for (const PrunedAccess& pa : pt.accesses)
-                      c.local[pa.data] = {pa.expected_writer,
-                                          pa.expected_reads};
-                    execute_owned(image.task(pt.id - first), c);
+                    const stf::FlowImage::Span s = spans[i];
+                    for (std::uint32_t k = s.begin; k != s.end; ++k) {
+                      const PrunedSeed& seed = plan.seed(k);
+                      c.local[acc[k].data] = {seed.expected_writer,
+                                              seed.expected_reads};
+                    }
+                    execute_owned(image.task(i), c);
                     if (c.dead) break;
                   }
                 });

@@ -149,6 +149,12 @@ class Runtime {
 
   [[nodiscard]] const Config& config() const noexcept { return cfg_; }
 
+  /// Replaces the configuration for subsequent runs. The recycled arenas,
+  /// the plan cache and an attached pool all survive: this is how one
+  /// long-lived runtime serves launches that differ from run to run
+  /// (engine/executor.hpp).
+  void configure(const Config& cfg);
+
   /// Uses `pool` (>= num_workers threads) for subsequent runs instead of
   /// spawning threads per run — amortizes thread startup for repeated
   /// fine-grained runs and for hybrid phase execution. Pass nullptr to

@@ -275,14 +275,19 @@ TEST(EngineOutcome, HybridDefaultPartialAlternatesPhases) {
 }
 
 TEST(EngineOutcome, PrunedReportsPlanCompiles) {
+  // plan_compiles is this call's cache misses: the backend keeps its plan
+  // resident, so a repeat of the same (image, launch) compiles nothing,
+  // and a freshly compiled image (new serial) misses again.
   auto flow = make_fold_chain(40, 4);
   const engine::Backend* pr = engine::Registry::instance().find("rio-pruned");
   ASSERT_NE(pr, nullptr);
   engine::Launch launch;
   launch.workers = 2;
   launch.mapping = rt::mapping::round_robin(2);
-  const auto outcome = pr->run(stf::FlowImage::compile(flow), launch);
-  EXPECT_EQ(outcome.plan_compiles, 1u);
+  const stf::FlowImage image = stf::FlowImage::compile(flow);
+  EXPECT_EQ(pr->run(image, launch).plan_compiles, 1u);
+  EXPECT_EQ(pr->run(image, launch).plan_compiles, 0u);
+  EXPECT_EQ(pr->run(stf::FlowImage::compile(flow), launch).plan_compiles, 1u);
 }
 
 }  // namespace

@@ -267,6 +267,28 @@ TEST(PruningCache, CopiedMappingSharesIdentity) {
   EXPECT_EQ(cache.compiles(), 2u);
 }
 
+TEST(PruningCache, DestroyedMappingNeverHitsAStalePlan) {
+  // The cache keys on Mapping::identity(), a closure address. Were the
+  // entry not to keep its mapping alive, the round-robin closure freed at
+  // the end of the first scope could hand its address to the block
+  // closure, and the second run would replay the round-robin plan.
+  auto wl = make_equivalence_workload();
+  const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
+  rt::Runtime prt(rt::Config{.num_workers = 3, .collect_trace = true});
+  {
+    const rt::Mapping rr = rt::mapping::round_robin(3);
+    prt.run_pruned(image, rr);
+  }
+  {
+    const rt::Mapping blk = rt::mapping::block(image.size(), 3);
+    prt.run_pruned(image, blk);
+    EXPECT_EQ(prt.plan_compiles(), 2u);
+    ASSERT_EQ(prt.trace().events().size(), image.size());
+    for (const stf::TraceEvent& ev : prt.trace().events())
+      EXPECT_EQ(ev.worker, blk(ev.task)) << "task " << ev.task;
+  }
+}
+
 TEST(PruningCache, ImagePlanMatchesFlowPlan) {
   // The image-compiled plan must carry exactly the (last writer, reads
   // since) pair a full unroll of the source TaskFlow would have declared
@@ -286,17 +308,19 @@ TEST(PruningCache, ImagePlanMatchesFlowPlan) {
   std::vector<std::size_t> cursor(3, 0);
   for (const stf::Task& task : wl.flow.tasks()) {
     const stf::WorkerId w = mapping(task.id);
-    const auto& mine = plan.tasks_for(w);
+    const auto mine = plan.tasks_for(w);
     ASSERT_LT(cursor[w], mine.size()) << "worker " << w;
-    const rt::PrunedTask& pt = mine[cursor[w]++];
-    EXPECT_EQ(pt.id, task.id);
-    ASSERT_EQ(pt.accesses.size(), task.accesses.size());
+    const std::uint32_t i = mine[cursor[w]++];
+    EXPECT_EQ(image.task_id(i), task.id);
+    const stf::FlowImage::Span s = image.spans()[i];
+    ASSERT_EQ(s.end - s.begin, task.accesses.size());
     for (std::size_t k = 0; k < task.accesses.size(); ++k) {
       const stf::Access& a = task.accesses[k];
-      EXPECT_EQ(pt.accesses[k].data, a.data);
-      EXPECT_EQ(pt.accesses[k].mode, a.mode);
-      EXPECT_EQ(pt.accesses[k].expected_writer, replica[a.data].writer);
-      EXPECT_EQ(pt.accesses[k].expected_reads, replica[a.data].reads);
+      const std::size_t slot = s.begin + k;
+      EXPECT_EQ(image.accesses()[slot].data, a.data);
+      EXPECT_EQ(image.accesses()[slot].mode, a.mode);
+      EXPECT_EQ(plan.seed(slot).expected_writer, replica[a.data].writer);
+      EXPECT_EQ(plan.seed(slot).expected_reads, replica[a.data].reads);
     }
     for (const stf::Access& a : task.accesses) {
       if (stf::is_write(a.mode))

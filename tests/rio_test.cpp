@@ -413,13 +413,15 @@ TEST(Pruning, ExpectationsMatchDependencyAnalysis) {
   flow.add("w3", {}, {stf::write(d)});
   const stf::FlowImage image = stf::FlowImage::compile(flow);
   rt::PrunedPlan plan(image, rt::mapping::single(), 1);
-  const auto& tasks = plan.tasks_for(0);
+  const auto tasks = plan.tasks_for(0);
   ASSERT_EQ(tasks.size(), 4u);
-  EXPECT_EQ(tasks[0].accesses[0].expected_writer, rt::kNoWrite);
-  EXPECT_EQ(tasks[1].accesses[0].expected_writer, 0u);
-  EXPECT_EQ(tasks[2].accesses[0].expected_writer, 0u);
-  EXPECT_EQ(tasks[3].accesses[0].expected_writer, 0u);
-  EXPECT_EQ(tasks[3].accesses[0].expected_reads, 2u);
+  for (std::uint32_t i = 0; i < 4; ++i) EXPECT_EQ(tasks[i], i);
+  // One access per task: seed k belongs to task k.
+  EXPECT_EQ(plan.seed(0).expected_writer, rt::kNoWrite);
+  EXPECT_EQ(plan.seed(1).expected_writer, 0u);
+  EXPECT_EQ(plan.seed(2).expected_writer, 0u);
+  EXPECT_EQ(plan.seed(3).expected_writer, 0u);
+  EXPECT_EQ(plan.seed(3).expected_reads, 2u);
 }
 
 TEST(Pruning, PrunedExecutionMatchesOracle) {

@@ -41,11 +41,13 @@
 #      (the wait-free MPMC ready ring), and every engine again with
 #      --recover (crash + evicted-resume two-phase exploration);
 #  14. ThreadSanitizer pass (skipped with RIO_SKIP_TSAN=1): rebuilds the
-#      failure suite + model checker + rioflow with RIO_SANITIZE=thread and
-#      reruns the resilience tests (incl. the recovery + crash-fuzz
-#      suites), the modelcheck suite, the quick chaos sweeps (transient
-#      AND crash kinds) and the new wait/notify configurations
-#      (block-policy doorbells, coor --queue ring) under TSan — the retry
+#      failure suite + executor suite + model checker + rioflow with
+#      RIO_SANITIZE=thread and reruns the resilience tests (incl. the
+#      recovery + crash-fuzz suites), the persistent-executor tests
+#      (concurrent callers, fallback), the modelcheck suite, the quick
+#      chaos sweeps (transient AND crash kinds) and the new wait/notify
+#      configurations (block-policy doorbells, coor --queue ring) under
+#      TSan — the retry
 #      / watchdog / abort / eviction machinery, the controlled scheduler
 #      and the new lock-free primitives are exactly the kind of code TSan
 #      earns its keep on.
@@ -344,9 +346,14 @@ else
   if cmake -B "$TSAN_BUILD" -S "$ROOT" -DRIO_SANITIZE=thread \
        -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null &&
      cmake --build "$TSAN_BUILD" -j "$(nproc)" \
-       --target failure_test modelcheck_test rioflow >/dev/null; then
+       --target failure_test modelcheck_test executor_test rioflow \
+       >/dev/null; then
     "$TSAN_BUILD/tests/failure_test" >/dev/null ||
       fail "failure_test under TSan"
+    # The persistent rio executor: reuse after failures, concurrent and
+    # re-entrant callers racing for it (one takes the one-shot fallback).
+    "$TSAN_BUILD/tests/executor_test" >/dev/null ||
+      fail "executor_test under TSan"
     "$TSAN_BUILD/tests/modelcheck_test" >/dev/null ||
       fail "modelcheck_test under TSan"
     "$TSAN_BUILD/rioflow" chaos --quick --workers 2 >/dev/null ||
