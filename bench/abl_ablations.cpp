@@ -36,7 +36,7 @@ void ablate_wait_policy(const bench::Options& opt) {
     spec.task_cost = 20'000;
     spec.num_workers = 2;
     auto wl = workloads::make_lu_dag(spec);
-    rt::Runtime runtime(rt::Config{.num_workers = 2, .wait_policy = policy});
+    rt::Runtime runtime(engine::Launch{.workers = 2, .wait_policy = policy});
     support::Stopwatch sw;
     const auto stats = runtime.run(wl.flow, wl.mapping(2));
     std::uint64_t waits = 0;
@@ -147,9 +147,9 @@ void ablate_scheduler(const bench::Options& opt) {
       for (stf::TaskId t = 0; t < wl.flow.num_tasks(); ++t)
         wl.flow.set_priority(t, static_cast<std::int32_t>(levels[t]));
     }
-    coor::Runtime runtime(coor::Config{.num_workers = 2,
-                                       .scheduler = v.kind,
-                                       .work_stealing = v.steal});
+    coor::Runtime runtime(engine::Launch{.workers = 2,
+                                         .scheduler = v.kind,
+                                         .work_stealing = v.steal});
     support::Stopwatch sw;
     const auto stats = runtime.run(wl.flow);
     table.row()

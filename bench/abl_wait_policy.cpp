@@ -91,9 +91,9 @@ int main(int argc, char** argv) {
   support::Table pingpong(
       {"policy", "wall_ms", "us_per_handoff", "stalls"});
   for (const support::WaitPolicy policy : policies) {
-    const rt::Config cfg{.num_workers = 2,
-                         .wait_policy = policy,
-                         .collect_stats = false};
+    const engine::Launch cfg{.workers = 2,
+                             .wait_policy = policy,
+                             .collect_stats = false};
     rt::Runtime eng(cfg);
     eng.attach_pool(&pool);
     const double free_ms =
@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
         .num(free_ms, 3)
         .num(free_ms * 1e6 / static_cast<double>(n_free), 1);
 
-    rt::Config scfg = cfg;
+    engine::Launch scfg = cfg;
     scfg.collect_stats = true;  // count the stalls to prove the shape
     rt::Runtime stalling(scfg);
     stalling.attach_pool(&pool);

@@ -92,7 +92,7 @@ void real_threads(const bench::Options& opt) {
     spec.body = workloads::BodyKind::kCounter;
 
     // One launcher for every column: the engine::Registry dispatches by
-    // name, so this bench never touches an engine-specific Config again.
+    // name, and every engine runs under the same engine::Launch.
     const auto measure_ms = [&](const char* engine_name) {
       auto wl = workloads::make_independent(spec);
       const auto image = stf::FlowImage::compile(wl.flow);

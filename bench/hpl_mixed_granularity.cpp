@@ -112,15 +112,15 @@ void real_threads(const bench::Options& opt) {
     stf::SequentialExecutor{}.run(h.workload.flow);
   });
   run("centralized OoO     ", [&](workloads::HplWorkload& h) {
-    coor::Runtime rt(coor::Config{.num_workers = workers});
+    coor::Runtime rt(engine::Launch{.workers = workers});
     rt.run(h.workload.flow);
   });
   run("decentralized (RIO) ", [&](workloads::HplWorkload& h) {
-    rt::Runtime rt(rt::Config{.num_workers = workers});
+    rt::Runtime rt(engine::Launch{.workers = workers});
     rt.run(h.workload.flow, h.full_mapping());
   });
   run("hybrid              ", [&](workloads::HplWorkload& h) {
-    hybrid::Runtime rt(hybrid::Config{.num_workers = workers});
+    hybrid::Runtime rt(engine::Launch{.workers = workers});
     rt.run(h.workload.flow, h.partial_mapping());
   });
   std::cout << std::endl;

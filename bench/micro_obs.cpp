@@ -6,7 +6,7 @@
 // chain workload (same construction as micro_unroll, so wall time is pure
 // protocol + instrumentation cost):
 //
-//   * off        — Config::obs == nullptr: the per-worker lens is unbound
+//   * off        — Launch::obs == nullptr: the per-worker lens is unbound
 //                  and every obs call is a null-check;
 //   * counters   — Hub without a recorder: per-worker cache-line-padded
 //                  increments only; the engine's `timed` flag stays false,
@@ -94,10 +94,10 @@ int main(int argc, char** argv) {
     const rt::Mapping mapping = rt::mapping::round_robin(w);
 
     const auto run_mode = [&](obs::Hub* hub) {
-      rt::Runtime eng(rt::Config{.num_workers = w,
-                                 .wait_policy = support::WaitPolicy::kSpin,
-                                 .collect_stats = false,
-                                 .obs = hub});
+      rt::Runtime eng(engine::Launch{.workers = w,
+                                     .wait_policy = support::WaitPolicy::kSpin,
+                                     .collect_stats = false,
+                                     .obs = hub});
       eng.attach_pool(&pool);
       return min_wall_ms(reps, [&] {
         if (hub != nullptr) hub->reset();

@@ -141,8 +141,8 @@ void run_section(const Sweep& s, const char* section,
 
       const auto rio_run = [&](bool pruned) {
         return [&, pruned](obs::Hub* hub) {
-          rt::Config cfg;
-          cfg.num_workers = w;
+          engine::Launch cfg;
+          cfg.workers = w;
           cfg.wait_policy = policy;
           cfg.collect_stats = false;
           cfg.obs = hub;
@@ -162,8 +162,8 @@ void run_section(const Sweep& s, const char* section,
       if (s.with_coor) {
         const auto coor_run = [&](coor::QueueKind queue) {
           return [&, queue](obs::Hub* hub) {
-            coor::Config cfg;
-            cfg.num_workers = w;
+            engine::Launch cfg;
+            cfg.workers = w;
             cfg.queue = queue;
             cfg.wait_policy = policy;
             cfg.collect_stats = false;

@@ -98,9 +98,9 @@ int main(int argc, char** argv) {
   for (const std::uint32_t w : workers) {
     const rt::Mapping mapping = rt::mapping::round_robin(w);
     for (const support::WaitPolicy policy : policies) {
-      const rt::Config cfg{.num_workers = w,
-                           .wait_policy = policy,
-                           .collect_stats = false};
+      const engine::Launch cfg{.workers = w,
+                               .wait_policy = policy,
+                               .collect_stats = false};
       rt::Runtime eng(cfg);
       eng.attach_pool(&pool);
       rt::Runtime pruned(cfg);

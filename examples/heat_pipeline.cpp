@@ -106,7 +106,7 @@ int main() {
         static_cast<std::uint64_t>(chunk) * kWorkers / kChunks);
   });
 
-  rt::Runtime runtime(rt::Config{.num_workers = kWorkers});
+  rt::Runtime runtime(engine::Launch{.workers = kWorkers});
   support::Stopwatch sw;
   const auto stats = runtime.run_program(registry, program, mapping);
   const double ms = sw.elapsed_s() * 1e3;

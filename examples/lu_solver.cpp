@@ -83,7 +83,7 @@ int main() {
   factorize(
       [&](workloads::TiledMatrix& m) {
         auto wl = workloads::make_lu_numeric(m, kWorkers);
-        rt::Runtime runtime(rt::Config{.num_workers = kWorkers});
+        rt::Runtime runtime(engine::Launch{.workers = kWorkers});
         // Owner-computes 2-D block-cyclic mapping from the generator.
         runtime.run(wl.flow, wl.mapping(kWorkers));
       },
@@ -92,7 +92,7 @@ int main() {
   factorize(
       [&](workloads::TiledMatrix& m) {
         auto wl = workloads::make_lu_numeric(m);
-        coor::Runtime runtime(coor::Config{.num_workers = kWorkers});
+        coor::Runtime runtime(engine::Launch{.workers = kWorkers});
         runtime.run(wl.flow);
       },
       "centralized OoO   ", coor_m);

@@ -36,7 +36,7 @@ int main() {
             << " coarse update tasks (dynamic)\n";
 
   hybrid::Runtime runtime(
-      hybrid::Config{.num_workers = kWorkers, .enable_guard = true});
+      engine::Launch{.workers = kWorkers, .enable_guard = true});
   support::Stopwatch sw;
   const auto stats = runtime.run(hpl.workload.flow, hpl.partial_mapping());
   std::cout << "executed in " << sw.elapsed_s() * 1e3 << " ms across "

@@ -47,7 +47,7 @@ int main() {
   //    here a simple round-robin; real applications use owner-computes
   //    maps (see the lu_solver example).
   const std::uint32_t workers = 4;
-  rt::Runtime runtime(rt::Config{.num_workers = workers});
+  rt::Runtime runtime(engine::Launch{.workers = workers});
   runtime.run(flow, rt::mapping::round_robin(workers));
 
   const std::uint64_t got = *flow.registry().typed<std::uint64_t>(result);

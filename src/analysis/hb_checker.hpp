@@ -3,7 +3,7 @@
 // The interval test in Trace::validate calls two conflicting tasks racy
 // only when their [start,end) wall-clock intervals overlap — a lucky
 // scheduling gap hides the race. This checker ignores wall clocks entirely:
-// it replays the acquire/release events the engines record (Config::
+// it replays the acquire/release events the engines record (Launch::
 // collect_sync) in global stamp order, builds vector clocks, and reports
 // every conflicting access pair that no happens-before path orders. A race
 // that happened to execute without overlapping is still reported.

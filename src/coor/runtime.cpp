@@ -18,6 +18,8 @@
 #include "support/topology.hpp"
 #include "support/align.hpp"
 #include "support/watchdog.hpp"
+#include "coor/ready_queue.hpp"
+#include "coor/ready_ring.hpp"
 #include "coor/sync_ops.hpp"
 #include "stf/access_guard.hpp"
 #include "stf/dep_scanner.hpp"
@@ -58,19 +60,11 @@ namespace {
 
 using detail::TaskNode;
 
-/// Burns approximately `ns` nanoseconds — the artificial master-overhead
-/// knob used to calibrate COOR's dispatch cost against heavier runtimes.
-void burn_ns(std::uint64_t ns) {
-  if (ns == 0) return;
-  const std::uint64_t until = support::monotonic_ns() + ns;
-  while (support::monotonic_ns() < until) support::cpu_pause();
-}
-
 struct Engine {
   stf::ImageRange range;  // cheap view; the backing FlowImage outlives us
-  const Config& cfg;
+  const engine::Launch& cfg;
   std::deque<TaskNode>& nodes;  // arena-backed, reset for this run
-  std::deque<ReadyQueue> queues;  // 1 (central) or num_workers (locality)
+  std::deque<ReadyQueue> queues;  // 1 (central) or workers (locality)
   // Wait-free central queue (ready_ring.hpp), engaged for queue == kRing in
   // the central fifo/lifo modes. A ring pop is FIFO regardless of the lifo
   // flag — OoO correctness is order-independent, so kLifo + kRing degrades
@@ -102,7 +96,8 @@ struct Engine {
   // workers may pick them in any order — but one at a time per object.
   std::vector<support::AlignedAtomic<std::uint32_t>>& reduction_locks;
 
-  Engine(const stf::ImageRange& r, const Config& c, Runtime::NodeArena& arena)
+  Engine(const stf::ImageRange& r, const engine::Launch& c,
+         Runtime::NodeArena& arena)
       : range(r),
         cfg(c),
         nodes(arena.nodes),
@@ -132,7 +127,7 @@ struct Engine {
                    });
     } else {
       const std::size_t nq =
-          c.scheduler == SchedulerKind::kLocality ? c.num_workers : 1;
+          c.scheduler == SchedulerKind::kLocality ? c.workers : 1;
       const bool prioritized = c.scheduler == SchedulerKind::kPriority;
       for (std::size_t q = 0; q < nq; ++q) queues.emplace_back(prioritized);
     }
@@ -262,9 +257,9 @@ struct Engine {
 
 }  // namespace
 
-Runtime::Runtime(Config cfg)
-    : cfg_(cfg), arena_(std::make_unique<NodeArena>()) {
-  RIO_ASSERT_MSG(cfg_.num_workers > 0, "need at least one worker");
+Runtime::Runtime(engine::Launch launch)
+    : cfg_(std::move(launch)), arena_(std::make_unique<NodeArena>()) {
+  RIO_ASSERT_MSG(cfg_.workers > 0, "need at least one worker");
 }
 
 Runtime::~Runtime() = default;
@@ -280,7 +275,7 @@ support::RunStats Runtime::run(const stf::FlowImage& image) {
 
 support::RunStats Runtime::run(const stf::ImageRange& range) {
   Engine eng(range, cfg_, *arena_);
-  const std::uint32_t p = cfg_.num_workers;
+  const std::uint32_t p = cfg_.workers;
   const std::size_t n = range.size();
 
   support::RunStats stats;
@@ -491,7 +486,6 @@ support::RunStats Runtime::run(const stf::ImageRange& range) {
           dep_retain(eng.nodes[li].remaining);
         }
       }
-      burn_ns(cfg_.master_overhead_ns);
       // Drop the discovery guard; dispatch if all predecessors done.
       if (dep_release(eng.nodes[li].remaining)) {
         if (eng.dispatch(li)) ++master_wakes;

@@ -16,78 +16,34 @@
 //
 // The implementation is intentionally lean — it under-estimates StarPU's
 // per-task cost, so wherever COOR shows a centralized bottleneck, StarPU's
-// would be at least as severe. An optional artificial per-task master
-// overhead knob lets benches calibrate it against published StarPU costs.
+// would be at least as severe.
 #pragma once
 
 #include <cstdint>
-
 #include <memory>
 
-#include "support/fault.hpp"
 #include "support/stats.hpp"
 #include "support/thread_pool.hpp"
-#include "support/wait.hpp"
-#include "coor/ready_queue.hpp"
-#include "coor/ready_ring.hpp"
+#include "engine/launch.hpp"
 #include "stf/flow_image.hpp"
-#include "stf/frontier.hpp"
 #include "stf/task_flow.hpp"
 #include "stf/trace.hpp"
 
-namespace rio::obs {
-class Hub;
-}
-
 namespace rio::coor {
-
-struct Config {
-  std::uint32_t num_workers = 2;  ///< task-executing threads (master extra)
-  SchedulerKind scheduler = SchedulerKind::kFifo;
-  QueueKind queue = QueueKind::kLocked;  ///< central ready-queue impl;
-                                         ///< kRing applies to fifo/lifo
-                                         ///< only (locked fallback else)
-  support::WaitPolicy wait_policy = support::WaitPolicy::kSpinYield;
-  ///< how ring consumers wait when idle (ignored by the locked queue,
-  ///< whose condvar always blocks)
-  bool work_stealing = false;     ///< locality mode: steal from siblings
-  std::uint64_t master_overhead_ns = 0;  ///< artificial per-task master cost
-                                         ///< (0 = just our real cost)
-  bool collect_stats = true;
-  bool collect_trace = false;
-  bool collect_sync = false;  ///< record acquire/release sync events for
-                              ///< the happens-before checker (src/analysis)
-  bool enable_guard = false;
-  bool pin_workers = false;  ///< pin workers (and master) to logical CPUs
-
-  // Resilience (docs/robustness.md). All default-off: the fast path is
-  // byte-identical to the pre-resilience runtime.
-  support::RetryPolicy retry;  ///< max_attempts > 1 enables retry+rollback
-  support::FaultInjector* fault = nullptr;  ///< deterministic fault
-                                            ///< injection (not owned)
-  std::uint64_t watchdog_ns = 0;  ///< > 0: monitor thread fails the run
-                                  ///< with stf::StallError after this
-                                  ///< no-progress window instead of hanging
-
-  // Recovery (docs/robustness.md "worker loss"): same contract as
-  // rt::Config — `resume` replays frontier-done tasks as completions
-  // without re-running bodies, `checkpoint` is the live done bitmap.
-  const stf::Frontier* resume = nullptr;
-  stf::CompletionBoard* checkpoint = nullptr;
-
-  obs::Hub* obs = nullptr;  ///< telemetry hub (docs/observability.md); not
-                            ///< owned. Worker slots 0..p-1, master slot p.
-};
 
 class Runtime {
  public:
-  explicit Runtime(Config cfg);
+  /// Reads the Launch fields the coor backend declares (engine.hpp):
+  /// workers, wait_policy, scheduler, queue, work_stealing, the collect_*
+  /// flags, enable_guard, pin_workers, the resilience and recovery knobs
+  /// and obs (worker slots 0..p-1, master slot p).
+  explicit Runtime(engine::Launch launch);
   ~Runtime();
   Runtime(const Runtime&) = delete;
   Runtime& operator=(const Runtime&) = delete;
 
   /// Runs `flow` to completion. The calling thread becomes the master;
-  /// stats.workers holds num_workers entries followed by one entry for the
+  /// stats.workers holds `workers` entries followed by one entry for the
   /// master (whose time is management/idle only, never task time).
   /// Internally compiles a throwaway FlowImage — callers that run the same
   /// flow repeatedly should compile once and use the image overloads.
@@ -105,14 +61,13 @@ class Runtime {
 
   [[nodiscard]] const stf::Trace& trace() const noexcept { return trace_; }
 
-  /// Synchronization events of the last run (empty unless cfg.collect_sync).
+  /// Synchronization events of the last run (empty unless
+  /// launch.collect_sync).
   [[nodiscard]] const stf::SyncTrace& sync_trace() const noexcept {
     return sync_trace_;
   }
 
-  [[nodiscard]] const Config& config() const noexcept { return cfg_; }
-
-  /// Uses `pool` (>= num_workers + 1 threads: workers + master) for
+  /// Uses `pool` (>= workers + 1 threads: workers + master) for
   /// subsequent runs instead of spawning threads per run.
   void attach_pool(support::ThreadPool* pool) noexcept { pool_ = pool; }
 
@@ -123,7 +78,7 @@ class Runtime {
   struct NodeArena;
 
  private:
-  Config cfg_;
+  engine::Launch cfg_;
   stf::Trace trace_;
   stf::SyncTrace sync_trace_;
   support::ThreadPool* pool_ = nullptr;

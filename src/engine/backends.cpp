@@ -29,7 +29,7 @@ Outcome base_outcome(support::RunStats stats, const Capabilities& caps) {
 /// Default partial mapping for hybrid backends when the Launch carries
 /// none: alternate 16-task static (owner = t mod p) / dynamic segments —
 /// the shape profile and chaos always exercised.
-hybrid::PartialMapping default_partial(std::uint32_t workers) {
+rt::PartialMapping default_partial(std::uint32_t workers) {
   return [workers](stf::TaskId t) -> std::optional<stf::WorkerId> {
     if ((t / 16) % 2 == 0) return static_cast<stf::WorkerId>(t % workers);
     return std::nullopt;
@@ -151,22 +151,7 @@ class CoorBackend final : public Backend {
   [[nodiscard]] Outcome run(const stf::FlowImage& image,
                             const Launch& launch) const override {
     validate(*this, launch);
-    coor::Runtime eng(coor::Config{.num_workers = launch.workers,
-                                   .scheduler = launch.scheduler,
-                                   .queue = launch.queue,
-                                   .wait_policy = launch.wait_policy,
-                                   .work_stealing = launch.work_stealing,
-                                   .collect_stats = launch.collect_stats,
-                                   .collect_trace = launch.collect_trace,
-                                   .collect_sync = launch.collect_sync,
-                                   .enable_guard = launch.enable_guard,
-                                   .pin_workers = launch.pin_workers,
-                                   .retry = launch.retry,
-                                   .fault = launch.fault,
-                                   .watchdog_ns = launch.watchdog_ns,
-                                   .resume = launch.resume,
-                                   .checkpoint = launch.checkpoint,
-                                   .obs = launch.obs});
+    coor::Runtime eng(launch);
     Outcome out = base_outcome(eng.run(image), caps());
     out.trace = eng.trace();
     out.sync = eng.sync_trace();
@@ -198,20 +183,8 @@ class HybridBackend final : public Backend {
   [[nodiscard]] Outcome run(const stf::FlowImage& image,
                             const Launch& launch) const override {
     validate(*this, launch);
-    hybrid::Runtime eng(
-        hybrid::Config{.num_workers = launch.workers,
-                       .wait_policy = launch.wait_policy,
-                       .dynamic_scheduler = launch.scheduler,
-                       .dynamic_work_stealing = launch.work_stealing,
-                       .collect_stats = launch.collect_stats,
-                       .enable_guard = launch.enable_guard,
-                       .retry = launch.retry,
-                       .fault = launch.fault,
-                       .watchdog_ns = launch.watchdog_ns,
-                       .resume = launch.resume,
-                       .checkpoint = launch.checkpoint,
-                       .obs = launch.obs});
-    const hybrid::PartialMapping& pm =
+    hybrid::Runtime eng(launch);
+    const rt::PartialMapping& pm =
         launch.partial ? launch.partial : default_partial(launch.workers);
     Outcome out = base_outcome(eng.run(image, pm), caps());
     out.phases = eng.last_phase_count();
@@ -317,7 +290,7 @@ class SimHybridBackend final : public Backend {
   [[nodiscard]] Outcome run(const stf::FlowImage& image,
                             const Launch& launch) const override {
     validate(*this, launch);
-    const hybrid::PartialMapping& pm =
+    const rt::PartialMapping& pm =
         launch.partial ? launch.partial : default_partial(launch.workers);
     const std::vector<hybrid::Phase> phases =
         hybrid::partition(image.size(), pm, launch.workers);

@@ -1,15 +1,14 @@
 // engine:: — the uniform backend seam every consumer launches through.
 //
 // The paper's whole argument is a controlled comparison of execution models
-// (RIO vs. centralized out-of-order, Fig. 1 / Section 5). Before this layer
-// every consumer — rioflow run/profile/chaos, the bench suite, the
-// fuzz/failure/obs tests — re-implemented its own `if (engine == "rio") …`
-// dispatch over five divergent Config structs. Now there is exactly one
-// seam:
+// (RIO vs. centralized out-of-order, Fig. 1 / Section 5), so every engine
+// runs under the same worker, wait-policy and failure settings through
+// exactly one seam:
 //
 //   * Backend   — `run(const stf::FlowImage&, const Launch&) -> Outcome`;
-//   * Launch    — one struct unifying the knobs of rt::Config, coor::Config,
-//                 hybrid::Config and sim::*Params;
+//   * Launch    — the one run configuration (launch.hpp): the rio, coor and
+//                 hybrid runtimes are built from it directly, and the
+//                 simulators read their workers/faults/retry/obs from it;
 //   * Capabilities — per-backend flags consumers branch on instead of name
 //                 strings; a Launch asking for more than a backend offers is
 //                 rejected with ONE structured UnsupportedLaunch error;
@@ -28,20 +27,10 @@
 #include <utility>
 #include <vector>
 
-#include "support/fault.hpp"
 #include "support/stats.hpp"
-#include "support/wait.hpp"
-#include "coor/ready_queue.hpp"
-#include "coor/ready_ring.hpp"
-#include "hybrid/runtime.hpp"
-#include "rio/mapping.hpp"
+#include "engine/launch.hpp"
 #include "stf/flow_image.hpp"
-#include "stf/frontier.hpp"
 #include "stf/trace.hpp"
-
-namespace rio::obs {
-class Hub;
-}
 
 namespace rio::engine {
 
@@ -63,7 +52,7 @@ struct Capabilities {
   bool supports_streaming = false;  ///< has a run_program streaming front end
                                     ///< (outside this interface; rio only)
   bool needs_mapping = false;    ///< requires a full static Launch::mapping
-  bool partial_mapping = false;  ///< consumes a hybrid::PartialMapping
+  bool partial_mapping = false;  ///< consumes an rt::PartialMapping
   bool uses_wait_policy = false;  ///< honours Launch::wait_policy
   bool uses_scheduler = false;    ///< honours Launch::scheduler/work_stealing
   bool uses_queue = false;        ///< honours Launch::queue (central
@@ -81,38 +70,6 @@ struct Capabilities {
 /// engines` table, the rio.engines.v1 JSON and docs/engines.md.
 [[nodiscard]] std::vector<std::pair<std::string_view, bool>> capability_list(
     const Capabilities& caps);
-
-/// One launch request — the union of the knobs that used to be threaded
-/// through rt::Config / coor::Config / hybrid::Config / sim::*Params at six
-/// call sites per feature. Knobs a backend lacks the capability for must be
-/// left at their defaults or run() refuses (UnsupportedLaunch).
-struct Launch {
-  std::uint32_t workers = 2;
-  support::WaitPolicy wait_policy = support::WaitPolicy::kSpinYield;
-  coor::SchedulerKind scheduler = coor::SchedulerKind::kFifo;
-  coor::QueueKind queue = coor::QueueKind::kLocked;
-  ///< uses_queue backends only. kRing selects the wait-free MPMC ready
-  ///< ring for fifo/lifo scheduling (kPriority/kLocality keep the locked
-  ///< queues — see coor/ready_ring.hpp).
-  bool work_stealing = false;      ///< uses_scheduler backends only
-  rt::Mapping mapping;             ///< full static mapping (needs_mapping)
-  hybrid::PartialMapping partial;  ///< partial mapping (partial_mapping
-                                   ///< backends); empty = the backend's
-                                   ///< default 16-task alternation
-  bool collect_stats = true;
-  bool collect_trace = false;  ///< supports_trace backends only
-  bool collect_sync = false;   ///< supports_sync backends only
-  bool enable_guard = false;   ///< supports_guard backends only
-  bool pin_workers = false;
-  support::RetryPolicy retry;               ///< supports_faults backends only
-  support::FaultInjector* fault = nullptr;  ///< not owned; supports_faults
-  std::uint64_t watchdog_ns = 0;            ///< supports_watchdog backends
-  const stf::Frontier* resume = nullptr;  ///< supports_recovery: replay
-                                          ///< frontier-done tasks as no-ops
-  stf::CompletionBoard* checkpoint = nullptr;  ///< supports_recovery: live
-                                               ///< done bitmap (not owned)
-  obs::Hub* obs = nullptr;  ///< not owned; supports_obs backends only
-};
 
 /// What one run produced. `stats` is always filled; the extras are only
 /// meaningful when the corresponding capability is set (and cheap/empty

@@ -3,22 +3,6 @@
 namespace rio::engine {
 namespace {
 
-rt::Config make_rio_config(const Launch& l) {
-  return rt::Config{.num_workers = l.workers,
-                    .wait_policy = l.wait_policy,
-                    .collect_stats = l.collect_stats,
-                    .collect_trace = l.collect_trace,
-                    .collect_sync = l.collect_sync,
-                    .enable_guard = l.enable_guard,
-                    .pin_workers = l.pin_workers,
-                    .retry = l.retry,
-                    .fault = l.fault,
-                    .watchdog_ns = l.watchdog_ns,
-                    .resume = l.resume,
-                    .checkpoint = l.checkpoint,
-                    .obs = l.obs};
-}
-
 Outcome run_on(rt::Runtime& eng, const stf::FlowImage& image,
                const rt::Mapping& mapping, RioExecutor::Walk walk) {
   const std::uint64_t compiles_before = eng.plan_compiles();
@@ -35,13 +19,12 @@ Outcome run_on(rt::Runtime& eng, const stf::FlowImage& image,
 
 }  // namespace
 
-RioExecutor::RioExecutor() : runtime_(rt::Config{}) {}
+RioExecutor::RioExecutor() : runtime_(Launch{}) {}
 
 Outcome RioExecutor::run(const stf::FlowImage& image, const Launch& launch,
                          Walk walk) {
-  const rt::Config cfg = make_rio_config(launch);
   if (busy_.exchange(true, std::memory_order_acquire)) {
-    rt::Runtime one_shot(cfg);
+    rt::Runtime one_shot(launch);
     return run_on(one_shot, image, launch.mapping, walk);
   }
   struct Unlock {
@@ -55,7 +38,7 @@ Outcome RioExecutor::run(const stf::FlowImage& image, const Launch& launch,
     pool_ = std::make_unique<support::ThreadPool>(launch.workers);
     pool_pinned_ = launch.pin_workers;
   }
-  runtime_.configure(cfg);
+  runtime_.configure(launch);
   runtime_.attach_pool(pool_.get());
   return run_on(runtime_, image, launch.mapping, walk);
 }

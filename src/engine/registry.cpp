@@ -129,6 +129,8 @@ std::vector<std::string> unsupported_knobs(const Capabilities& caps,
     bad.emplace_back("faults/retry (backend lacks supports_faults)");
   if (launch.watchdog_ns > 0 && !caps.supports_watchdog)
     bad.emplace_back("watchdog (backend lacks supports_watchdog)");
+  if (launch.scheduler != coor::SchedulerKind::kFifo && !caps.uses_scheduler)
+    bad.emplace_back("scheduler (backend lacks uses_scheduler)");
   if (launch.work_stealing && !caps.uses_scheduler)
     bad.emplace_back("work_stealing (backend lacks uses_scheduler)");
   if (launch.queue != coor::QueueKind::kLocked && !caps.uses_queue)

@@ -27,9 +27,8 @@ std::uint64_t now_ns() {
 /// `old_workers`: statically-owned tasks of the dead worker round-robin
 /// over the survivors, owners above the dead id shift down, dynamic tasks
 /// stay dynamic. The exact partial-mapping analogue of rt::mapping::evict.
-hybrid::PartialMapping evict_partial(hybrid::PartialMapping old,
-                                     stf::WorkerId dead,
-                                     std::uint32_t old_workers) {
+rt::PartialMapping evict_partial(rt::PartialMapping old, stf::WorkerId dead,
+                                 std::uint32_t old_workers) {
   const std::uint32_t survivors = old_workers - 1;
   return [old = std::move(old), dead,
           survivors](stf::TaskId t) -> std::optional<stf::WorkerId> {

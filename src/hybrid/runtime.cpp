@@ -1,13 +1,16 @@
 #include "hybrid/runtime.hpp"
 
 #include <memory>
+#include <utility>
 
 #include "support/assert.hpp"
-#include "stf/flow_image.hpp"
+#include "coor/runtime.hpp"
+#include "rio/runtime.hpp"
 
 namespace rio::hybrid {
 
-std::vector<Phase> partition(std::size_t num_tasks, const PartialMapping& pm,
+std::vector<Phase> partition(std::size_t num_tasks,
+                             const rt::PartialMapping& pm,
                              std::uint32_t num_workers) {
   RIO_ASSERT(pm && num_workers > 0);
   const std::size_t n = num_tasks;
@@ -52,13 +55,29 @@ std::vector<Phase> partition(std::size_t num_tasks, const PartialMapping& pm,
 }
 
 std::vector<Phase> partition(const stf::TaskFlow& flow,
-                             const PartialMapping& pm,
+                             const rt::PartialMapping& pm,
                              std::uint32_t num_workers) {
   return partition(flow.num_tasks(), pm, num_workers);
 }
 
-Runtime::Runtime(Config cfg) : cfg_(cfg) {
-  RIO_ASSERT_MSG(cfg_.num_workers > 0, "need at least one worker");
+namespace {
+
+/// The one launch both phase engines run under. Hybrid records no trace
+/// and no sync events. It also runs unpinned: pinning would cost one
+/// sched_setaffinity per worker per phase, so honouring pin_workers is a
+/// separate change that must be measured first.
+engine::Launch phase_launch(engine::Launch launch) {
+  launch.collect_trace = false;
+  launch.collect_sync = false;
+  launch.pin_workers = false;
+  return launch;
+}
+
+}  // namespace
+
+Runtime::Runtime(engine::Launch launch)
+    : phase_(phase_launch(std::move(launch))) {
+  RIO_ASSERT_MSG(phase_.workers > 0, "need at least one worker");
 }
 
 support::RunStats Runtime::run(const stf::TaskFlow& flow,
@@ -81,44 +100,20 @@ support::RunStats Runtime::run(const stf::FlowImage& image,
   }
   RIO_ASSERT_MSG(expect == image.size(), "phases must cover the flow");
 
-  const std::uint32_t p = cfg_.num_workers;
+  const std::uint32_t p = phase_.workers;
   support::RunStats total;
   // Worker slots 0..p-1 aggregate across phases; slot p is the dynamic
   // phases' master (idle during static phases by construction).
   total.workers.resize(p + 1);
 
-  rt::Runtime rio_engine(rt::Config{.num_workers = p,
-                                    .wait_policy = cfg_.wait_policy,
-                                    .collect_stats = cfg_.collect_stats,
-                                    .collect_trace = false,
-                                    .enable_guard = cfg_.enable_guard,
-                                    .retry = cfg_.retry,
-                                    .fault = cfg_.fault,
-                                    .watchdog_ns = cfg_.watchdog_ns,
-                                    .resume = cfg_.resume,
-                                    .checkpoint = cfg_.checkpoint,
-                                    .obs = cfg_.obs});
-  coor::Runtime coor_engine(
-      coor::Config{.num_workers = p,
-                   .scheduler = cfg_.dynamic_scheduler,
-                   .work_stealing = cfg_.dynamic_work_stealing,
-                   .collect_stats = cfg_.collect_stats,
-                   .collect_trace = false,
-                   .enable_guard = cfg_.enable_guard,
-                   .retry = cfg_.retry,
-                   .fault = cfg_.fault,
-                   .watchdog_ns = cfg_.watchdog_ns,
-                   .resume = cfg_.resume,
-                   .checkpoint = cfg_.checkpoint,
-                   .obs = cfg_.obs});
-  if (cfg_.use_pool) {
-    // One persistent pool for every phase: p workers + 1 master-capable
-    // thread (idle during static phases). Amortizes thread startup across
-    // the potentially many fine-grained phases.
-    if (!pool_) pool_ = std::make_unique<support::ThreadPool>(p + 1);
-    rio_engine.attach_pool(pool_.get());
-    coor_engine.attach_pool(pool_.get());
-  }
+  // One persistent pool for every phase: p workers + 1 master-capable
+  // thread (idle during static phases). Amortizes thread startup across
+  // the potentially many fine-grained phases.
+  if (!pool_) pool_ = std::make_unique<support::ThreadPool>(p + 1);
+  rt::Runtime rio_engine(phase_);
+  coor::Runtime coor_engine(phase_);
+  rio_engine.attach_pool(pool_.get());
+  coor_engine.attach_pool(pool_.get());
 
   // Cross-phase failure propagation: a failing phase (retry exhaustion,
   // stall, any thrown body) throws out of its engine's run() and out of
@@ -155,13 +150,13 @@ support::RunStats Runtime::run(const stf::FlowImage& image,
 }
 
 support::RunStats Runtime::run(const stf::TaskFlow& flow,
-                               const PartialMapping& pm) {
-  return run(flow, partition(flow, pm, cfg_.num_workers));
+                               const rt::PartialMapping& pm) {
+  return run(flow, partition(flow, pm, phase_.workers));
 }
 
 support::RunStats Runtime::run(const stf::FlowImage& image,
-                               const PartialMapping& pm) {
-  return run(image, partition(image.size(), pm, cfg_.num_workers));
+                               const rt::PartialMapping& pm) {
+  return run(image, partition(image.size(), pm, phase_.workers));
 }
 
 }  // namespace rio::hybrid

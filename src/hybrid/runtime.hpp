@@ -25,28 +25,17 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "support/stats.hpp"
 #include "support/thread_pool.hpp"
-#include "support/wait.hpp"
-#include "coor/runtime.hpp"
-#include "rio/runtime.hpp"
+#include "engine/launch.hpp"
+#include "rio/mapping.hpp"
+#include "stf/flow_image.hpp"
 #include "stf/task_flow.hpp"
 
-namespace rio::obs {
-class Hub;
-}
-
 namespace rio::hybrid {
-
-/// Partial mapping: nullopt = "let the dynamic scheduler place it",
-/// a WorkerId = "this fine-grained task runs in-order on that worker".
-using PartialMapping =
-    std::function<std::optional<stf::WorkerId>(stf::TaskId)>;
 
 /// One contiguous slice of the flow and the engine that executes it.
 struct Phase {
@@ -59,51 +48,34 @@ struct Phase {
 
 /// Cuts tasks [0, num_tasks) into maximal runs of mapped / unmapped tasks
 /// under `pm`. The returned phases cover the range exactly, in order.
-std::vector<Phase> partition(std::size_t num_tasks, const PartialMapping& pm,
+std::vector<Phase> partition(std::size_t num_tasks,
+                             const rt::PartialMapping& pm,
                              std::uint32_t num_workers);
 
 /// Convenience overload on a materialized flow.
 std::vector<Phase> partition(const stf::TaskFlow& flow,
-                             const PartialMapping& pm,
+                             const rt::PartialMapping& pm,
                              std::uint32_t num_workers);
-
-struct Config {
-  std::uint32_t num_workers = 2;  ///< executing workers in BOTH phase kinds
-                                  ///< (dynamic phases use one extra pooled
-                                  ///< thread as master, as in src/coor)
-  support::WaitPolicy wait_policy = support::WaitPolicy::kSpinYield;
-  coor::SchedulerKind dynamic_scheduler = coor::SchedulerKind::kFifo;
-  bool dynamic_work_stealing = false;
-  bool collect_stats = true;
-  bool enable_guard = false;
-  bool use_pool = true;  ///< persistent num_workers+1 thread pool shared by
-                         ///< all phases (off: spawn threads per phase)
-
-  // Resilience (docs/robustness.md), forwarded to BOTH per-phase engines.
-  // A phase failure (retry exhaustion or stall) propagates out of run() and
-  // cancels every later phase: a phase boundary is a barrier, so no task of
-  // a later phase can have started.
-  support::RetryPolicy retry;
-  support::FaultInjector* fault = nullptr;
-  std::uint64_t watchdog_ns = 0;
-
-  // Recovery (docs/robustness.md "worker loss"), forwarded to BOTH
-  // per-phase engines. The frontier/checkpoint bitmaps are indexed by
-  // GLOBAL task id, so a mid-phase worker death resumes correctly: earlier
-  // phases replay as no-ops, the interrupted phase replays its completed
-  // prefix and re-executes the rest.
-  const stf::Frontier* resume = nullptr;
-  stf::CompletionBoard* checkpoint = nullptr;
-
-  obs::Hub* obs = nullptr;  ///< telemetry hub (docs/observability.md); not
-                            ///< owned. Forwarded to BOTH per-phase engines:
-                            ///< worker slots 0..p-1 accumulate across every
-                            ///< phase, slot p is the dynamic phases' master.
-};
 
 class Runtime {
  public:
-  explicit Runtime(Config cfg);
+  /// Reads the Launch fields the hybrid backend declares (engine.hpp). Both
+  /// phase engines run under one phase launch: a copy of `launch` with
+  /// collect_trace, collect_sync and pin_workers cleared. `workers` counts
+  /// the executing workers of BOTH phase kinds; dynamic phases add one
+  /// pooled master thread, as in src/coor. All phases share one persistent
+  /// workers+1 thread pool, built on the first run.
+  ///
+  /// Resilience and recovery (docs/robustness.md) reach both phase engines.
+  /// A phase failure (retry exhaustion, stall, worker loss) propagates out
+  /// of run() and cancels every later phase: a phase boundary is a barrier,
+  /// so no task of a later phase can have started. The frontier/checkpoint
+  /// bitmaps are indexed by GLOBAL task id, so a mid-phase worker death
+  /// resumes correctly: earlier phases replay as no-ops, the interrupted
+  /// phase replays its completed prefix and re-executes the rest. With an
+  /// obs hub, worker slots 0..p-1 accumulate across every phase and slot p
+  /// is the dynamic phases' master.
+  explicit Runtime(engine::Launch launch);
 
   /// Executes pre-partitioned phases. Phases must tile the flow
   /// contiguously from task 0 to the end.
@@ -111,14 +83,16 @@ class Runtime {
                         const std::vector<Phase>& phases);
 
   /// Convenience: partition by a partial mapping, then run.
-  support::RunStats run(const stf::TaskFlow& flow, const PartialMapping& pm);
+  support::RunStats run(const stf::TaskFlow& flow,
+                        const rt::PartialMapping& pm);
 
   /// Replay from a compiled image (stf/flow_image.hpp): phases execute
   /// ImageRange slices directly — compile once, run many times. The TaskFlow
   /// overloads compile a throwaway image and forward here.
   support::RunStats run(const stf::FlowImage& image,
                         const std::vector<Phase>& phases);
-  support::RunStats run(const stf::FlowImage& image, const PartialMapping& pm);
+  support::RunStats run(const stf::FlowImage& image,
+                        const rt::PartialMapping& pm);
 
   /// Phase count of the last run (observability for tests/benches).
   [[nodiscard]] std::size_t last_phase_count() const noexcept {
@@ -133,10 +107,10 @@ class Runtime {
   }
 
  private:
-  Config cfg_;
+  engine::Launch phase_;  // the launch both phase engines run under
   std::size_t last_phases_ = 0;
   std::size_t completed_phases_ = 0;
-  std::unique_ptr<support::ThreadPool> pool_;  // lazily built when use_pool
+  std::unique_ptr<support::ThreadPool> pool_;  // built on the first run
 };
 
 }  // namespace rio::hybrid

@@ -2,7 +2,7 @@
 //
 // One Hub per measured run (or swept series): it owns the per-worker
 // counter lines, the optional flight-recorder rings, and the committed
-// span-phase totals. Engines receive a `Hub*` through their Config; a
+// span-phase totals. Engines receive a `Hub*` through their Launch; a
 // null hub means telemetry off, and every per-event call below degrades
 // to a predicted branch on a null pointer — no locks, no allocation.
 //

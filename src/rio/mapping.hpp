@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -47,6 +48,12 @@ class Mapping {
   std::string name_;
   std::shared_ptr<Fn> fn_;
 };
+
+/// Partial mapping (hybrid execution, src/hybrid): nullopt = "let the
+/// dynamic scheduler place it", a WorkerId = "this fine-grained task runs
+/// in-order on that worker".
+using PartialMapping =
+    std::function<std::optional<stf::WorkerId>(stf::TaskId)>;
 
 namespace mapping {
 

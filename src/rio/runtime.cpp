@@ -313,13 +313,13 @@ class ReplaySink final : public stf::SubmitSink {
 /// pruned plan slice, or streaming program); `engine` labels the stall
 /// diagnostic ("rio" or "rio-pruned").
 template <typename UnrollFn>
-support::RunStats launch(const Config& cfg, const char* engine,
+support::RunStats launch(const engine::Launch& cfg, const char* engine,
                          support::ThreadPool* pool,
                          const stf::DataRegistry& registry,
                          std::size_t num_data, std::size_t trace_reserve,
                          stf::Trace& trace_out, stf::SyncTrace& sync_out,
                          RunArenas& arenas, UnrollFn&& unroll) {
-  const std::uint32_t p = cfg.num_workers;
+  const std::uint32_t p = cfg.workers;
   // Crash-armed plans force a watchdog (default window when unset): a
   // worker death must escalate as stf::WorkerLost, never hang the run —
   // and watched waits are abort-pollable, which the drain relies on.
@@ -503,11 +503,11 @@ support::RunStats launch(const Config& cfg, const char* engine,
 
 }  // namespace
 
-Runtime::Runtime(Config cfg) { configure(cfg); }
+Runtime::Runtime(engine::Launch launch) { configure(launch); }
 
-void Runtime::configure(const Config& cfg) {
-  RIO_ASSERT_MSG(cfg.num_workers > 0, "need at least one worker");
-  cfg_ = cfg;
+void Runtime::configure(const engine::Launch& launch) {
+  RIO_ASSERT_MSG(launch.workers > 0, "need at least one worker");
+  cfg_ = launch;
 }
 
 support::RunStats Runtime::run(const stf::TaskFlow& flow,
@@ -560,7 +560,7 @@ support::RunStats Runtime::run(const stf::ImageRange& range,
 
 support::RunStats Runtime::run(const stf::FlowImage& image,
                                const PrunedPlan& plan) {
-  RIO_ASSERT_MSG(plan.num_workers() == cfg_.num_workers,
+  RIO_ASSERT_MSG(plan.num_workers() == cfg_.workers,
                  "plan built for a different worker count");
   RIO_ASSERT_MSG(plan.total_tasks() == image.size(),
                  "plan built for a different image");
@@ -586,7 +586,7 @@ support::RunStats Runtime::run(const stf::FlowImage& image,
 
 support::RunStats Runtime::run_pruned(const stf::FlowImage& image,
                                       const Mapping& mapping) {
-  const auto plan = plans_.get(image, mapping, cfg_.num_workers);
+  const auto plan = plans_.get(image, mapping, cfg_.workers);
   return run(image, *plan);
 }
 

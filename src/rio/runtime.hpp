@@ -25,22 +25,16 @@
 #include <cstdint>
 #include <vector>
 
-#include "support/fault.hpp"
 #include "support/stats.hpp"
 #include "support/thread_pool.hpp"
-#include "support/wait.hpp"
+#include "engine/launch.hpp"
 #include "rio/data_object.hpp"
 #include "rio/mapping.hpp"
 #include "rio/pruning.hpp"
 #include "stf/access_guard.hpp"
 #include "stf/flow_image.hpp"
-#include "stf/frontier.hpp"
 #include "stf/task_flow.hpp"
 #include "stf/trace.hpp"
-
-namespace rio::obs {
-class Hub;
-}
 
 namespace rio::rt {
 
@@ -55,47 +49,12 @@ struct RunArenas {
   std::vector<support::AlignedAtomic<std::uint64_t>> bells;
 };
 
-/// Runtime configuration. Defaults favour correctness on any machine
-/// (yielding waits survive oversubscription); benches flip the knobs.
-struct Config {
-  std::uint32_t num_workers = 2;
-  support::WaitPolicy wait_policy = support::WaitPolicy::kSpinYield;
-  bool collect_stats = true;   ///< fill the tau buckets (adds 4 clock reads
-                               ///< per executed task + 1 per stall); buckets
-                               ///< are derived from the obs phase spans
-  bool collect_trace = false;  ///< record a validatable execution trace
-  bool collect_sync = false;   ///< record acquire/release sync events for
-                               ///< the happens-before checker (src/analysis)
-  bool enable_guard = false;   ///< dynamic data-race detection (tests)
-  bool pin_workers = false;    ///< pin worker w to logical CPU w mod #cpus
-
-  // Resilience (docs/robustness.md). All default-off: the fast path is
-  // byte-identical to the pre-resilience runtime.
-  support::RetryPolicy retry;  ///< max_attempts > 1 enables retry+rollback
-  support::FaultInjector* fault = nullptr;  ///< deterministic fault
-                                            ///< injection (not owned)
-  std::uint64_t watchdog_ns = 0;  ///< > 0: monitor thread fails the run
-                                  ///< with stf::StallError after this
-                                  ///< no-progress window instead of hanging
-
-  // Recovery (docs/robustness.md "worker loss"). Both borrowed, both
-  // optional. `resume`: tasks marked done in the frontier replay as
-  // protocol no-ops — every acquire is already satisfied, the body is
-  // skipped. `checkpoint`: live completion board this run marks into
-  // (caller sizes it via reset()); a later attempt resumes from its
-  // capture(). Crash-armed fault plans auto-arm a default watchdog so a
-  // worker death always escalates as stf::WorkerLost instead of hanging.
-  const stf::Frontier* resume = nullptr;
-  stf::CompletionBoard* checkpoint = nullptr;
-
-  obs::Hub* obs = nullptr;  ///< telemetry hub (docs/observability.md); not
-                            ///< owned. Null = telemetry off: no counters,
-                            ///< no recorder, zero allocation on that path.
-};
-
 class Runtime {
  public:
-  explicit Runtime(Config cfg);
+  /// Reads the Launch fields the rio backends declare (engine.hpp): workers,
+  /// wait_policy, the collect_* flags, enable_guard, pin_workers, the
+  /// resilience and recovery knobs and obs. The mapping is a run() argument.
+  explicit Runtime(engine::Launch launch);
 
   /// Convenience: compiles a throwaway FlowImage and runs it under
   /// `mapping`. Callers that run one flow repeatedly should compile once and
@@ -115,7 +74,7 @@ class Runtime {
   support::RunStats run(const stf::ImageRange& range, const Mapping& mapping);
 
   /// Pruned execution through an explicit plan (rio/pruning.hpp) built for
-  /// `image` and config().num_workers: each worker visits only its own
+  /// `image` and the launch's workers: each worker visits only its own
   /// tasks. Same protocol, same owned-task path as the mapped overloads.
   support::RunStats run(const stf::FlowImage& image, const PrunedPlan& plan);
 
@@ -139,30 +98,29 @@ class Runtime {
     return plans_.compiles();
   }
 
-  /// Trace of the last run (empty unless cfg.collect_trace).
+  /// Trace of the last run (empty unless launch.collect_trace).
   [[nodiscard]] const stf::Trace& trace() const noexcept { return trace_; }
 
-  /// Synchronization events of the last run (empty unless cfg.collect_sync).
+  /// Synchronization events of the last run (empty unless
+  /// launch.collect_sync).
   [[nodiscard]] const stf::SyncTrace& sync_trace() const noexcept {
     return sync_trace_;
   }
 
-  [[nodiscard]] const Config& config() const noexcept { return cfg_; }
-
-  /// Replaces the configuration for subsequent runs. The recycled arenas,
-  /// the plan cache and an attached pool all survive: this is how one
-  /// long-lived runtime serves launches that differ from run to run
+  /// Replaces the launch for subsequent runs. The recycled arenas, the plan
+  /// cache and an attached pool all survive: this is how one long-lived
+  /// runtime serves launches that differ from run to run
   /// (engine/executor.hpp).
-  void configure(const Config& cfg);
+  void configure(const engine::Launch& launch);
 
-  /// Uses `pool` (>= num_workers threads) for subsequent runs instead of
+  /// Uses `pool` (>= workers threads) for subsequent runs instead of
   /// spawning threads per run — amortizes thread startup for repeated
   /// fine-grained runs and for hybrid phase execution. Pass nullptr to
   /// detach. The pool must outlive the runtime's runs.
   void attach_pool(support::ThreadPool* pool) noexcept { pool_ = pool; }
 
  private:
-  Config cfg_;
+  engine::Launch cfg_;
   stf::Trace trace_;
   stf::SyncTrace sync_trace_;
   support::ThreadPool* pool_ = nullptr;

@@ -26,13 +26,6 @@ Report simulate_centralized(const stf::TaskFlow& flow,
   return simulate_centralized(stf::ImageRange(image), params, scale);
 }
 
-Report simulate_centralized(const stf::FlowRange& range,
-                            const CentralizedParams& params,
-                            const TimeScale& scale) {
-  const stf::FlowImage image = stf::FlowImage::compile(range);
-  return simulate_centralized(stf::ImageRange(image), params, scale);
-}
-
 Report simulate_centralized(const stf::FlowImage& image,
                             const CentralizedParams& params,
                             const TimeScale& scale) {

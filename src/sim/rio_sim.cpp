@@ -27,15 +27,6 @@ Report simulate_decentralized(const stf::TaskFlow& flow,
                                 scale);
 }
 
-Report simulate_decentralized(const stf::FlowRange& range,
-                              const rt::Mapping& mapping,
-                              const DecentralizedParams& params,
-                              const TimeScale& scale) {
-  const stf::FlowImage image = stf::FlowImage::compile(range);
-  return simulate_decentralized(stf::ImageRange(image), mapping, params,
-                                scale);
-}
-
 Report simulate_decentralized(const stf::FlowImage& image,
                               const rt::Mapping& mapping,
                               const DecentralizedParams& params,

@@ -19,7 +19,6 @@
 #include "rio/mapping.hpp"
 #include "stf/dependency.hpp"
 #include "stf/flow_image.hpp"
-#include "stf/flow_range.hpp"
 #include "stf/task_flow.hpp"
 
 namespace rio::sim {
@@ -51,14 +50,10 @@ struct Report {
 /// prefix-sum formulation (worker cursors = shared prefix + per-worker
 /// offset), valid because task ids are a topological order of both the
 /// dependency DAG and each worker's in-order chain.
-/// The TaskFlow/FlowRange entry points compile a throwaway FlowImage; sweep
+/// The TaskFlow entry point compiles a throwaway FlowImage; sweep
 /// drivers that simulate one flow many times (bench/fig*) should compile
 /// once and pass the image.
 Report simulate_decentralized(const stf::TaskFlow& flow,
-                              const rt::Mapping& mapping,
-                              const DecentralizedParams& params,
-                              const TimeScale& scale = {});
-Report simulate_decentralized(const stf::FlowRange& range,
                               const rt::Mapping& mapping,
                               const DecentralizedParams& params,
                               const TimeScale& scale = {});
@@ -77,9 +72,6 @@ Report simulate_decentralized(const stf::ImageRange& range,
 /// pool; idle workers take the earliest-ready task (list scheduling).
 /// Event-driven, O(n log n).
 Report simulate_centralized(const stf::TaskFlow& flow,
-                            const CentralizedParams& params,
-                            const TimeScale& scale = {});
-Report simulate_centralized(const stf::FlowRange& range,
                             const CentralizedParams& params,
                             const TimeScale& scale = {});
 Report simulate_centralized(const stf::FlowImage& image,

@@ -34,7 +34,7 @@
 
 namespace rio::stf {
 
-/// Resilience knobs threaded from a runtime Config into the worker loop.
+/// Resilience knobs threaded from an engine::Launch into the worker loop.
 struct ResilienceOpts {
   support::RetryPolicy retry;
   support::FaultInjector* fault = nullptr;  ///< not owned; may be shared

@@ -30,7 +30,7 @@ struct TraceEvent {
 };
 
 /// One synchronization operation on a data object, recorded by the engines
-/// when Config::collect_sync is set. An ACQUIRE is the completion of a
+/// when Launch::collect_sync is set. An ACQUIRE is the completion of a
 /// dependency wait (RIO's get_read/get_write, COOR's ready dispatch); a
 /// RELEASE is the publication that lets successors through (terminate_*,
 /// successor release). `stamp` is drawn from one global atomic counter such

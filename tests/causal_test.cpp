@@ -168,9 +168,9 @@ TEST(CausalRio, WaitTotalReconcilesWithPhaseTotalExactly) {
   const std::uint32_t p = 2;
   auto wl = chain(24, 100000, p, workloads::BodyKind::kCounter);
   obs::Hub hub(obs::HubOptions{.recorder = true});
-  rt::Runtime eng(rt::Config{.num_workers = p,
-                             .collect_stats = true,
-                             .obs = &hub});
+  rt::Runtime eng(engine::Launch{.workers = p,
+                                 .collect_stats = true,
+                                 .obs = &hub});
   eng.run(wl.flow, wl.mapping(p));
   ASSERT_EQ(hub.dropped(), 0u);
 
@@ -198,9 +198,9 @@ TEST(CausalRio, PrunedRuntimeAttributesToo) {
   obs::Hub hub(obs::HubOptions{.recorder = true});
   const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
   rt::PrunedPlan plan(image, wl.mapping(p), p);
-  rt::Runtime eng(rt::Config{.num_workers = p,
-                             .collect_stats = true,
-                             .obs = &hub});
+  rt::Runtime eng(engine::Launch{.workers = p,
+                                 .collect_stats = true,
+                                 .obs = &hub});
   eng.run(image, plan);
   ASSERT_EQ(hub.dropped(), 0u);
 
@@ -218,9 +218,9 @@ TEST(CausalExport, PerfettoFlowEventsAreStructurallyValid) {
   const std::uint32_t p = 2;
   auto wl = chain(24, 100000, p, workloads::BodyKind::kCounter);
   obs::Hub hub(obs::HubOptions{.recorder = true});
-  rt::Runtime eng(rt::Config{.num_workers = p,
-                             .collect_stats = true,
-                             .obs = &hub});
+  rt::Runtime eng(engine::Launch{.workers = p,
+                                 .collect_stats = true,
+                                 .obs = &hub});
   eng.run(wl.flow, wl.mapping(p));
 
   std::ostringstream os;
@@ -282,9 +282,9 @@ TEST(CausalSampling, SampledRunKeepsIdentityAndAnalyzerBounds) {
   const std::uint32_t p = 2;
   auto wl = cholesky(5, p, workloads::BodyKind::kCounter);
   obs::Hub hub(obs::HubOptions{.recorder = true, .sample = 4});
-  rt::Runtime eng(rt::Config{.num_workers = p,
-                             .collect_stats = true,
-                             .obs = &hub});
+  rt::Runtime eng(engine::Launch{.workers = p,
+                                 .collect_stats = true,
+                                 .obs = &hub});
   eng.run(wl.flow, wl.mapping(p));
 
   EXPECT_EQ(hub.sample_stride(), 4u);

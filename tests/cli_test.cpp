@@ -140,6 +140,19 @@ TEST(CliRun, UnknownTaskbenchPatternFails) {
   EXPECT_EQ(run_args({"--workload", "taskbench:warp"}, &text), 1);
 }
 
+TEST(CliRun, SchedulerOnBackendWithoutSchedulerExitsTwo) {
+  // rio has no scheduler: a non-default --scheduler is refused with the
+  // structured capability error, exactly like --queue ring.
+  std::string text;
+  EXPECT_EQ(run_args({"--engine", "rio", "--workload", "chain", "--tasks",
+                      "64", "--scheduler", "priority"},
+                     &text),
+            2);
+  EXPECT_NE(text.find("scheduler (backend lacks uses_scheduler)"),
+            std::string::npos)
+      << text;
+}
+
 TEST(CliRun, SummaryAndDecomposePrint) {
   std::string text;
   EXPECT_EQ(run_args({"--workload", "lu", "--tiles", "3", "--summary",

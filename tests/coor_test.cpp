@@ -15,9 +15,9 @@
 namespace {
 
 using namespace rio;
-using coor::Config;
 using coor::Runtime;
 using coor::SchedulerKind;
+using engine::Launch;
 
 // ------------------------------------------------------------ ReadyQueue ---
 
@@ -180,7 +180,7 @@ TEST_P(CoorScheduler, ExecutesEveryTaskOnce) {
   std::atomic<int> hits{0};
   for (int i = 0; i < 200; ++i)
     flow.add("t", [&hits](stf::TaskContext&) { hits.fetch_add(1); }, {});
-  Runtime rt(Config{.num_workers = 3, .scheduler = sched,
+  Runtime rt(Launch{.workers = 3, .scheduler = sched,
                     .work_stealing = steal});
   auto stats = rt.run(flow);
   EXPECT_EQ(hits.load(), 200);
@@ -195,7 +195,7 @@ TEST_P(CoorScheduler, RespectsChainOrder) {
     flow.add("s",
              [d, i](stf::TaskContext& ctx) { ctx.scalar(d) = ctx.scalar(d) * 10 + i; },
              {stf::readwrite(d)});
-  Runtime rt(Config{.num_workers = 3, .scheduler = sched,
+  Runtime rt(Launch{.workers = 3, .scheduler = sched,
                     .work_stealing = steal, .enable_guard = true});
   rt.run(flow);
   EXPECT_EQ(flow.registry().typed<int>(d)[0], 123456);
@@ -214,7 +214,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Coor, EmptyFlowTerminates) {
   stf::TaskFlow flow;
-  Runtime rt(Config{.num_workers = 2});
+  Runtime rt(Launch{.workers = 2});
   auto stats = rt.run(flow);
   EXPECT_EQ(stats.tasks_executed(), 0u);
 }
@@ -225,7 +225,7 @@ TEST(Coor, TraceIsSequentiallyConsistentButMaybeOutOfOrder) {
   spec.col_tiles = 4;
   spec.task_cost = 200;
   auto wl = workloads::make_lu_dag(spec);
-  Runtime rt(Config{.num_workers = 4, .collect_trace = true,
+  Runtime rt(Launch{.workers = 4, .collect_trace = true,
                     .enable_guard = true});
   rt.run(wl.flow);
   stf::DependencyGraph graph(wl.flow);
@@ -239,28 +239,13 @@ TEST(Coor, MasterStatsAreRuntimeOnly) {
   spec.num_tasks = 500;
   spec.task_cost = 5000;
   auto wl = workloads::make_independent(spec);
-  Runtime rt(Config{.num_workers = 2});
+  Runtime rt(Launch{.workers = 2});
   auto stats = rt.run(wl.flow);
   ASSERT_EQ(stats.workers.size(), 3u);  // 2 workers + master
   const auto& master = stats.workers[2];
   EXPECT_EQ(master.buckets.task_ns, 0u);
   EXPECT_GT(master.buckets.runtime_ns, 0u);
   EXPECT_EQ(master.tasks_executed, 0u);
-}
-
-TEST(Coor, ArtificialMasterOverheadSlowsDispatch) {
-  workloads::IndependentSpec spec;
-  spec.num_tasks = 100;
-  spec.task_cost = 1;
-  auto wl = workloads::make_independent(spec);
-
-  Runtime cheap(Config{.num_workers = 2, .master_overhead_ns = 0});
-  Runtime costly(Config{.num_workers = 2, .master_overhead_ns = 50'000});
-  const auto fast = cheap.run(wl.flow);
-  const auto slow = costly.run(wl.flow);
-  // 100 tasks x 50us >= 5ms of forced master time.
-  EXPECT_GT(slow.wall_ns, fast.wall_ns);
-  EXPECT_GT(slow.workers[2].buckets.runtime_ns, 4'000'000u);
 }
 
 // Oracle comparison on the random-dependency workload across schedulers.
@@ -308,7 +293,7 @@ TEST_P(CoorOracle, RandomGraphMatchesSequential) {
   stf::SequentialExecutor{}.run(seq_flow);
 
   auto par_flow = make(17);
-  Runtime rt(Config{.num_workers = 4, .scheduler = GetParam(),
+  Runtime rt(Launch{.workers = 4, .scheduler = GetParam(),
                     .work_stealing = GetParam() == SchedulerKind::kLocality,
                     .enable_guard = true});
   rt.run(par_flow);
@@ -338,7 +323,7 @@ TEST(Coor, NumericLuMatchesSequential) {
   stf::SequentialExecutor{}.run(wl_seq.flow);
 
   auto wl_par = workloads::make_lu_numeric(a2);
-  Runtime rt(Config{.num_workers = 4, .enable_guard = true});
+  Runtime rt(Launch{.workers = 4, .enable_guard = true});
   rt.run(wl_par.flow);
 
   EXPECT_EQ(a1.max_abs_diff(a2), 0.0);

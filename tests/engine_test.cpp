@@ -218,6 +218,37 @@ TEST(EngineValidate, RingQueueRejectedWithoutUsesQueue) {
   }
 }
 
+TEST(EngineValidate, SchedulerRejectedWithoutUsesScheduler) {
+  // A non-default scheduler on a backend without a scheduler must be
+  // refused, not silently ignored; the uses_scheduler backends must still
+  // run it to the oracle.
+  auto oracle = make_fold_chain(60, 6);
+  stf::SequentialExecutor{}.run(oracle);
+  for (const engine::Backend* backend : engine::Registry::instance().all()) {
+    SCOPED_TRACE(std::string(backend->name()));
+    engine::Launch launch;
+    launch.workers = 2;
+    launch.scheduler = coor::SchedulerKind::kPriority;
+    if (backend->caps().needs_mapping)
+      launch.mapping = rt::mapping::round_robin(2);
+    auto flow = make_fold_chain(60, 6);
+    if (!backend->caps().uses_scheduler) {
+      try {
+        (void)backend->run(stf::FlowImage::compile(flow), launch);
+        FAIL() << "expected UnsupportedLaunch for scheduler=priority";
+      } catch (const engine::UnsupportedLaunch& e) {
+        EXPECT_NE(std::string(e.what()).find("scheduler"), std::string::npos)
+            << e.what();
+      }
+    } else {
+      (void)backend->run(stf::FlowImage::compile(flow), launch);
+      if (backend->caps().executes_bodies)
+        expect_same_data(flow, oracle,
+                         std::string(backend->name()) + "+priority");
+    }
+  }
+}
+
 TEST(EngineValidate, NeedsMappingBackendsRejectEmptyMapping) {
   for (const engine::Backend* backend : engine::Registry::instance().all()) {
     if (!backend->caps().needs_mapping) continue;

@@ -66,7 +66,7 @@ TEST(Failure, EveryBackendPropagatesBodyException) {
 TEST(Failure, RioRuntimeUsableAfterFailure) {
   std::atomic<int> executed{0};
   auto bad = throwing_flow(20, 0, executed);
-  rt::Runtime runtime(rt::Config{.num_workers = 2});
+  rt::Runtime runtime(engine::Launch{.workers = 2});
   EXPECT_THROW(runtime.run(bad, rt::mapping::round_robin(2)), BoomError);
 
   stf::TaskFlow good;
@@ -81,7 +81,7 @@ TEST(Failure, RioRuntimeUsableAfterFailure) {
 TEST(Failure, StreamingModePropagates) {
   stf::DataRegistry registry;
   auto d = registry.create<int>("d");
-  rt::Runtime runtime(rt::Config{.num_workers = 2});
+  rt::Runtime runtime(engine::Launch{.workers = 2});
   EXPECT_THROW(
       runtime.run_program(
           registry,
@@ -101,7 +101,7 @@ TEST(Failure, HybridPropagatesFromEitherPhaseKind) {
   for (int throw_at : {2, 12}) {  // 2 = static phase, 12 = dynamic phase
     std::atomic<int> executed{0};
     auto flow = throwing_flow(20, throw_at, executed);
-    hybrid::Runtime runtime(hybrid::Config{.num_workers = 2});
+    hybrid::Runtime runtime(engine::Launch{.workers = 2});
     EXPECT_THROW(
         runtime.run(flow,
                     [](stf::TaskId t) -> std::optional<stf::WorkerId> {
@@ -127,7 +127,7 @@ TEST(Failure, FirstOfManyExceptionsWins) {
   stf::TaskFlow flow;
   for (int i = 0; i < 12; ++i)
     flow.add("boom", [](stf::TaskContext&) { throw BoomError{}; }, {});
-  rt::Runtime runtime(rt::Config{.num_workers = 4});
+  rt::Runtime runtime(engine::Launch{.workers = 4});
   EXPECT_THROW(runtime.run(flow, rt::mapping::round_robin(4)), BoomError);
 }
 
@@ -182,9 +182,9 @@ TEST(Resilience, RetryExhaustionThrowsTaskFailure) {
   plan.throw_tasks = {7};
   plan.throw_attempts = 99;  // never stops throwing
   support::FaultInjector injector(plan);
-  rt::Runtime runtime(rt::Config{.num_workers = 2,
-                                 .retry = {.max_attempts = 3},
-                                 .fault = &injector});
+  rt::Runtime runtime(engine::Launch{.workers = 2,
+                                     .retry = {.max_attempts = 3},
+                                     .fault = &injector});
   try {
     runtime.run(flow, rt::mapping::round_robin(2));
     FAIL() << "expected TaskFailure";
@@ -208,7 +208,7 @@ TEST(Resilience, NoRetryKeepsBareExceptionContract) {
   plan.throw_tasks = {4};
   plan.throw_attempts = 99;
   support::FaultInjector injector(plan);
-  rt::Runtime runtime(rt::Config{.num_workers = 2, .fault = &injector});
+  rt::Runtime runtime(engine::Launch{.workers = 2, .fault = &injector});
   EXPECT_THROW(runtime.run(flow, rt::mapping::round_robin(2)),
                support::InjectedFault);
 }
@@ -220,9 +220,9 @@ TEST(Resilience, RioWatchdogFailsStalledRun) {
   plan.stall_tasks = {10};
   plan.stall_ns = 10'000'000'000ull;  // 10 s — far beyond the window
   support::FaultInjector injector(plan);
-  rt::Runtime runtime(rt::Config{.num_workers = 2,
-                                 .fault = &injector,
-                                 .watchdog_ns = 200'000'000ull});
+  rt::Runtime runtime(engine::Launch{.workers = 2,
+                                     .fault = &injector,
+                                     .watchdog_ns = 200'000'000ull});
   try {
     runtime.run(flow, rt::mapping::round_robin(2));
     FAIL() << "expected StallError";
@@ -267,9 +267,9 @@ TEST(Resilience, CoorWatchdogFailsStalledRun) {
   plan.stall_tasks = {10};
   plan.stall_ns = 10'000'000'000ull;
   support::FaultInjector injector(plan);
-  coor::Runtime runtime(coor::Config{.num_workers = 2,
-                                     .fault = &injector,
-                                     .watchdog_ns = 200'000'000ull});
+  coor::Runtime runtime(engine::Launch{.workers = 2,
+                                       .fault = &injector,
+                                       .watchdog_ns = 200'000'000ull});
   try {
     runtime.run(flow);
     FAIL() << "expected StallError";
@@ -301,7 +301,7 @@ TEST(Resilience, HybridPhaseFailureCancelsLaterPhases) {
   plan.throw_tasks = {12};
   plan.throw_attempts = 99;
   support::FaultInjector injector(plan);
-  hybrid::Runtime runtime(hybrid::Config{.num_workers = 2,
+  hybrid::Runtime runtime(engine::Launch{.workers = 2,
                                          .retry = {.max_attempts = 2},
                                          .fault = &injector});
   EXPECT_THROW(
@@ -322,7 +322,7 @@ TEST(Resilience, ThrowViaFlowImageRunCancels) {
   std::atomic<int> executed{0};
   auto flow = throwing_flow(30, 9, executed);
   const auto image = stf::FlowImage::compile(flow);
-  rt::Runtime runtime(rt::Config{.num_workers = 2});
+  rt::Runtime runtime(engine::Launch{.workers = 2});
   EXPECT_THROW(runtime.run(image, rt::mapping::round_robin(2)), BoomError);
   EXPECT_EQ(executed.load(), 9);
 }
@@ -339,9 +339,9 @@ TEST(Resilience, PerTaskRetryBudgetOverridesGlobal) {
   plan.throw_attempts = 3;
   support::FaultInjector injector(plan);
   rt::Runtime runtime(
-      rt::Config{.num_workers = 2,
-                 .retry = {.max_attempts = 2, .task_attempts = {{5, 5}}},
-                 .fault = &injector});
+      engine::Launch{.workers = 2,
+                     .retry = {.max_attempts = 2, .task_attempts = {{5, 5}}},
+                     .fault = &injector});
   runtime.run(flow, rt::mapping::round_robin(2));
   EXPECT_EQ(*flow.registry().typed<int>(d), 12);
   EXPECT_EQ(injector.injected_throws(), 3u);
@@ -357,9 +357,9 @@ TEST(Resilience, PerTaskRetryBudgetCanAlsoShrink) {
   plan.throw_attempts = 99;
   support::FaultInjector injector(plan);
   rt::Runtime runtime(
-      rt::Config{.num_workers = 2,
-                 .retry = {.max_attempts = 4, .task_attempts = {{5, 1}}},
-                 .fault = &injector});
+      engine::Launch{.workers = 2,
+                     .retry = {.max_attempts = 4, .task_attempts = {{5, 1}}},
+                     .fault = &injector});
   try {
     runtime.run(flow, rt::mapping::round_robin(2));
     FAIL() << "expected TaskFailure";
@@ -399,7 +399,7 @@ TEST(Recovery, CrashWithoutSupervisorEscalatesWorkerLost) {
   plan.crash_tasks = {8};
   plan.max_crashes = 1;
   support::FaultInjector injector(plan);
-  rt::Runtime runtime(rt::Config{.num_workers = 2, .fault = &injector});
+  rt::Runtime runtime(engine::Launch{.workers = 2, .fault = &injector});
   try {
     runtime.run(flow, rt::mapping::round_robin(2));
     FAIL() << "expected WorkerLost";
@@ -506,9 +506,9 @@ TEST(Recovery, ResumeSkipsFrontierTasksAndReportsReplay) {
   const stf::Frontier frontier = board.capture();
 
   obs::Hub hub;
-  rt::Runtime runtime(rt::Config{.num_workers = 2,
-                                 .resume = &frontier,
-                                 .obs = &hub});
+  rt::Runtime runtime(engine::Launch{.workers = 2,
+                                     .resume = &frontier,
+                                     .obs = &hub});
   runtime.run(flow, rt::mapping::round_robin(2));
   EXPECT_EQ(executed.load(), 10);  // only the un-done half ran
   EXPECT_EQ(*flow.registry().typed<int>(d), 10);
@@ -545,7 +545,7 @@ TEST(Resilience, PrunedCachedPlanSurvivesFailure) {
              {stf::readwrite(d)});
   const auto image = stf::FlowImage::compile(flow);
   const auto mapping = rt::mapping::round_robin(2);
-  rt::Runtime runtime(rt::Config{.num_workers = 2});
+  rt::Runtime runtime(engine::Launch{.workers = 2});
 
   EXPECT_THROW(runtime.run_pruned(image, mapping), BoomError);
   EXPECT_EQ(executed.load(), 7);
@@ -608,9 +608,9 @@ TEST(Resilience, FullAndPrunedRunsShareArenasWithoutLeaks) {
   const auto mapping = rt::mapping::round_robin(3);
   // The watchdog turns a leaked sync word (a wait that can never be
   // satisfied) into a StallError instead of a hung test.
-  rt::Runtime runtime(rt::Config{.num_workers = 3,
-                                 .retry = {.max_attempts = 2},
-                                 .watchdog_ns = 2'000'000'000ull});
+  rt::Runtime runtime(engine::Launch{.workers = 3,
+                                     .retry = {.max_attempts = 2},
+                                     .watchdog_ns = 2'000'000'000ull});
 
   runtime.run(image, mapping);
   EXPECT_EQ(scalars(flow.registry()), oracle) << "full run";
@@ -648,9 +648,9 @@ TEST(Resilience, PrunedStallDiagnosticNamesPrunedEngine) {
   plan.stall_tasks = {10};
   plan.stall_ns = 10'000'000'000ull;  // 10 s — far beyond the window
   support::FaultInjector injector(plan);
-  rt::Runtime runtime(rt::Config{.num_workers = 2,
-                                 .fault = &injector,
-                                 .watchdog_ns = 200'000'000ull});
+  rt::Runtime runtime(engine::Launch{.workers = 2,
+                                     .fault = &injector,
+                                     .watchdog_ns = 200'000'000ull});
   try {
     runtime.run_pruned(image, mapping);
     FAIL() << "expected StallError";
@@ -679,7 +679,7 @@ TEST(Recovery, PrunedCrashWithoutWatchdogEscalatesWorkerLost) {
   plan.crash_tasks = {8};
   plan.max_crashes = 1;
   support::FaultInjector injector(plan);
-  rt::Runtime runtime(rt::Config{.num_workers = 2, .fault = &injector});
+  rt::Runtime runtime(engine::Launch{.workers = 2, .fault = &injector});
   try {
     runtime.run_pruned(image, rt::mapping::round_robin(2));
     FAIL() << "expected WorkerLost";

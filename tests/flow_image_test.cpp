@@ -160,9 +160,9 @@ TEST(FlowImageReplay, RioStreamingImageAndPrunedAgree) {
   auto wl_stream = make_equivalence_workload();
   auto wl_image = make_equivalence_workload();
   auto wl_pruned = make_equivalence_workload();
-  const rt::Config cfg{.num_workers = kWorkers,
-                       .collect_trace = true,
-                       .collect_sync = true};
+  const engine::Launch cfg{.workers = kWorkers,
+                           .collect_trace = true,
+                           .collect_sync = true};
   const stf::DependencyGraph graph(stf::FlowRange(wl_stream.flow));
 
   rt::Runtime streaming(cfg);
@@ -200,9 +200,9 @@ TEST(FlowImageReplay, CoorImageMatchesStreaming) {
 
   auto wl_stream = make_equivalence_workload();
   auto wl_image = make_equivalence_workload();
-  const coor::Config cfg{.num_workers = 2,
-                         .collect_trace = true,
-                         .collect_sync = true};
+  const engine::Launch cfg{.workers = 2,
+                           .collect_trace = true,
+                           .collect_sync = true};
   const stf::DependencyGraph graph(stf::FlowRange(wl_stream.flow));
 
   coor::Runtime streaming(cfg);
@@ -233,7 +233,7 @@ TEST(PruningCache, SecondRunCompilesNothing) {
   const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
   const rt::Mapping mapping = wl.mapping(2);
 
-  rt::Runtime prt(rt::Config{.num_workers = 2});
+  rt::Runtime prt(engine::Launch{.workers = 2});
   EXPECT_EQ(prt.plan_compiles(), 0u);
   prt.run_pruned(image, mapping);
   EXPECT_EQ(prt.plan_compiles(), 1u);
@@ -274,7 +274,7 @@ TEST(PruningCache, DestroyedMappingNeverHitsAStalePlan) {
   // closure, and the second run would replay the round-robin plan.
   auto wl = make_equivalence_workload();
   const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
-  rt::Runtime prt(rt::Config{.num_workers = 3, .collect_trace = true});
+  rt::Runtime prt(engine::Launch{.workers = 3, .collect_trace = true});
   {
     const rt::Mapping rr = rt::mapping::round_robin(3);
     prt.run_pruned(image, rr);

@@ -187,8 +187,8 @@ TEST_P(RingFuzz, RingQueueMatchesSequential) {
          {support::WaitPolicy::kSpin, support::WaitPolicy::kSpinYield,
           support::WaitPolicy::kBlock}) {
       auto flow = make_fuzz_flow(spec);
-      coor::Config cfg;
-      cfg.num_workers = spec.workers;
+      engine::Launch cfg;
+      cfg.workers = spec.workers;
       cfg.scheduler = scheduler;
       cfg.queue = coor::QueueKind::kRing;
       cfg.wait_policy = policy;
@@ -236,7 +236,7 @@ TEST_P(StreamingFuzz, StreamingMatchesMaterialized) {
     o = static_cast<stf::WorkerId>(meta.bounded(spec.workers));
 
   rt::Runtime engine(
-      rt::Config{.num_workers = spec.workers, .enable_guard = true});
+      engine::Launch{.workers = spec.workers, .enable_guard = true});
   engine.run_program(registry, program, rt::mapping::table(owners));
 
   for (stf::DataId d = 0; d < spec.num_data; ++d)

@@ -6,7 +6,9 @@
 #include <cstring>
 #include <optional>
 
+#include "coor/coor.hpp"
 #include "hybrid/hybrid.hpp"
+#include "rio/rio.hpp"
 #include "stf/stf.hpp"
 #include "workloads/workloads.hpp"
 
@@ -79,7 +81,7 @@ TEST(Hybrid, MixedPhasesPreserveSequentialSemantics) {
       stf::DataHandle<std::uint64_t>{0});
 
   auto flow = build();
-  hybrid::Runtime rt(hybrid::Config{.num_workers = 3, .enable_guard = true});
+  hybrid::Runtime rt(engine::Launch{.workers = 3, .enable_guard = true});
   rt.run(flow, [](stf::TaskId t) -> std::optional<stf::WorkerId> {
     // Alternate segments of 3: mapped, unmapped, mapped, unmapped.
     if ((t / 3) % 2 == 0) return static_cast<stf::WorkerId>(t % 3);
@@ -130,7 +132,7 @@ TEST(Hybrid, RandomGraphMatchesOracleAcrossPhaseShapes) {
 
     auto flow = make();
     hybrid::Runtime rt(
-        hybrid::Config{.num_workers = 3, .enable_guard = true});
+        engine::Launch{.workers = 3, .enable_guard = true});
     rt.run(flow, [segment](stf::TaskId t) -> std::optional<stf::WorkerId> {
       if ((t / segment) % 2 == 0) return static_cast<stf::WorkerId>(t % 3);
       return std::nullopt;
@@ -149,7 +151,7 @@ TEST(Hybrid, StatsAggregateAcrossPhases) {
   spec.num_tasks = 90;
   spec.task_cost = 2000;
   auto wl = workloads::make_independent(spec);
-  hybrid::Runtime rt(hybrid::Config{.num_workers = 2});
+  hybrid::Runtime rt(engine::Launch{.workers = 2});
   const auto stats =
       rt.run(wl.flow, [](stf::TaskId t) -> std::optional<stf::WorkerId> {
         if (t < 30) return static_cast<stf::WorkerId>(t % 2);  // static
@@ -217,7 +219,7 @@ TEST_P(HplEngines, HybridMatchesSequential) {
 
   auto hpl = workloads::make_hpl_lu(a2, workers);
   hybrid::Runtime rt(
-      hybrid::Config{.num_workers = workers, .enable_guard = true});
+      engine::Launch{.workers = workers, .enable_guard = true});
   rt.run(hpl.workload.flow, hpl.partial_mapping());
 
   EXPECT_EQ(a1.max_abs_diff(a2), 0.0) << "hybrid diverged from sequential";
@@ -239,7 +241,7 @@ TEST_P(HplEngines, PureRioWithFullMappingMatches) {
 
   auto hpl = workloads::make_hpl_lu(a2, workers);
   rt::Runtime runtime(
-      rt::Config{.num_workers = workers, .enable_guard = true});
+      engine::Launch{.workers = workers, .enable_guard = true});
   runtime.run(hpl.workload.flow, hpl.full_mapping());
 
   EXPECT_EQ(a1.max_abs_diff(a2), 0.0);
@@ -257,7 +259,7 @@ TEST_P(HplEngines, CentralizedOooMatches) {
 
   auto hpl = workloads::make_hpl_lu(a2, workers);
   coor::Runtime runtime(
-      coor::Config{.num_workers = workers, .enable_guard = true});
+      engine::Launch{.workers = workers, .enable_guard = true});
   runtime.run(hpl.workload.flow);
 
   EXPECT_EQ(a1.max_abs_diff(a2), 0.0);

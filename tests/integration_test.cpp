@@ -65,7 +65,7 @@ TEST(FlowRange, RioRunsSubRange) {
     flow.add("inc", [d](stf::TaskContext& ctx) { ctx.scalar(d) += 1; },
              {stf::readwrite(d)});
   const stf::FlowImage image = stf::FlowImage::compile(flow);
-  rt::Runtime runtime(rt::Config{.num_workers = 2});
+  rt::Runtime runtime(engine::Launch{.workers = 2});
   runtime.run(stf::ImageRange(image, 0, 5), rt::mapping::round_robin(2));
   EXPECT_EQ(*flow.registry().typed<std::uint64_t>(d), 5u);
   runtime.run(stf::ImageRange(image, 5, 3), rt::mapping::round_robin(2));
@@ -86,7 +86,7 @@ stf::TaskFlow traced_flow(rt::Runtime& runtime, std::uint32_t workers) {
 }
 
 TEST(TraceExport, ChromeJsonIsWellFormedIsh) {
-  rt::Runtime runtime(rt::Config{.num_workers = 2, .collect_trace = true});
+  rt::Runtime runtime(engine::Launch{.workers = 2, .collect_trace = true});
   auto flow = traced_flow(runtime, 2);
   std::ostringstream os;
   stf::export_chrome_trace(runtime.trace(), flow, os);
@@ -110,7 +110,7 @@ TEST(TraceExport, ChromeJsonIsWellFormedIsh) {
 TEST(TraceExport, JsonEscapesSpecialCharacters) {
   stf::TaskFlow flow;
   flow.add("quote\"back\\slash", [](stf::TaskContext&) {}, {});
-  rt::Runtime runtime(rt::Config{.num_workers = 1, .collect_trace = true});
+  rt::Runtime runtime(engine::Launch{.workers = 1, .collect_trace = true});
   runtime.run(flow, rt::mapping::single());
   std::ostringstream os;
   stf::export_chrome_trace(runtime.trace(), flow, os);
@@ -123,7 +123,7 @@ TEST(TraceExport, JsonEscapesControlCharacters) {
   stf::TaskFlow flow;
   flow.add(std::string("tab\there\x01raw\nline"), [](stf::TaskContext&) {},
            {});
-  rt::Runtime runtime(rt::Config{.num_workers = 1, .collect_trace = true});
+  rt::Runtime runtime(engine::Launch{.workers = 1, .collect_trace = true});
   runtime.run(flow, rt::mapping::single());
   std::ostringstream os;
   stf::export_chrome_trace(runtime.trace(), flow, os);
@@ -140,7 +140,7 @@ TEST(TraceExport, CsvQuotesNamesWithDelimiters) {
   stf::TaskFlow flow;
   flow.add("gemm(1,2)", [](stf::TaskContext&) {}, {});
   flow.add("say \"hi\"", [](stf::TaskContext&) {}, {});
-  rt::Runtime runtime(rt::Config{.num_workers = 1, .collect_trace = true});
+  rt::Runtime runtime(engine::Launch{.workers = 1, .collect_trace = true});
   runtime.run(flow, rt::mapping::single());
   std::ostringstream os;
   stf::export_csv(runtime.trace(), flow, os);
@@ -162,7 +162,7 @@ TEST(TraceExport, CsvQuotesNamesWithDelimiters) {
 }
 
 TEST(TraceExport, CsvHasHeaderAndAllRows) {
-  rt::Runtime runtime(rt::Config{.num_workers = 2, .collect_trace = true});
+  rt::Runtime runtime(engine::Launch{.workers = 2, .collect_trace = true});
   auto flow = traced_flow(runtime, 2);
   std::ostringstream os;
   stf::export_csv(runtime.trace(), flow, os);
@@ -174,7 +174,7 @@ TEST(TraceExport, CsvHasHeaderAndAllRows) {
 }
 
 TEST(TraceExport, UtilizationSumsTasks) {
-  rt::Runtime runtime(rt::Config{.num_workers = 3, .collect_trace = true});
+  rt::Runtime runtime(engine::Launch{.workers = 3, .collect_trace = true});
   auto flow = traced_flow(runtime, 3);
   const auto util = stf::summarize_utilization(runtime.trace());
   ASSERT_EQ(util.size(), 3u);
@@ -201,7 +201,7 @@ TEST(TraceExport, CoorTraceExportsToo) {
   stf::TaskFlow flow;
   for (int i = 0; i < 10; ++i)
     flow.add("t" + std::to_string(i), [](stf::TaskContext&) {}, {});
-  coor::Runtime runtime(coor::Config{.num_workers = 2, .collect_trace = true});
+  coor::Runtime runtime(engine::Launch{.workers = 2, .collect_trace = true});
   runtime.run(flow);
   std::ostringstream os;
   stf::export_chrome_trace(runtime.trace(), flow, os);
@@ -258,12 +258,13 @@ TEST(SimHybrid, MakespanIsSumOfPhases) {
   phases[0] = {hybrid::Phase::Kind::kStatic, 0, 300,
                rt::mapping::round_robin(4)};
   phases[1] = {hybrid::Phase::Kind::kDynamic, 300, 300, {}};
-  const auto hyb = sim::simulate_hybrid(wl.flow, phases, dp, cp);
+  const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
+  const auto hyb = sim::simulate_hybrid(image, phases, dp, cp);
 
   const auto s = sim::simulate_decentralized(
-      stf::FlowRange(wl.flow, 0, 300), rt::mapping::round_robin(4), dp);
+      stf::ImageRange(image, 0, 300), rt::mapping::round_robin(4), dp);
   const auto d =
-      sim::simulate_centralized(stf::FlowRange(wl.flow, 300, 300), cp);
+      sim::simulate_centralized(stf::ImageRange(image, 300, 300), cp);
   EXPECT_EQ(hyb.makespan, s.makespan + d.makespan);
   // Per-thread tau identity holds for the combined report too.
   for (const auto& w : hyb.stats.workers)
@@ -296,14 +297,14 @@ TEST(CrossEngine, AllEnginesProduceValidTracesOnLu) {
   auto wl = workloads::make_lu_dag(spec);
   stf::DependencyGraph graph(wl.flow);
 
-  rt::Runtime rio_rt(rt::Config{.num_workers = 3, .collect_trace = true,
-                                .enable_guard = true});
+  rt::Runtime rio_rt(engine::Launch{.workers = 3, .collect_trace = true,
+                                    .enable_guard = true});
   rio_rt.run(wl.flow, wl.mapping(3));
   auto r1 = rio_rt.trace().validate(wl.flow, graph, true);
   EXPECT_TRUE(r1.ok()) << r1.reason;
 
-  coor::Runtime coor_rt(coor::Config{.num_workers = 3, .collect_trace = true,
-                                     .enable_guard = true});
+  coor::Runtime coor_rt(engine::Launch{.workers = 3, .collect_trace = true,
+                                       .enable_guard = true});
   coor_rt.run(wl.flow);
   auto r2 = coor_rt.trace().validate(wl.flow, graph, false);
   EXPECT_TRUE(r2.ok()) << r2.reason;

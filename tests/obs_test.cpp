@@ -126,9 +126,9 @@ TEST(ObsRing, EngineDropsAreReportedNotLost) {
   // report exactly how many events did not fit.
   auto wl = cholesky(5, 2);
   obs::Hub hub(obs::HubOptions{.recorder = true, .ring_capacity = 8});
-  rt::Runtime eng(rt::Config{.num_workers = 2,
-                             .collect_stats = false,
-                             .obs = &hub});
+  rt::Runtime eng(engine::Launch{.workers = 2,
+                                 .collect_stats = false,
+                                 .obs = &hub});
   eng.run(wl.flow, wl.mapping(2));
   EXPECT_GT(hub.dropped(), 0u);
   EXPECT_LE(hub.recorded(), 2u * 8u);
@@ -181,7 +181,7 @@ TEST(ObsDisabled, CountersOnlyHubHasNoRecorder) {
 TEST(ObsDisabled, NullHubRunLeavesNothingBehind) {
   // Engines run with cfg.obs == nullptr: a separate hub stays all-zero.
   auto wl = cholesky(3, 2);
-  rt::Runtime eng(rt::Config{.num_workers = 2});
+  rt::Runtime eng(engine::Launch{.workers = 2});
   eng.run(wl.flow, wl.mapping(2));
   obs::Hub hub;
   const obs::CounterSnapshot snap = hub.counter_snapshot();
@@ -196,10 +196,10 @@ TEST(ObsReconcile, RioTraceRingAndBucketsAgreeExactly) {
   const std::uint32_t p = 2;
   auto wl = cholesky(4, p);
   obs::Hub hub(obs::HubOptions{.recorder = true});
-  rt::Runtime eng(rt::Config{.num_workers = p,
-                             .collect_stats = true,
-                             .collect_trace = true,
-                             .obs = &hub});
+  rt::Runtime eng(engine::Launch{.workers = p,
+                                 .collect_stats = true,
+                                 .collect_trace = true,
+                                 .obs = &hub});
   const auto stats = eng.run(wl.flow, wl.mapping(p));
 
   // The trace's busy time and the ring's kBody spans record the SAME two
@@ -229,10 +229,10 @@ TEST(ObsReconcile, PrunedRioAgreesToo) {
   obs::Hub hub(obs::HubOptions{.recorder = true});
   const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
   rt::PrunedPlan plan(image, wl.mapping(p), p);
-  rt::Runtime eng(rt::Config{.num_workers = p,
-                             .collect_stats = true,
-                             .collect_trace = true,
-                             .obs = &hub});
+  rt::Runtime eng(engine::Launch{.workers = p,
+                                 .collect_stats = true,
+                                 .collect_trace = true,
+                                 .obs = &hub});
   const auto stats = eng.run(image, plan);
   const auto busy = trace_busy(eng.trace(), p);
   const auto body = ring_body(hub);
@@ -249,10 +249,10 @@ TEST(ObsReconcile, CoorWorkersAndMasterAgree) {
   const std::uint32_t p = 2;
   auto wl = cholesky(4, p);
   obs::Hub hub(obs::HubOptions{.recorder = true});
-  coor::Runtime eng(coor::Config{.num_workers = p,
-                                 .collect_stats = true,
-                                 .collect_trace = true,
-                                 .obs = &hub});
+  coor::Runtime eng(engine::Launch{.workers = p,
+                                   .collect_stats = true,
+                                   .collect_trace = true,
+                                   .obs = &hub});
   const auto stats = eng.run(wl.flow);
   ASSERT_EQ(hub.num_workers(), p + 1);
   const auto busy = trace_busy(eng.trace(), p);
@@ -278,7 +278,7 @@ TEST(ObsReconcile, HybridAccumulatesAcrossPhases) {
   const std::uint32_t p = 2;
   auto wl = cholesky(4, p);
   obs::Hub hub(obs::HubOptions{.recorder = true});
-  hybrid::Runtime eng(hybrid::Config{.num_workers = p,
+  hybrid::Runtime eng(engine::Launch{.workers = p,
                                      .collect_stats = true,
                                      .obs = &hub});
   const auto stats = eng.run(
@@ -302,11 +302,11 @@ TEST(ObsReconcile, RetryCountersMatchInjector) {
   plan.throw_tasks = {3, 7};
   support::FaultInjector injector(plan);
   obs::Hub hub;
-  rt::Runtime eng(rt::Config{.num_workers = 2,
-                             .collect_stats = false,
-                             .retry = {.max_attempts = 3},
-                             .fault = &injector,
-                             .obs = &hub});
+  rt::Runtime eng(engine::Launch{.workers = 2,
+                                 .collect_stats = false,
+                                 .retry = {.max_attempts = 3},
+                                 .fault = &injector,
+                                 .obs = &hub});
   eng.run(wl.flow, wl.mapping(2));
   const obs::CounterSnapshot snap = hub.counter_snapshot();
   EXPECT_EQ(snap.total(obs::Counter::kFaultsInjected),
@@ -394,9 +394,9 @@ TEST(ObsSim, CentralizedMasterSlotMatches) {
 TEST(ObsExport, PerfettoTraceIsStructurallySound) {
   auto wl = cholesky(4, 2);
   obs::Hub hub(obs::HubOptions{.recorder = true});
-  rt::Runtime eng(rt::Config{.num_workers = 2,
-                             .collect_stats = true,
-                             .obs = &hub});
+  rt::Runtime eng(engine::Launch{.workers = 2,
+                                 .collect_stats = true,
+                                 .obs = &hub});
   eng.run(wl.flow, wl.mapping(2));
   std::ostringstream os;
   obs::write_perfetto_trace(hub, os);
@@ -418,9 +418,9 @@ TEST(ObsExport, ObsJsonRoundTripsDecompositionBitForBit) {
   const std::uint32_t p = 2;
   auto wl = cholesky(4, p);
   obs::Hub hub;
-  rt::Runtime eng(rt::Config{.num_workers = p,
-                             .collect_stats = true,
-                             .obs = &hub});
+  rt::Runtime eng(engine::Launch{.workers = p,
+                                 .collect_stats = true,
+                                 .obs = &hub});
   const auto stats = eng.run(wl.flow, wl.mapping(p));
   const auto e = metrics::decompose_synthetic(stats.cumulative());
 

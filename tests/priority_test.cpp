@@ -107,10 +107,10 @@ TEST(PriorityScheduler, ExecutesAllAndRespectsDeps) {
   for (stf::TaskId t = 0; t < wl.flow.num_tasks(); ++t)
     wl.flow.set_priority(t, static_cast<std::int32_t>(levels[t]));
 
-  coor::Runtime rt(coor::Config{.num_workers = 3,
-                                .scheduler = coor::SchedulerKind::kPriority,
-                                .collect_trace = true,
-                                .enable_guard = true});
+  coor::Runtime rt(engine::Launch{.workers = 3,
+                                  .scheduler = coor::SchedulerKind::kPriority,
+                                  .collect_trace = true,
+                                  .enable_guard = true});
   const auto stats = rt.run(wl.flow);
   EXPECT_EQ(stats.tasks_executed(), wl.flow.num_tasks());
   const auto v = rt.trace().validate(wl.flow, g, false);
@@ -134,8 +134,8 @@ TEST(PriorityScheduler, CriticalTaskJumpsTheQueue) {
              {});
     flow.set_priority(i, i == 9 ? 100 : 0);
   }
-  coor::Runtime rt(coor::Config{.num_workers = 1,
-                                .scheduler = coor::SchedulerKind::kPriority});
+  coor::Runtime rt(engine::Launch{.workers = 1,
+                                  .scheduler = coor::SchedulerKind::kPriority});
   rt.run(flow);
   // Task 9 runs first or second (the worker may have grabbed task 0 before
   // task 9 was discovered); every plain task except possibly task 0 runs

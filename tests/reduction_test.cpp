@@ -136,8 +136,8 @@ class ReductionCoor : public ::testing::TestWithParam<coor::SchedulerKind> {};
 
 TEST_P(ReductionCoor, HistogramMatchesAndTraceValidates) {
   auto flow = histogram_flow(200, 4);
-  coor::Runtime rt(coor::Config{.num_workers = 4, .scheduler = GetParam(),
-                                .collect_trace = true, .enable_guard = true});
+  coor::Runtime rt(engine::Launch{.workers = 4, .scheduler = GetParam(),
+                                  .collect_trace = true, .enable_guard = true});
   rt.run(flow);
   EXPECT_EQ(*flow.registry().typed<std::uint64_t>(
                 DataHandle<std::uint64_t>{4}),
@@ -157,8 +157,8 @@ INSTANTIATE_TEST_SUITE_P(Schedulers, ReductionCoor,
 
 TEST(ReductionEngines, RioExecutesReductionsInOrder) {
   auto flow = histogram_flow(120, 3);
-  rt::Runtime rt(rt::Config{.num_workers = 3, .collect_trace = true,
-                            .enable_guard = true});
+  rt::Runtime rt(engine::Launch{.workers = 3, .collect_trace = true,
+                                .enable_guard = true});
   rt.run(flow, rt::mapping::round_robin(3));
   EXPECT_EQ(*flow.registry().typed<std::uint64_t>(
                 DataHandle<std::uint64_t>{3}),
@@ -173,7 +173,7 @@ TEST(ReductionEngines, PrunedRioMatches) {
   const auto mapping = rt::mapping::round_robin(2);
   const FlowImage image = FlowImage::compile(flow);
   rt::PrunedPlan plan(image, mapping, 2);
-  rt::Runtime prt(rt::Config{.num_workers = 2});
+  rt::Runtime prt(engine::Launch{.workers = 2});
   prt.run(image, plan);
   EXPECT_EQ(*flow.registry().typed<std::uint64_t>(
                 DataHandle<std::uint64_t>{2}),

@@ -17,7 +17,7 @@
 namespace {
 
 using namespace rio;
-using rio::rt::Config;
+using rio::engine::Launch;
 using rio::rt::Mapping;
 using rio::rt::Runtime;
 using rio::support::WaitPolicy;
@@ -72,7 +72,7 @@ TEST(Runtime, ExecutesEveryTaskExactlyOnce) {
   std::atomic<int> hits{0};
   for (int i = 0; i < 100; ++i)
     flow.add("t", [&hits](stf::TaskContext&) { hits.fetch_add(1); }, {});
-  Runtime rt(Config{.num_workers = 4});
+  Runtime rt(Launch{.workers = 4});
   auto stats = rt.run(flow, rt::mapping::round_robin(4));
   EXPECT_EQ(hits.load(), 100);
   EXPECT_EQ(stats.tasks_executed(), 100u);
@@ -89,7 +89,7 @@ TEST(Runtime, SingleWorkerDegeneratesToSequential) {
     flow.add("step",
              [d, i](stf::TaskContext& ctx) { ctx.scalar(d) = ctx.scalar(d) * 10 + i; },
              {stf::readwrite(d)});
-  Runtime rt(Config{.num_workers = 1});
+  Runtime rt(Launch{.workers = 1});
   rt.run(flow, rt::mapping::single());
   EXPECT_EQ(flow.registry().typed<int>(d)[0], 12345);
 }
@@ -104,7 +104,7 @@ TEST(Runtime, ChainAcrossWorkersRespectsOrder) {
     flow.add("link",
              [d](stf::TaskContext& ctx) { ctx.scalar(d) += 1; },
              {stf::readwrite(d)});
-  Runtime rt(Config{.num_workers = 2, .enable_guard = true});
+  Runtime rt(Launch{.workers = 2, .enable_guard = true});
   rt.run(flow, rt::mapping::round_robin(2));
   EXPECT_EQ(flow.registry().typed<std::uint64_t>(d)[0],
             static_cast<std::uint64_t>(kLinks));
@@ -125,7 +125,7 @@ TEST(Runtime, FanOutReadersAllSeeTheWrite) {
              {stf::read(src), stf::readwrite(sums)});
   // NOTE: all consumers also RW the sums buffer, serializing them — the
   // point here is the producer/consumer write visibility.
-  Runtime rt(Config{.num_workers = 3, .enable_guard = true});
+  Runtime rt(Launch{.workers = 3, .enable_guard = true});
   rt.run(flow, rt::mapping::round_robin(3));
   const auto* s = flow.registry().typed<std::uint64_t>(sums);
   for (int r = 0; r < 8; ++r) EXPECT_EQ(s[r], 42u);
@@ -146,7 +146,7 @@ TEST(Runtime, WriteWaitsForAllReaders) {
              {stf::read(d), stf::readwrite(out)});
   flow.add("w1", [d](stf::TaskContext& ctx) { ctx.scalar(d) = 9; },
            {stf::write(d)});
-  Runtime rt(Config{.num_workers = 4, .enable_guard = true});
+  Runtime rt(Launch{.workers = 4, .enable_guard = true});
   rt.run(flow, rt::mapping::round_robin(4));
   const int* o = flow.registry().typed<int>(out);
   for (int r = 0; r < 3; ++r) EXPECT_EQ(o[r], 7);  // readers saw w0, not w1
@@ -163,7 +163,7 @@ void check_against_oracle(stf::TaskFlow& parallel_flow,
                           const Mapping& mapping) {
   stf::SequentialExecutor{}.run(sequential_flow);
 
-  Runtime rt(Config{.num_workers = workers,
+  Runtime rt(Launch{.workers = workers,
                     .wait_policy = policy,
                     .collect_trace = true,
                     .enable_guard = true});
@@ -272,7 +272,7 @@ TEST(RioNumeric, TiledGemmMatchesSequential) {
   stf::SequentialExecutor{}.run(wl_seq.flow);
 
   auto wl_par = workloads::make_gemm_numeric(a2, b2, c2, workers);
-  Runtime rt(Config{.num_workers = workers, .enable_guard = true});
+  Runtime rt(Launch{.workers = workers, .enable_guard = true});
   rt.run(wl_par.flow, wl_par.mapping(workers));
 
   EXPECT_EQ(c1.max_abs_diff(c2), 0.0);
@@ -288,7 +288,7 @@ TEST(RioNumeric, TiledLuMatchesSequential) {
   stf::SequentialExecutor{}.run(wl_seq.flow);
 
   auto wl_par = workloads::make_lu_numeric(a2, workers);
-  Runtime rt(Config{.num_workers = workers, .enable_guard = true});
+  Runtime rt(Launch{.workers = workers, .enable_guard = true});
   rt.run(wl_par.flow, wl_par.mapping(workers));
 
   EXPECT_EQ(a1.max_abs_diff(a2), 0.0);
@@ -306,7 +306,7 @@ TEST(RioNumeric, TiledCholeskyMatchesSequential) {
   stf::SequentialExecutor{}.run(wl_seq.flow);
 
   auto wl_par = workloads::make_cholesky_numeric(a2, workers);
-  Runtime rt(Config{.num_workers = workers, .enable_guard = true});
+  Runtime rt(Launch{.workers = workers, .enable_guard = true});
   rt.run(wl_par.flow, wl_par.mapping(workers));
 
   EXPECT_EQ(a1.max_abs_diff(a2), 0.0);
@@ -324,7 +324,7 @@ TEST(RioNumeric, StencilMatchesSequential) {
 
   auto wl_par =
       workloads::make_stencil_numeric(chunks, len, steps, a2, b2, workers);
-  Runtime rt(Config{.num_workers = workers, .enable_guard = true});
+  Runtime rt(Launch{.workers = workers, .enable_guard = true});
   rt.run(wl_par.flow, wl_par.mapping(workers));
 
   for (std::size_t i = 0; i < a1.size(); ++i) {
@@ -368,7 +368,7 @@ TEST(RunProgram, StreamingMatchesMaterialized) {
   std::vector<stf::DataHandle<std::uint64_t>> data_a;
   make_data(flow, data_a);
   program(data_a)(flow);
-  Runtime rt_a(Config{.num_workers = workers, .enable_guard = true});
+  Runtime rt_a(Launch{.workers = workers, .enable_guard = true});
   rt_a.run(flow, rt::mapping::round_robin(workers));
 
   // (b) streaming over a standalone registry
@@ -376,7 +376,7 @@ TEST(RunProgram, StreamingMatchesMaterialized) {
   std::vector<stf::DataHandle<std::uint64_t>> data_b;
   for (int d = 0; d < 5; ++d)
     data_b.push_back(registry.create<std::uint64_t>("d" + std::to_string(d)));
-  Runtime rt_b(Config{.num_workers = workers, .enable_guard = true});
+  Runtime rt_b(Launch{.workers = workers, .enable_guard = true});
   rt_b.run_program(registry, program(data_b), rt::mapping::round_robin(workers));
 
   for (int d = 0; d < 5; ++d) {
@@ -432,7 +432,7 @@ TEST(Pruning, PrunedExecutionMatchesOracle) {
 
   const stf::FlowImage image = stf::FlowImage::compile(parallel.flow);
   rt::PrunedPlan plan(image, parallel.mapping(workers), workers);
-  Runtime prt(Config{.num_workers = workers});
+  Runtime prt(Launch{.workers = workers});
   auto stats = prt.run(image, plan);
   EXPECT_EQ(stats.tasks_executed(), parallel.flow.num_tasks());
 
@@ -455,7 +455,7 @@ TEST(Pruning, NumericLuThroughPrunedRuntime) {
   auto wl_par = workloads::make_lu_numeric(a2, workers);
   const stf::FlowImage image = stf::FlowImage::compile(wl_par.flow);
   rt::PrunedPlan plan(image, wl_par.mapping(workers), workers);
-  Runtime prt(Config{.num_workers = workers});
+  Runtime prt(Launch{.workers = workers});
   prt.run(image, plan);
 
   EXPECT_EQ(a1.max_abs_diff(a2), 0.0);
@@ -469,7 +469,7 @@ TEST(Stats, BucketsRoughlyCoverWallTime) {
   spec.task_cost = 20000;
   spec.num_workers = 2;
   auto wl = workloads::make_independent(spec);
-  Runtime rt(Config{.num_workers = 2});
+  Runtime rt(Launch{.workers = 2});
   auto stats = rt.run(wl.flow, wl.mapping(2));
   const auto cum = stats.cumulative();
   EXPECT_GT(cum.task_ns, 0u);
@@ -485,7 +485,7 @@ TEST(Stats, WaitsCountedOnDependencyStalls) {
   for (int i = 0; i < 32; ++i)
     flow.add("c", [d](stf::TaskContext& ctx) { ctx.scalar(d) += 1; },
              {stf::readwrite(d)});
-  Runtime rt(Config{.num_workers = 2});
+  Runtime rt(Launch{.workers = 2});
   auto stats = rt.run(flow, rt::mapping::round_robin(2));
   std::uint64_t waits = 0;
   for (auto& w : stats.workers) waits += w.waits;

@@ -148,11 +148,11 @@ TEST_P(TaskBenchEngines, RioAndCoorMatchSequential) {
   stf::SequentialExecutor{}.run(oracle.flow);
 
   auto wl_rio = make();
-  rt::Runtime rio_rt(rt::Config{.num_workers = 3, .enable_guard = true});
+  rt::Runtime rio_rt(engine::Launch{.workers = 3, .enable_guard = true});
   rio_rt.run(wl_rio.flow, wl_rio.mapping(3));
 
   auto wl_coor = make();
-  coor::Runtime coor_rt(coor::Config{.num_workers = 3, .enable_guard = true});
+  coor::Runtime coor_rt(engine::Launch{.workers = 3, .enable_guard = true});
   coor_rt.run(wl_coor.flow);
 
   for (stf::DataId d = 0; d < oracle.flow.num_data(); ++d) {

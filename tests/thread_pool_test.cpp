@@ -9,6 +9,7 @@
 #include "hybrid/hybrid.hpp"
 #include "rio/rio.hpp"
 #include "support/thread_pool.hpp"
+#include "stf/sequential.hpp"
 #include "workloads/workloads.hpp"
 
 namespace {
@@ -75,12 +76,12 @@ TEST(PooledEngines, RioPooledMatchesSpawned) {
     return flow;
   };
   auto f1 = make();
-  rt::Runtime spawned(rt::Config{.num_workers = 3});
+  rt::Runtime spawned(engine::Launch{.workers = 3});
   spawned.run(f1, rt::mapping::round_robin(3));
 
   auto f2 = make();
   ThreadPool pool(3);
-  rt::Runtime pooled(rt::Config{.num_workers = 3});
+  rt::Runtime pooled(engine::Launch{.workers = 3});
   pooled.attach_pool(&pool);
   for (int rep = 0; rep < 3; ++rep) {  // repeated runs on one pool
     auto f = make();
@@ -103,7 +104,7 @@ TEST(PooledEngines, CoorPooledExecutesAll) {
   spec.task_cost = 50;
   auto wl = workloads::make_lu_dag(spec);
   ThreadPool pool(4);  // 3 workers + master
-  coor::Runtime rt(coor::Config{.num_workers = 3, .enable_guard = true});
+  coor::Runtime rt(engine::Launch{.workers = 3, .enable_guard = true});
   rt.attach_pool(&pool);
   for (int rep = 0; rep < 3; ++rep) {
     const auto stats = rt.run(wl.flow);
@@ -112,23 +113,27 @@ TEST(PooledEngines, CoorPooledExecutesAll) {
 }
 
 TEST(PooledEngines, HybridWithAndWithoutPoolAgree) {
+  // The first run on a hybrid::Runtime spawns its phase pool; the second
+  // reuses it. Both must match a fresh sequential HPL run bit for bit,
+  // pivots included.
   auto make = [] {
     workloads::TiledMatrix a(3, 8);
     a.fill_random(44);
     return a;
   };
-  auto a1 = make(), a2 = make();
-  auto h1 = workloads::make_hpl_lu(a1, 2);
-  auto h2 = workloads::make_hpl_lu(a2, 2);
+  auto ref = make();
+  auto h_ref = workloads::make_hpl_lu(ref, 2);
+  stf::SequentialExecutor{}.run(h_ref.workload.flow);
 
-  hybrid::Runtime with_pool(hybrid::Config{.num_workers = 2, .use_pool = true});
-  with_pool.run(h1.workload.flow, h1.partial_mapping());
-
-  hybrid::Runtime no_pool(hybrid::Config{.num_workers = 2, .use_pool = false});
-  no_pool.run(h2.workload.flow, h2.partial_mapping());
-
-  EXPECT_EQ(a1.max_abs_diff(a2), 0.0);
-  EXPECT_EQ(*h1.perm, *h2.perm);
+  hybrid::Runtime rt(engine::Launch{.workers = 2});
+  for (int rep = 0; rep < 2; ++rep) {
+    SCOPED_TRACE(rep == 0 ? "spawning run" : "pool-reusing run");
+    auto a = make();
+    auto h = workloads::make_hpl_lu(a, 2);
+    rt.run(h.workload.flow, h.partial_mapping());
+    EXPECT_EQ(a.max_abs_diff(ref), 0.0);
+    EXPECT_EQ(*h.perm, *h_ref.perm);
+  }
 }
 
 }  // namespace

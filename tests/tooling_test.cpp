@@ -45,7 +45,7 @@ TEST(PinnedRuntimes, RioWithPinningStillCorrect) {
   for (int i = 0; i < 40; ++i)
     flow.add("inc", [d](stf::TaskContext& ctx) { ctx.scalar(d) += 2; },
              {stf::readwrite(d)});
-  rt::Runtime runtime(rt::Config{.num_workers = 2, .pin_workers = true});
+  rt::Runtime runtime(engine::Launch{.workers = 2, .pin_workers = true});
   runtime.run(flow, rt::mapping::round_robin(2));
   EXPECT_EQ(*flow.registry().typed<std::uint64_t>(d), 80u);
 }
@@ -56,7 +56,7 @@ TEST(PinnedRuntimes, CoorWithPinningStillCorrect) {
   spec.col_tiles = 3;
   spec.task_cost = 10;
   auto wl = workloads::make_lu_dag(spec);
-  coor::Runtime runtime(coor::Config{.num_workers = 2, .pin_workers = true});
+  coor::Runtime runtime(engine::Launch{.workers = 2, .pin_workers = true});
   const auto stats = runtime.run(wl.flow);
   EXPECT_EQ(stats.tasks_executed(), wl.flow.num_tasks());
 }

@@ -41,10 +41,11 @@
 #      (the wait-free MPMC ready ring), and every engine again with
 #      --recover (crash + evicted-resume two-phase exploration);
 #  14. ThreadSanitizer pass (skipped with RIO_SKIP_TSAN=1): rebuilds the
-#      failure suite + executor suite + model checker + rioflow with
-#      RIO_SANITIZE=thread and reruns the resilience tests (incl. the
-#      recovery + crash-fuzz suites), the persistent-executor tests
-#      (concurrent callers, fallback), the modelcheck suite, the quick
+#      failure suite + executor suite + hybrid suite + model checker +
+#      rioflow with RIO_SANITIZE=thread and reruns the resilience tests
+#      (incl. the recovery + crash-fuzz suites), the persistent-executor
+#      tests (concurrent callers, fallback), the hybrid phase engines on
+#      their shared pool, the modelcheck suite, the quick
 #      chaos sweeps (transient AND crash kinds) and the new wait/notify
 #      configurations (block-policy doorbells, coor --queue ring) under
 #      TSan — the retry
@@ -346,7 +347,8 @@ else
   if cmake -B "$TSAN_BUILD" -S "$ROOT" -DRIO_SANITIZE=thread \
        -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null &&
      cmake --build "$TSAN_BUILD" -j "$(nproc)" \
-       --target failure_test modelcheck_test executor_test rioflow \
+       --target failure_test modelcheck_test executor_test hybrid_test \
+         rioflow \
        >/dev/null; then
     "$TSAN_BUILD/tests/failure_test" >/dev/null ||
       fail "failure_test under TSan"
@@ -356,6 +358,10 @@ else
       fail "executor_test under TSan"
     "$TSAN_BUILD/tests/modelcheck_test" >/dev/null ||
       fail "modelcheck_test under TSan"
+    # Hybrid phases: one phase launch drives a rio and a coor engine that
+    # share one persistent pool across every phase.
+    "$TSAN_BUILD/tests/hybrid_test" >/dev/null ||
+      fail "hybrid_test under TSan"
     "$TSAN_BUILD/rioflow" chaos --quick --workers 2 >/dev/null ||
       fail "chaos --quick under TSan"
     # Worker-death recovery: the DeathBoard, dirty-span restore and
