@@ -1338,7 +1338,7 @@ int run_verify(const Options& o, std::ostream& out, std::ostream& err) {
     err << "rioflow: " << error << "\n";
     return 1;
   }
-  if (queue != coor::QueueKind::kLocked && o.engine != "coor") {
+  if (queue != engine::Launch{}.queue && o.engine != "coor") {
     err << "rioflow: --queue applies to the coor engine only\n";
     return 1;
   }
@@ -1773,7 +1773,8 @@ usage: rioflow [command] [options]
   --policy P      spin | yield | block (RIO wait policy)        [yield]
   --scheduler S   fifo | lifo | locality | priority (coor)      [fifo]
   --queue Q       locked | ring (coor central ready queue;
-                  ring = wait-free MPMC, fifo/lifo only)        [locked]
+                  ring = wait-free MPMC, fifo only)             [)" +
+         std::string(coor::to_string(engine::Launch{}.queue)) + R"(]
   --repeat N      repetitions (best time reported)              [1]
   --seed N        workload seed                                 [42]
   --counter-bits N  lint: protocol counter width for RP2xx       [64]

@@ -14,6 +14,8 @@
 #include <string>
 #include <vector>
 
+#include "engine/launch.hpp"
+
 namespace rio::cli {
 
 struct Options {
@@ -60,7 +62,8 @@ struct Options {
   std::string mapping = "owner";    ///< rr | block | owner
   std::string policy = "yield";     ///< spin | yield | block
   std::string scheduler = "fifo";   ///< fifo | lifo | locality | priority
-  std::string queue = "locked";     ///< locked | ring (coor ready queue)
+  std::string queue = coor::to_string(engine::Launch{}.queue);
+  ///< locked | ring (coor ready queue); defaults to engine::Launch's
   int repeat = 1;
 
   // Analysis (lint / check).

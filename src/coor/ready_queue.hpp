@@ -1,12 +1,12 @@
-// Ready-task queues for the centralized OoO runtime.
+// Locked ready-task queues for the centralized OoO runtime.
 //
-// The central queue is deliberately a mutex + condition-variable protected
-// deque: the serialization it causes under fine-grained load is not an
-// implementation accident but the phenomenon the paper attributes to
-// centralized execution models (Section 3.3, cost model (1)). A per-worker
-// variant with stealing implements the locality scheduler ablation. The
-// wait-free alternative for central fifo/lifo modes lives in
-// ready_ring.hpp and is selected with the engine::Launch queue knob.
+// A mutex + condition-variable protected deque: the serialization it
+// causes under fine-grained load is the phenomenon the paper attributes to
+// centralized execution models (Section 3.3, cost model (1)). It serves
+// the lifo, priority and locality schedulers (a per-worker variant with
+// stealing implements the locality ablation), and fifo under
+// engine::Launch::queue = kLocked. Default fifo dispatch uses the
+// wait-free ring in ready_ring.hpp instead.
 #pragma once
 
 #include <condition_variable>

@@ -1,9 +1,10 @@
 // Bounded wait-free MPMC ready ring for the centralized OoO runtime.
 //
 // The locked ReadyQueue (ready_queue.hpp) is the paper's cost-model-(1)
-// bottleneck made concrete: every dispatch serializes on one mutex and —
-// before PR 7 — paid one condvar notify per push. This ring replaces it for
-// the central FIFO/LIFO modes with the classic bounded MPMC design
+// bottleneck made concrete: every dispatch serializes on one mutex. This
+// ring replaces it for central FIFO dispatch (engine::Launch's default
+// queue; it pops FIFO only, so lifo keeps the locked deque) with the
+// classic bounded MPMC design
 // (per-slot sequence words + CAS-claimed cursors, à la Vyukov): producers
 // claim a slot by CAS on `tail_`, publish the value with a release store of
 // the slot's sequence word, and consumers claim by CAS on `head_`. The
@@ -57,8 +58,8 @@ namespace rio::coor {
 /// Which ready-queue implementation the engine uses for central modes.
 enum class QueueKind : std::uint8_t {
   kLocked,  ///< mutex + condvar deque (ready_queue.hpp) — all schedulers
-  kRing,    ///< wait-free MPMC ring — central fifo/lifo only; the engine
-            ///< falls back to kLocked for kPriority/kLocality
+  kRing,    ///< wait-free MPMC ring — central fifo only; the engine
+            ///< falls back to kLocked for kLifo/kPriority/kLocality
 };
 
 constexpr const char* to_string(QueueKind k) noexcept {

@@ -29,32 +29,43 @@
 namespace rio::coor {
 namespace detail {
 
+/// A 4-byte lock word (0 free, 1 held) for critical sections a few stores
+/// long, so a waiter yields instead of parking. BasicLockable, so
+/// std::lock_guard takes it; mc::impl models it as one lock word with the
+/// same scopes.
+struct WordLock {
+  std::atomic<std::uint32_t> word{0};
+  void lock() noexcept {
+    while (word.exchange(1, std::memory_order_acquire) != 0)
+      while (word.load(std::memory_order_relaxed) != 0)
+        std::this_thread::yield();
+  }
+  void unlock() noexcept { word.store(0, std::memory_order_release); }
+};
+
 /// Per-task dependency bookkeeping. One node per task for the whole range —
 /// the linear-space structure the paper contrasts with RIO's O(data)
-/// footprint. Indexed by the task's position WITHIN the range.
+/// footprint. Indexed by the task's position WITHIN the range. Each run
+/// builds its nodes afresh in deque chunks: one flat array, resident or per
+/// run, measured no faster and made the calling thread's later allocations
+/// slower through the allocator's heap trimming (docs/perf.md).
 struct TaskNode {
   // Unresolved predecessor count, +1 discovery guard held by the master
   // while it registers edges. The task becomes ready when this hits zero.
   std::atomic<std::int32_t> remaining{1};
-  std::mutex mu;
+  WordLock mu;  // guards finished + successors
   std::vector<std::size_t> successors;  // local indices
-  bool finished = false;
   // Wait-cause provenance: the task whose complete() made this one ready
   // (kNoTask when the master dispatched it). Written by the dispatching
   // thread before the queue push, read after the pop — the queue's own
   // synchronization orders the plain accesses.
   std::uint64_t dispatcher = obs::kNoTask;
+  bool finished = false;
 };
+static_assert(sizeof(void*) != 8 || sizeof(TaskNode) == 48,
+              "a task node is 48 bytes on LP64 targets");
 
 }  // namespace detail
-
-/// Recycled across runs of one Runtime: TaskNode holds a std::mutex, so the
-/// pool is a deque (grows in place, no moves) and entries are reset rather
-/// than reconstructed.
-struct Runtime::NodeArena {
-  std::deque<detail::TaskNode> nodes;
-  std::vector<support::AlignedAtomic<std::uint32_t>> reduction_locks;
-};
 
 namespace {
 
@@ -63,12 +74,11 @@ using detail::TaskNode;
 struct Engine {
   stf::ImageRange range;  // cheap view; the backing FlowImage outlives us
   const engine::Launch& cfg;
-  std::deque<TaskNode>& nodes;  // arena-backed, reset for this run
+  std::deque<TaskNode> nodes;  // one per task of the range
   std::deque<ReadyQueue> queues;  // 1 (central) or workers (locality)
   // Wait-free central queue (ready_ring.hpp), engaged for queue == kRing in
-  // the central fifo/lifo modes. A ring pop is FIFO regardless of the lifo
-  // flag — OoO correctness is order-independent, so kLifo + kRing degrades
-  // to FIFO order (documented in docs/perf.md).
+  // fifo mode only: a ring pops FIFO, so lifo, priority and locality keep
+  // the locked queues whatever the queue knob says.
   std::optional<ReadyRing> ring;
   std::atomic<std::uint64_t> completed{0};
   std::atomic<bool> done{false};
@@ -97,19 +107,9 @@ struct Engine {
   std::vector<support::AlignedAtomic<std::uint32_t>>& reduction_locks;
 
   Engine(const stf::ImageRange& r, const engine::Launch& c,
-         Runtime::NodeArena& arena)
-      : range(r),
-        cfg(c),
-        nodes(arena.nodes),
-        reduction_locks(arena.reduction_locks) {
+         std::vector<support::AlignedAtomic<std::uint32_t>>& locks)
+      : range(r), cfg(c), nodes(r.size()), reduction_locks(locks) {
     const std::size_t n = r.size();
-    while (nodes.size() < n) nodes.emplace_back();
-    for (std::size_t i = 0; i < n; ++i) {
-      nodes[i].remaining.store(1, std::memory_order_relaxed);
-      nodes[i].finished = false;
-      nodes[i].successors.clear();
-      nodes[i].dispatcher = obs::kNoTask;
-    }
     const std::size_t nd = r.num_data();
     if (reduction_locks.size() < nd) {
       reduction_locks =
@@ -118,9 +118,7 @@ struct Engine {
       for (std::size_t d = 0; d < nd; ++d)
         reduction_locks[d].value.store(0, std::memory_order_relaxed);
     }
-    if (c.queue == QueueKind::kRing &&
-        (c.scheduler == SchedulerKind::kFifo ||
-         c.scheduler == SchedulerKind::kLifo)) {
+    if (c.queue == QueueKind::kRing && c.scheduler == SchedulerKind::kFifo) {
       ring.emplace(std::max<std::size_t>(n, 1),
                    [](std::atomic<std::uint64_t>& w, std::uint64_t v) {
                      w.store(v, std::memory_order_relaxed);
@@ -257,12 +255,12 @@ struct Engine {
 
 }  // namespace
 
-Runtime::Runtime(engine::Launch launch)
-    : cfg_(std::move(launch)), arena_(std::make_unique<NodeArena>()) {
-  RIO_ASSERT_MSG(cfg_.workers > 0, "need at least one worker");
-}
+Runtime::Runtime(engine::Launch launch) { configure(launch); }
 
-Runtime::~Runtime() = default;
+void Runtime::configure(const engine::Launch& launch) {
+  RIO_ASSERT_MSG(launch.workers > 0, "need at least one worker");
+  cfg_ = launch;
+}
 
 support::RunStats Runtime::run(const stf::TaskFlow& flow) {
   const stf::FlowImage image = stf::FlowImage::compile(flow);
@@ -274,7 +272,7 @@ support::RunStats Runtime::run(const stf::FlowImage& image) {
 }
 
 support::RunStats Runtime::run(const stf::ImageRange& range) {
-  Engine eng(range, cfg_, *arena_);
+  Engine eng(range, cfg_, reduction_locks_);
   const std::uint32_t p = cfg_.workers;
   const std::size_t n = range.size();
 

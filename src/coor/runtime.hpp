@@ -20,8 +20,9 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <vector>
 
+#include "support/align.hpp"
 #include "support/stats.hpp"
 #include "support/thread_pool.hpp"
 #include "engine/launch.hpp"
@@ -38,7 +39,6 @@ class Runtime {
   /// flags, enable_guard, pin_workers, the resilience and recovery knobs
   /// and obs (worker slots 0..p-1, master slot p).
   explicit Runtime(engine::Launch launch);
-  ~Runtime();
   Runtime(const Runtime&) = delete;
   Runtime& operator=(const Runtime&) = delete;
 
@@ -67,22 +67,23 @@ class Runtime {
     return sync_trace_;
   }
 
-  /// Uses `pool` (>= workers + 1 threads: workers + master) for
-  /// subsequent runs instead of spawning threads per run.
-  void attach_pool(support::ThreadPool* pool) noexcept { pool_ = pool; }
+  /// Replaces the launch for subsequent runs. The reduction-lock array and
+  /// an attached pool survive: this is how one long-lived runtime serves
+  /// launches that differ from run to run (engine/executor.hpp).
+  void configure(const engine::Launch& launch);
 
-  // Recycled per-run task-node pool + reduction-lock array (pimpl: the node
-  // type is internal to runtime.cpp, which defines and uses the struct).
-  // Repeated runs on the same Runtime reuse the arena instead of
-  // reallocating linear-in-tasks bookkeeping.
-  struct NodeArena;
+  /// Uses `pool` (>= workers + 1 threads: workers + master) for
+  /// subsequent runs instead of spawning threads per run. Pass nullptr to
+  /// detach. The pool must outlive the runtime's runs.
+  void attach_pool(support::ThreadPool* pool) noexcept { pool_ = pool; }
 
  private:
   engine::Launch cfg_;
   stf::Trace trace_;
   stf::SyncTrace sync_trace_;
   support::ThreadPool* pool_ = nullptr;
-  std::unique_ptr<NodeArena> arena_;
+  // Per-data reduction locks, recycled across runs (grown, never shrunk).
+  std::vector<support::AlignedAtomic<std::uint32_t>> reduction_locks_;
 };
 
 }  // namespace rio::coor

@@ -1,8 +1,9 @@
 // Built-in backends. This file is the "exactly one place" a new backend is
 // added: implement engine::Backend (usually a thin facade over an existing
-// runtime) and append one line to register_builtins() at the bottom. rio
-// and rio-pruned are facades over one shared RioExecutor (executor.hpp)
-// that keeps their threads, arenas and plan resident between runs.
+// runtime) and append one line to register_builtins() at the bottom. The
+// real engines are facades over persistent executors (executor.hpp) that
+// keep their threads, arenas and rio's plan resident between runs: rio and
+// rio-pruned share one, coor and hybrid own one each.
 
 #include <memory>
 #include <optional>
@@ -12,6 +13,7 @@
 #include "engine/registry.hpp"
 #include "coor/runtime.hpp"
 #include "hybrid/runtime.hpp"
+#include "rio/runtime.hpp"
 #include "sim/simulate.hpp"
 #include "stf/sequential.hpp"
 
@@ -55,6 +57,27 @@ class SeqBackend final : public Backend {
   }
 };
 
+using RioExecutor = Executor<rt::Runtime>;
+
+/// rio and rio-pruned differ only in how a worker walks the image: its full
+/// unroll, or its pruned plan slice (Section 3.5). plan_compiles counts the
+/// plan-cache misses paid by THIS call: 0 on a warm hit, 1 on a miss.
+Outcome run_rio(RioExecutor& executor, const stf::FlowImage& image,
+                const Launch& launch, bool pruned) {
+  return executor.run(
+      launch, launch.workers, launch.pin_workers, [&](rt::Runtime& eng) {
+        const std::uint64_t compiles_before = eng.plan_compiles();
+        Outcome out;
+        out.stats = pruned ? eng.run_pruned(image, launch.mapping)
+                           : eng.run(image, launch.mapping);
+        out.makespan = out.stats.wall_ns;
+        out.trace = eng.trace();
+        out.sync = eng.sync_trace();
+        out.plan_compiles = eng.plan_compiles() - compiles_before;
+        return out;
+      });
+}
+
 class RioBackend final : public Backend {
  public:
   explicit RioBackend(std::shared_ptr<RioExecutor> executor)
@@ -84,7 +107,7 @@ class RioBackend final : public Backend {
   [[nodiscard]] Outcome run(const stf::FlowImage& image,
                             const Launch& launch) const override {
     validate(*this, launch);
-    return executor_->run(image, launch, RioExecutor::Walk::kFull);
+    return run_rio(*executor_, image, launch, /*pruned=*/false);
   }
 
  private:
@@ -118,7 +141,7 @@ class PrunedBackend final : public Backend {
   [[nodiscard]] Outcome run(const stf::FlowImage& image,
                             const Launch& launch) const override {
     validate(*this, launch);
-    return executor_->run(image, launch, RioExecutor::Walk::kPruned);
+    return run_rio(*executor_, image, launch, /*pruned=*/true);
   }
 
  private:
@@ -151,12 +174,18 @@ class CoorBackend final : public Backend {
   [[nodiscard]] Outcome run(const stf::FlowImage& image,
                             const Launch& launch) const override {
     validate(*this, launch);
-    coor::Runtime eng(launch);
-    Outcome out = base_outcome(eng.run(image), caps());
-    out.trace = eng.trace();
-    out.sync = eng.sync_trace();
-    return out;
+    // The pool holds the workers plus the master.
+    return executor_.run(launch, launch.workers + 1, launch.pin_workers,
+                         [&](coor::Runtime& eng) {
+                           Outcome out = base_outcome(eng.run(image), caps());
+                           out.trace = eng.trace();
+                           out.sync = eng.sync_trace();
+                           return out;
+                         });
   }
+
+ private:
+  mutable Executor<coor::Runtime> executor_;
 };
 
 class HybridBackend final : public Backend {
@@ -183,14 +212,22 @@ class HybridBackend final : public Backend {
   [[nodiscard]] Outcome run(const stf::FlowImage& image,
                             const Launch& launch) const override {
     validate(*this, launch);
-    hybrid::Runtime eng(launch);
     const rt::PartialMapping& pm =
         launch.partial ? launch.partial : default_partial(launch.workers);
-    Outcome out = base_outcome(eng.run(image, pm), caps());
-    out.phases = eng.last_phase_count();
-    out.completed_phases = eng.completed_phases();
-    return out;
+    // Workers plus the dynamic phases' master; hybrid runs its phases
+    // unpinned (hybrid/runtime.hpp), so its pool is never pinned.
+    return executor_.run(launch, launch.workers + 1, /*pinned=*/false,
+                         [&](hybrid::Runtime& eng) {
+                           Outcome out =
+                               base_outcome(eng.run(image, pm), caps());
+                           out.phases = eng.last_phase_count();
+                           out.completed_phases = eng.completed_phases();
+                           return out;
+                         });
   }
+
+ private:
+  mutable Executor<hybrid::Runtime> executor_;
 };
 
 sim::DecentralizedParams make_dparams(const Launch& l) {

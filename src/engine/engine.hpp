@@ -119,13 +119,13 @@ class UnsupportedLaunch : public std::runtime_error {
 };
 
 /// A registered execution backend. run() is const and safe to call from
-/// any thread, concurrently and re-entrantly. Most implementations build a
-/// fresh underlying runtime per call. rio and rio-pruned instead share one
-/// persistent executor (engine/executor.hpp) that lives as long as the
-/// registry and keeps W parked threads, the runtime's arenas and one
-/// compiled pruned plan resident between calls; a call that finds it busy
-/// (another thread, or a task body re-entering the backend) falls back to
-/// a private one-shot runtime.
+/// any thread, concurrently and re-entrantly. The real engines (rio,
+/// rio-pruned, coor, hybrid) run on persistent executors
+/// (engine/executor.hpp) that live as long as the registry and keep parked
+/// threads, the runtime's arenas and rio's compiled pruned plan resident
+/// between calls; a call that finds its executor busy (another thread, or
+/// a task body re-entering the backend) falls back to a private one-shot
+/// runtime. The simulators and seq keep no state between calls.
 class Backend {
  public:
   Backend() = default;

@@ -31,14 +31,16 @@ struct Launch {
   std::uint32_t workers = 2;  ///< task-executing workers (coor and hybrid's
                               ///< dynamic phases add one master thread)
   support::WaitPolicy wait_policy = support::WaitPolicy::kSpinYield;
-  ///< uses_wait_policy backends only. coor reads it only for kRing
-  ///< consumers; its locked queue always blocks on a condvar.
+  ///< uses_wait_policy backends only. coor's workers read it only while
+  ///< they pop the ring; the locked queues always block on a condvar.
   coor::SchedulerKind scheduler = coor::SchedulerKind::kFifo;
   ///< uses_scheduler backends only
-  coor::QueueKind queue = coor::QueueKind::kLocked;
-  ///< uses_queue backends only. kRing selects the wait-free MPMC ready
-  ///< ring for fifo/lifo scheduling (kPriority/kLocality keep the locked
-  ///< queues — see coor/ready_ring.hpp).
+  coor::QueueKind queue = coor::QueueKind::kRing;
+  ///< uses_queue backends only. kRing (the default) selects the wait-free
+  ///< MPMC ready ring for fifo scheduling; kLifo, kPriority and kLocality
+  ///< keep the locked queues whatever this says (coor/ready_ring.hpp).
+  ///< kLocked forces the mutex + condvar deque for fifo too. Hybrid's
+  ///< dynamic phases run under the default.
   bool work_stealing = false;  ///< uses_scheduler backends only (locality
                                ///< mode: steal from siblings)
   rt::Mapping mapping{};  ///< full static mapping (needs_mapping)

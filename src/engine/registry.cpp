@@ -111,6 +111,7 @@ std::vector<std::pair<std::string_view, bool>> capability_list(
 std::vector<std::string> unsupported_knobs(const Capabilities& caps,
                                            const Launch& launch) {
   std::vector<std::string> bad;
+  const Launch defaults;
   if (launch.workers == 0) bad.emplace_back("workers=0 (need at least one)");
   if (caps.needs_mapping && !launch.mapping.valid())
     bad.emplace_back("missing mapping (backend needs_mapping)");
@@ -129,11 +130,11 @@ std::vector<std::string> unsupported_knobs(const Capabilities& caps,
     bad.emplace_back("faults/retry (backend lacks supports_faults)");
   if (launch.watchdog_ns > 0 && !caps.supports_watchdog)
     bad.emplace_back("watchdog (backend lacks supports_watchdog)");
-  if (launch.scheduler != coor::SchedulerKind::kFifo && !caps.uses_scheduler)
+  if (launch.scheduler != defaults.scheduler && !caps.uses_scheduler)
     bad.emplace_back("scheduler (backend lacks uses_scheduler)");
   if (launch.work_stealing && !caps.uses_scheduler)
     bad.emplace_back("work_stealing (backend lacks uses_scheduler)");
-  if (launch.queue != coor::QueueKind::kLocked && !caps.uses_queue)
+  if (launch.queue != defaults.queue && !caps.uses_queue)
     bad.emplace_back("queue (backend lacks uses_queue)");
   if ((launch.resume != nullptr || launch.checkpoint != nullptr) &&
       !caps.supports_recovery)

@@ -4,8 +4,6 @@
 #include <utility>
 
 #include "support/assert.hpp"
-#include "coor/runtime.hpp"
-#include "rio/runtime.hpp"
 
 namespace rio::hybrid {
 
@@ -76,8 +74,15 @@ engine::Launch phase_launch(engine::Launch launch) {
 }  // namespace
 
 Runtime::Runtime(engine::Launch launch)
-    : phase_(phase_launch(std::move(launch))) {
+    : phase_(phase_launch(std::move(launch))), rio_(phase_), coor_(phase_) {
   RIO_ASSERT_MSG(phase_.workers > 0, "need at least one worker");
+}
+
+void Runtime::configure(const engine::Launch& launch) {
+  phase_ = phase_launch(launch);
+  RIO_ASSERT_MSG(phase_.workers > 0, "need at least one worker");
+  rio_.configure(phase_);
+  coor_.configure(phase_);
 }
 
 support::RunStats Runtime::run(const stf::TaskFlow& flow,
@@ -109,11 +114,14 @@ support::RunStats Runtime::run(const stf::FlowImage& image,
   // One persistent pool for every phase: p workers + 1 master-capable
   // thread (idle during static phases). Amortizes thread startup across
   // the potentially many fine-grained phases.
-  if (!pool_) pool_ = std::make_unique<support::ThreadPool>(p + 1);
-  rt::Runtime rio_engine(phase_);
-  coor::Runtime coor_engine(phase_);
-  rio_engine.attach_pool(pool_.get());
-  coor_engine.attach_pool(pool_.get());
+  support::ThreadPool* pool = pool_;
+  if (pool == nullptr) {
+    if (!own_pool_ || own_pool_->size() < p + 1)
+      own_pool_ = std::make_unique<support::ThreadPool>(p + 1);
+    pool = own_pool_.get();
+  }
+  rio_.attach_pool(pool);
+  coor_.attach_pool(pool);
 
   // Cross-phase failure propagation: a failing phase (retry exhaustion,
   // stall, any thrown body) throws out of its engine's run() and out of
@@ -131,9 +139,9 @@ support::RunStats Runtime::run(const stf::FlowImage& image,
     if (ph.kind == Phase::Kind::kStatic) {
       // Phase barrier semantics: everything before `first` completed, so
       // the in-order protocol may start from fresh per-phase state.
-      phase_stats = rio_engine.run(range, ph.mapping);
+      phase_stats = rio_.run(range, ph.mapping);
     } else {
-      phase_stats = coor_engine.run(range);
+      phase_stats = coor_.run(range);
     }
     ++completed_phases_;
     total.wall_ns += phase_stats.wall_ns;

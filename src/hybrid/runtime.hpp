@@ -30,8 +30,10 @@
 
 #include "support/stats.hpp"
 #include "support/thread_pool.hpp"
+#include "coor/runtime.hpp"
 #include "engine/launch.hpp"
 #include "rio/mapping.hpp"
+#include "rio/runtime.hpp"
 #include "stf/flow_image.hpp"
 #include "stf/task_flow.hpp"
 
@@ -63,8 +65,11 @@ class Runtime {
   /// phase engines run under one phase launch: a copy of `launch` with
   /// collect_trace, collect_sync and pin_workers cleared. `workers` counts
   /// the executing workers of BOTH phase kinds; dynamic phases add one
-  /// pooled master thread, as in src/coor. All phases share one persistent
-  /// workers+1 thread pool, built on the first run.
+  /// pooled master thread, as in src/coor. One rt::Runtime and one
+  /// coor::Runtime, members of this runtime, run every phase, so their
+  /// arenas persist across phases and runs. All phases share one
+  /// persistent workers+1 thread pool: the attached one, else one this
+  /// runtime builds on its first run.
   ///
   /// Resilience and recovery (docs/robustness.md) reach both phase engines.
   /// A phase failure (retry exhaustion, stall, worker loss) propagates out
@@ -76,6 +81,16 @@ class Runtime {
   /// obs hub, worker slots 0..p-1 accumulate across every phase and slot p
   /// is the dynamic phases' master.
   explicit Runtime(engine::Launch launch);
+
+  /// Replaces the launch for subsequent runs (the same phase-launch copy
+  /// as the constructor). The phase engines' arenas and the pool survive
+  /// (engine/executor.hpp).
+  void configure(const engine::Launch& launch);
+
+  /// Runs every phase on `pool` (>= workers + 1 threads) instead of a pool
+  /// of this runtime's own. Pass nullptr to detach. The pool must outlive
+  /// the runtime's runs.
+  void attach_pool(support::ThreadPool* pool) noexcept { pool_ = pool; }
 
   /// Executes pre-partitioned phases. Phases must tile the flow
   /// contiguously from task 0 to the end.
@@ -108,9 +123,12 @@ class Runtime {
 
  private:
   engine::Launch phase_;  // the launch both phase engines run under
+  rt::Runtime rio_;       // static phases
+  coor::Runtime coor_;    // dynamic phases
   std::size_t last_phases_ = 0;
   std::size_t completed_phases_ = 0;
-  std::unique_ptr<support::ThreadPool> pool_;  // built on the first run
+  support::ThreadPool* pool_ = nullptr;  // attached; overrides own_pool_
+  std::unique_ptr<support::ThreadPool> own_pool_;  // built on first need
 };
 
 }  // namespace rio::hybrid

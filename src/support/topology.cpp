@@ -9,11 +9,16 @@
 namespace rio::support {
 
 CpuTopology detect_topology() noexcept {
-  CpuTopology topo;
+  // sysconf reads /sys/devices/system/cpu/online (a few microseconds), and
+  // every pinning-capable run asks: detect once per process.
+  static const CpuTopology topo = [] {
+    CpuTopology t;
 #if defined(__linux__)
-  const long online = sysconf(_SC_NPROCESSORS_ONLN);
-  if (online > 0) topo.logical_cpus = static_cast<std::uint32_t>(online);
+    const long online = sysconf(_SC_NPROCESSORS_ONLN);
+    if (online > 0) t.logical_cpus = static_cast<std::uint32_t>(online);
 #endif
+    return t;
+  }();
   return topo;
 }
 

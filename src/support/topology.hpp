@@ -16,7 +16,8 @@ struct CpuTopology {
   std::uint32_t logical_cpus = 1;  ///< online logical processors
 };
 
-/// Detects the host topology (never fails; falls back to 1 CPU).
+/// Detects the host topology once per process (never fails; falls back to
+/// 1 CPU). CPU hotplug after the first call is not observed.
 CpuTopology detect_topology() noexcept;
 
 /// Pins the calling thread to `cpu` (logical index). Returns false when the

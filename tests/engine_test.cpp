@@ -190,22 +190,27 @@ TEST(EngineValidate, RejectsEveryUnsupportedKnobAtOnce) {
 
 TEST(EngineValidate, RingQueueRejectedWithoutUsesQueue) {
   // The queue knob is coor-only today; every backend that does not declare
-  // uses_queue must reject a kRing launch with the structured error, and
-  // every backend that does declare it must run the ring to the oracle.
+  // uses_queue must reject a launch with the NON-default queue kind (kLocked
+  // while the ring is the default) with the structured error, and
+  // every backend that does declare it must run that kind to the oracle.
+  const coor::QueueKind other = engine::Launch{}.queue == coor::QueueKind::kRing
+                                    ? coor::QueueKind::kLocked
+                                    : coor::QueueKind::kRing;
+  const std::string label = std::string("+") + coor::to_string(other);
   auto oracle = make_fold_chain(60, 6);
   stf::SequentialExecutor{}.run(oracle);
   for (const engine::Backend* backend : engine::Registry::instance().all()) {
     SCOPED_TRACE(std::string(backend->name()));
     engine::Launch launch;
     launch.workers = 2;
-    launch.queue = coor::QueueKind::kRing;
+    launch.queue = other;
     if (backend->caps().needs_mapping)
       launch.mapping = rt::mapping::round_robin(2);
     auto flow = make_fold_chain(60, 6);
     if (!backend->caps().uses_queue) {
       try {
         (void)backend->run(stf::FlowImage::compile(flow), launch);
-        FAIL() << "expected UnsupportedLaunch for queue=ring";
+        FAIL() << "expected UnsupportedLaunch for queue=" << label;
       } catch (const engine::UnsupportedLaunch& e) {
         EXPECT_NE(std::string(e.what()).find("queue"), std::string::npos)
             << e.what();
@@ -213,8 +218,29 @@ TEST(EngineValidate, RingQueueRejectedWithoutUsesQueue) {
     } else {
       (void)backend->run(stf::FlowImage::compile(flow), launch);
       if (backend->caps().executes_bodies)
-        expect_same_data(flow, oracle, std::string(backend->name()) + "+ring");
+        expect_same_data(flow, oracle, std::string(backend->name()) + label);
     }
+  }
+}
+
+TEST(EngineValidate, DefaultLaunchRunsOnEveryBackend) {
+  // The capability checks compare each knob with its Launch default, so a
+  // default Launch (plus the mapping needs_mapping backends require) runs
+  // on every backend — also on those that never read a knob whose default
+  // changed, like hybrid and the ring queue.
+  auto oracle = make_fold_chain(60, 6);
+  stf::SequentialExecutor{}.run(oracle);
+  for (const engine::Backend* backend : engine::Registry::instance().all()) {
+    SCOPED_TRACE(std::string(backend->name()));
+    engine::Launch launch;
+    if (backend->caps().needs_mapping)
+      launch.mapping = rt::mapping::round_robin(launch.workers);
+    EXPECT_TRUE(engine::unsupported_knobs(backend->caps(), launch).empty());
+    auto flow = make_fold_chain(60, 6);
+    (void)backend->run(stf::FlowImage::compile(flow), launch);
+    if (backend->caps().executes_bodies)
+      expect_same_data(flow, oracle,
+                       std::string(backend->name()) + "+defaults");
   }
 }
 

@@ -1,7 +1,7 @@
-// Tests for the persistent executor behind the rio and rio-pruned backends
-// (src/engine/executor.hpp), driven through Registry::find like every
-// consumer. The load-bearing properties:
-//   * the executor stays usable after every failure mode — a TaskFailure,
+// Tests for the persistent executors behind the rio, rio-pruned, coor and
+// hybrid backends (src/engine/executor.hpp), driven through Registry::find
+// like every consumer. The load-bearing properties:
+//   * each executor stays usable after every failure mode — a TaskFailure,
 //     a watchdog StallError, a worker crash recovered by run_supervised
 //     (which evicts 3 -> 2 workers on the SAME pool threads) — and the next
 //     clean run still matches the sequential byte oracle;
@@ -9,9 +9,13 @@
 //     one on the executor's pool and one on the private fallback runtime;
 //     a task body re-entering the backend takes the fallback too;
 //   * an unpinned launch never runs on a pool thread an earlier pinned
-//     launch pinned.
+//     launch pinned;
+//   * the recycled arenas survive a smaller run between two larger ones;
+//   * coor's lifo scheduler still pops LIFO under the default queue (the
+//     ring pops FIFO only, so lifo must keep the locked deque).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -75,18 +79,21 @@ bool disjoint_from(const std::set<std::thread::id>& ids,
 /// Fold chain: task t folds (t, a neighbour's value) into one object with
 /// a non-commutative update, so any ordering or rollback mistake changes
 /// the final bytes. `hook(t)` runs at the start of every body.
-stf::TaskFlow fold_flow(std::function<void(stf::TaskId)> hook = {}) {
+stf::TaskFlow fold_flow(std::function<void(stf::TaskId)> hook = {},
+                        std::uint32_t tasks = kTasks,
+                        std::uint32_t num_data = kData) {
   stf::TaskFlow flow;
   std::vector<stf::DataHandle<std::uint64_t>> data;
-  for (std::uint32_t d = 0; d < kData; ++d)
+  for (std::uint32_t d = 0; d < num_data; ++d)
     data.push_back(flow.create_data<std::uint64_t>("d" + std::to_string(d)));
-  for (std::uint32_t t = 0; t < kTasks; ++t) {
-    const auto dst = data[t % kData];
-    const auto src = data[(t + 1) % kData];
+  for (std::uint32_t t = 0; t < tasks; ++t) {
+    const auto dst = data[t % num_data];
+    const auto src = data[(t + 1) % num_data];
     flow.add("fold" + std::to_string(t),
              [src, dst, t, hook](stf::TaskContext& ctx) {
                if (hook) hook(t);
-               const std::uint64_t read = ctx.scalar(src);
+               const std::uint64_t read =
+                   ctx.scalar(src, stf::AccessMode::kRead);
                std::uint64_t& w = ctx.scalar(dst);
                w = w * 6364136223846793005ULL +
                    (read ^ (0x9e3779b97f4a7c15ULL * (t + 1)));
@@ -108,8 +115,9 @@ void zero(const stf::TaskFlow& flow) {
     *static_cast<std::uint64_t*>(flow.registry().raw(d)) = 0;
 }
 
-std::vector<std::uint64_t> oracle() {
-  stf::TaskFlow flow = fold_flow();
+std::vector<std::uint64_t> oracle(std::uint32_t tasks = kTasks,
+                                  std::uint32_t num_data = kData) {
+  stf::TaskFlow flow = fold_flow({}, tasks, num_data);
   stf::SequentialExecutor{}.run(flow);
   return values(flow);
 }
@@ -117,7 +125,7 @@ std::vector<std::uint64_t> oracle() {
 engine::Launch launch_for(std::uint32_t workers) {
   engine::Launch launch;
   launch.workers = workers;
-  launch.mapping = rt::mapping::round_robin(workers);
+  launch.mapping = rt::mapping::round_robin(workers);  // coor/hybrid ignore it
   return launch;
 }
 
@@ -127,7 +135,45 @@ const engine::Backend& backend(const char* name) {
   return *b;
 }
 
-constexpr const char* kExecutorBackends[] = {"rio", "rio-pruned"};
+constexpr const char* kExecutorBackends[] = {"rio", "rio-pruned", "coor",
+                                             "hybrid"};
+
+/// Runs `workers` independent tasks whose bodies wait for each other, so
+/// every task-executing worker of `b` must take one — even coor's, which
+/// pop dynamically, and hybrid's, whose default partial mapping makes the
+/// first 16 tasks a static phase. Returns the threads that ran them: the
+/// executor's worker threads once the call was warm.
+std::set<std::thread::id> worker_threads(const engine::Backend& b,
+                                         std::uint32_t workers) {
+  ThreadLog log;
+  std::atomic<std::uint32_t> arrived{0};
+  std::atomic<bool> timed_out{false};
+  stf::TaskFlow flow;
+  for (std::uint32_t t = 0; t < workers; ++t) {
+    const auto own = flow.create_data<std::uint64_t>("w" + std::to_string(t));
+    flow.add("meet" + std::to_string(t),
+             [&, own, workers](stf::TaskContext& ctx) {
+               log.note();
+               ctx.scalar(own) = 1;
+               arrived.fetch_add(1);
+               const auto deadline =
+                   std::chrono::steady_clock::now() + std::chrono::seconds(30);
+               while (arrived.load() < workers) {
+                 if (std::chrono::steady_clock::now() > deadline) {
+                   timed_out.store(true);
+                   return;
+                 }
+                 std::this_thread::yield();
+               }
+             },
+             {stf::write(own)});
+  }
+  (void)b.run(stf::FlowImage::compile(flow), launch_for(workers));
+  EXPECT_FALSE(timed_out.load()) << "the workers never met";
+  std::set<std::thread::id> ids = log.take();
+  EXPECT_EQ(ids.size(), workers);
+  return ids;
+}
 
 TEST(ExecutorReuse, CleanRunsAfterEveryFailureMatchTheOracle) {
   const std::vector<std::uint64_t> want = oracle();
@@ -144,9 +190,8 @@ TEST(ExecutorReuse, CleanRunsAfterEveryFailureMatchTheOracle) {
       EXPECT_EQ(values(flow), want) << "clean run " << after;
     };
 
-    clean_run("to warm the executor");
-    const std::set<std::thread::id> pool = log.take();
-    EXPECT_EQ(pool.size(), 3u);
+    const std::set<std::thread::id> pool = worker_threads(b, 3);
+    clean_run("on the warm executor");
 
     {
       support::FaultPlan plan;
@@ -188,9 +233,36 @@ TEST(ExecutorReuse, CleanRunsAfterEveryFailureMatchTheOracle) {
     }
     clean_run("after an eviction");
 
-    // Every run above — the 2-worker resumed attempt included — ran on
-    // the threads of the first one: the pool was never rebuilt.
+    // Every run above — the 2-worker resumed attempt included — ran its
+    // bodies on the warm executor's worker threads: the pool was never
+    // rebuilt.
     EXPECT_TRUE(subset_of(log.take(), pool));
+    EXPECT_EQ(worker_threads(b, 3), pool);
+  }
+}
+
+TEST(ExecutorReuse, SmallerRunBetweenLargerRunsMatchesTheOracle) {
+  // Resident per-data state only grows (rio's sync words and replicas,
+  // also inside hybrid's phase runtime): a run must reset exactly what it
+  // uses, and a larger run after a smaller one must not see the smaller
+  // run's leftovers. coor rebuilds its task nodes per run; the ring is
+  // sized to each run's task count.
+  constexpr std::uint32_t kLarge = 16384, kSmall = 4096;
+  constexpr std::uint32_t kLargeData = 64, kSmallData = 8;
+  const std::vector<std::uint64_t> want_large = oracle(kLarge, kLargeData);
+  const std::vector<std::uint64_t> want_small = oracle(kSmall, kSmallData);
+  for (const char* name : kExecutorBackends) {
+    SCOPED_TRACE(name);
+    const engine::Backend& b = backend(name);
+    const engine::Launch launch = launch_for(3);
+    for (const std::uint32_t tasks : {kLarge, kSmall, kLarge}) {
+      const bool large = tasks == kLarge;
+      stf::TaskFlow flow =
+          fold_flow({}, tasks, large ? kLargeData : kSmallData);
+      (void)b.run(stf::FlowImage::compile(flow), launch);
+      EXPECT_EQ(values(flow), large ? want_large : want_small)
+          << tasks << " tasks";
+    }
   }
 }
 
@@ -200,12 +272,7 @@ TEST(ExecutorConcurrency, ConcurrentCallersOneTakesTheFallback) {
     SCOPED_TRACE(name);
     const engine::Backend& b = backend(name);
     const engine::Launch launch = launch_for(2);
-
-    ThreadLog pool_log;
-    stf::TaskFlow warm = fold_flow([&](stf::TaskId) { pool_log.note(); });
-    (void)b.run(stf::FlowImage::compile(warm), launch);
-    const std::set<std::thread::id> pool = pool_log.take();
-    ASSERT_EQ(pool.size(), 2u);
+    const std::set<std::thread::id> pool = worker_threads(b, 2);
 
     // Task 0 of each run waits until task 0 of the other run started, so
     // both runs are provably in flight at once. A backend that serialized
@@ -269,7 +336,10 @@ TEST(ExecutorConcurrency, ReentrantCallTakesTheFallback) {
     SCOPED_TRACE(name);
     const engine::Backend& b = backend(name);
     const engine::Launch launch = launch_for(2);
-    stf::TaskFlow inner = fold_flow();
+    const std::set<std::thread::id> pool = worker_threads(b, 2);
+    ThreadLog inner_log;
+    stf::TaskFlow inner =
+        fold_flow([&inner_log](stf::TaskId) { inner_log.note(); });
     const stf::FlowImage inner_image = stf::FlowImage::compile(inner);
     std::atomic<int> errors{0};
     stf::TaskFlow outer = fold_flow([&](stf::TaskId t) {
@@ -284,6 +354,8 @@ TEST(ExecutorConcurrency, ReentrantCallTakesTheFallback) {
     EXPECT_EQ(errors.load(), 0);
     EXPECT_EQ(values(inner), want);
     EXPECT_EQ(values(outer), want);
+    EXPECT_TRUE(disjoint_from(inner_log.take(), pool))
+        << "a re-entrant call ran on the busy executor's pool";
   }
 }
 
@@ -322,6 +394,45 @@ TEST(ExecutorPinning, UnpinnedLaunchNeverRunsOnAPinnedThread) {
 #else
   GTEST_SKIP() << "thread affinity is only observable on Linux";
 #endif
+}
+
+TEST(ExecutorScheduling, LifoPopsLifoUnderTheDefaultQueue) {
+  // One worker; tasks 1..k all read what task 0 writes. While task 0's body
+  // sleeps, the master registers every edge, so completing task 0 pushes
+  // 1..k in order and the worker pops them back in reverse — unless lifo
+  // were routed to the FIFO-only ring. Should the master be descheduled
+  // past the sleep, an early dispatch breaks the reversal, so a few
+  // attempts are allowed; FIFO order could never pass.
+  constexpr std::uint32_t k = 8;
+  const engine::Backend& b = backend("coor");
+  engine::Launch launch;  // default queue
+  launch.workers = 1;
+  launch.scheduler = coor::SchedulerKind::kLifo;
+  std::vector<stf::TaskId> want(k);
+  for (std::uint32_t i = 0; i < k; ++i) want[i] = k - i;
+  std::vector<stf::TaskId> order;
+  for (int attempt = 0; attempt < 5 && order != want; ++attempt) {
+    order.clear();
+    stf::TaskFlow flow;
+    const auto x = flow.create_data<std::uint64_t>("x");
+    flow.add("gate",
+             [x](stf::TaskContext& ctx) {
+               std::this_thread::sleep_for(std::chrono::milliseconds(20));
+               ctx.scalar(x) = 1;
+             },
+             {stf::write(x)});
+    for (std::uint32_t t = 1; t <= k; ++t) {
+      const auto own = flow.create_data<std::uint64_t>("y" + std::to_string(t));
+      flow.add("reader" + std::to_string(t),
+               [&order, x, own, t](stf::TaskContext& ctx) {
+                 order.push_back(t);  // one worker: no race
+                 ctx.scalar(own) = ctx.scalar(x, stf::AccessMode::kRead) + t;
+               },
+               {stf::read(x), stf::write(own)});
+    }
+    (void)b.run(stf::FlowImage::compile(flow), launch);
+  }
+  EXPECT_EQ(order, want) << "lifo did not pop the last-dispatched task first";
 }
 
 }  // namespace

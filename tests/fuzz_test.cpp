@@ -144,10 +144,12 @@ TEST_P(EngineFuzz, AllEnginesMatchSequential) {
       launch.scheduler = static_cast<coor::SchedulerKind>(meta.bounded(3));
       launch.work_stealing = meta.bounded(2) == 1;
     }
-    if (caps.uses_queue && meta.bounded(2) == 1) {
-      // Wait-free MPMC ready ring (fifo/lifo; the runtime falls back to
-      // the locked deque for other scheduler modes).
-      launch.queue = coor::QueueKind::kRing;
+    if (caps.uses_queue) {
+      // Both kinds explicitly, whatever the default: the wait-free MPMC
+      // ready ring serves fifo, and the runtime falls back to the locked
+      // deque for the other scheduler modes.
+      launch.queue = meta.bounded(2) == 1 ? coor::QueueKind::kRing
+                                          : coor::QueueKind::kLocked;
     }
 
     const auto outcome =
@@ -165,9 +167,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EngineFuzz,
                          ::testing::Range<std::uint64_t>(1, 21));
 
 // Wait-free ready ring fuzz: the byte-oracle property must hold with the
-// MPMC ring enabled explicitly, across the schedulers it serves (fifo,
-// lifo — the ring itself pops FIFO; lifo degrades to submission order) and
-// all wait policies including parked (block) consumers.
+// MPMC ring requested explicitly, under fifo (which it serves) and lifo
+// (which keeps the locked deque, since the ring pops FIFO only), and all
+// wait policies including parked (block) consumers.
 class RingFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(RingFuzz, RingQueueMatchesSequential) {

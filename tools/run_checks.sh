@@ -37,9 +37,11 @@
 #      must exhaust its reduced interleaving space with zero violations and
 #      emit a parsing rio.verify.v1 report (docs/analysis.md). Every sync
 #      engine is checked under the default policy AND --policy block (the
-#      doorbell/parking rewrite), coor additionally with --queue ring
-#      (the wait-free MPMC ready ring), and every engine again with
-#      --recover (crash + evicted-resume two-phase exploration);
+#      doorbell/parking rewrite) and again with --recover (crash +
+#      evicted-resume two-phase exploration); coor runs each of the three
+#      with both ready queues, --queue ring (the wait-free MPMC ring, the
+#      default) and --queue locked (the mutex+condvar deque lifo, priority
+#      and locality still use);
 #  14. ThreadSanitizer pass (skipped with RIO_SKIP_TSAN=1): rebuilds the
 #      failure suite + executor suite + hybrid suite + model checker +
 #      rioflow with RIO_SANITIZE=thread and reruns the resilience tests
@@ -47,8 +49,8 @@
 #      tests (concurrent callers, fallback), the hybrid phase engines on
 #      their shared pool, the modelcheck suite, the quick
 #      chaos sweeps (transient AND crash kinds) and the new wait/notify
-#      configurations (block-policy doorbells, coor --queue ring) under
-#      TSan — the retry
+#      configurations (block-policy doorbells, coor on both ready queues)
+#      under TSan — the retry
 #      / watchdog / abort / eviction machinery, the controlled scheduler
 #      and the new lock-free primitives are exactly the kind of code TSan
 #      earns its keep on.
@@ -306,28 +308,25 @@ fi
 
 step "rioflow verify: model-check the real protocol (rio.verify.v1)"
 VERJSON="$OBSDIR/verify.json"
-for e in rio rio-pruned coor; do
-  if ! "$RIOFLOW" verify --engine "$e" --workload chain --quick \
+# Each sync engine, coor once per ready queue (the ring is the default; the
+# locked deque still serves lifo, priority and locality).
+for cfg in rio rio-pruned "coor --queue ring" "coor --queue locked"; do
+  # $cfg is split on purpose: an engine name plus, for coor, its queue flag.
+  if ! "$RIOFLOW" verify --engine $cfg --workload chain --quick \
        >/dev/null; then
-    fail "verify --engine $e --quick (expected zero violations)"
+    fail "verify --engine $cfg --quick (expected zero violations)"
   fi
   # The parking rewrite: block-policy waits (doorbells on rio engines,
   # parked ring consumers on coor) must stay lost-wakeup free.
-  if ! "$RIOFLOW" verify --engine "$e" --workload chain --quick \
+  if ! "$RIOFLOW" verify --engine $cfg --workload chain --quick \
        --policy block >/dev/null; then
-    fail "verify --engine $e --policy block --quick"
+    fail "verify --engine $cfg --policy block --quick"
   fi
   # The eviction protocol: explore the crash, then the resumed workers-1
   # configuration under the evicted mapping.
-  if ! "$RIOFLOW" verify --engine "$e" --workload chain --quick \
+  if ! "$RIOFLOW" verify --engine $cfg --workload chain --quick \
        --recover >/dev/null; then
-    fail "verify --engine $e --recover --quick"
-  fi
-done
-for p in yield block; do
-  if ! "$RIOFLOW" verify --engine coor --workload chain --quick \
-       --queue ring --policy "$p" >/dev/null; then
-    fail "verify --engine coor --queue ring --policy $p --quick"
+    fail "verify --engine $cfg --recover --quick"
   fi
 done
 if "$RIOFLOW" verify --engine rio --workload chain --quick \
@@ -352,8 +351,9 @@ else
        >/dev/null; then
     "$TSAN_BUILD/tests/failure_test" >/dev/null ||
       fail "failure_test under TSan"
-    # The persistent rio executor: reuse after failures, concurrent and
-    # re-entrant callers racing for it (one takes the one-shot fallback).
+    # The persistent executors (rio, rio-pruned, coor, hybrid): reuse after
+    # failures, concurrent and re-entrant callers racing for one (one takes
+    # the one-shot fallback).
     "$TSAN_BUILD/tests/executor_test" >/dev/null ||
       fail "executor_test under TSan"
     "$TSAN_BUILD/tests/modelcheck_test" >/dev/null ||
@@ -369,16 +369,19 @@ else
     "$TSAN_BUILD/rioflow" chaos --quick --workers 3 --faults crash \
       >/dev/null || fail "chaos --faults crash under TSan"
     # New wait/notify configurations: doorbell-batched block wakeups on the
-    # rio engines, the wait-free MPMC ring (spin + parked consumers) on coor.
+    # rio engines; on coor the wait-free MPMC ring (spin + parked consumers)
+    # and the locked deque, each requested explicitly.
     for e in rio rio-pruned; do
       "$TSAN_BUILD/rioflow" --engine "$e" --workload cholesky --tiles 3 \
         --task-size 50 --workers 2 --policy block >/dev/null ||
         fail "$e --policy block under TSan"
     done
-    for p in spin block; do
-      "$TSAN_BUILD/rioflow" --engine coor --workload cholesky --tiles 3 \
-        --task-size 50 --workers 2 --queue ring --policy "$p" >/dev/null ||
-        fail "coor --queue ring --policy $p under TSan"
+    for q in ring locked; do
+      for p in spin block; do
+        "$TSAN_BUILD/rioflow" --engine coor --workload cholesky --tiles 3 \
+          --task-size 50 --workers 2 --queue "$q" --policy "$p" \
+          >/dev/null || fail "coor --queue $q --policy $p under TSan"
+      done
     done
   else
     fail "TSan build (set RIO_SKIP_TSAN=1 to skip)"
