@@ -215,6 +215,14 @@ struct Engine {
     return tally;
   }
 
+  /// Non-blocking pop from worker w's own queue (the ring, the central
+  /// queue, or its locality queue). A miss is a stall: the worker then
+  /// waits in next_task().
+  std::optional<stf::TaskId> try_next(std::uint32_t w) {
+    if (ring) return ring->try_pop();
+    return queues[queues.size() == 1 ? 0 : w].try_pop();
+  }
+
   /// Pops the next task for worker w, stealing if configured. Returns
   /// nullopt when the range is fully executed; `stole` reports whether the
   /// pop came from another worker's queue (the kSteal phase).
@@ -301,7 +309,8 @@ support::RunStats Runtime::run(const stf::ImageRange& range) {
   // Telemetry lenses: worker slots 0..p-1 plus the master at slot p.
   if (cfg_.obs != nullptr) cfg_.obs->ensure_workers(p + 1);
   std::vector<obs::WorkerObs> obses(p + 1);
-  for (std::uint32_t w = 0; w <= p; ++w) obses[w].bind(cfg_.obs, w);
+  for (std::uint32_t w = 0; w <= p; ++w)
+    obses[w].bind(cfg_.obs, w, /*every_span=*/cfg_.collect_trace);
 
   std::barrier start(static_cast<std::ptrdiff_t>(p) + 1);
 
@@ -322,25 +331,32 @@ support::RunStats Runtime::run(const stf::ImageRange& range) {
       start.arrive_and_wait();
       const std::uint64_t begin = support::monotonic_ns();
       for (;;) {
-        std::uint64_t idle0 = 0;
-        if (timed) idle0 = support::monotonic_ns();
         if (probe != nullptr) probe->set_state(support::ProbeState::kWaiting);
         bool stole = false;
-        auto li = eng.next_task(w, stole, &ob.spin_iters);
-        if (timed) {
-          // Every pop — including the final empty one — is wait time; a
-          // successful steal is attributed to the kSteal phase instead.
-          // A popped task's queue-wait cause is its dispatcher: the
+        auto li = eng.try_next(w);
+        if (!li) {
+          // The non-blocking pop missed: a stall, whatever is sampled. The
+          // wait (or, after a successful steal, the kSteal probe) is timed
+          // and counted; this includes the final wait for the close. A
+          // popped task's queue-wait cause is its dispatcher: the
           // predecessor whose complete() made it ready (kNoTask when the
           // master dispatched it or the queue closed empty).
-          const std::uint64_t id =
-              li ? static_cast<std::uint64_t>(range.task(*li).id) : obs::kNoTask;
-          const std::uint64_t cause =
-              li ? obs::make_cause(eng.nodes[*li].dispatcher) : obs::kNoCause;
-          ob.span(stole ? obs::Phase::kSteal : obs::Phase::kAcquireWait, id,
-                  idle0, support::monotonic_ns(), cause);
+          std::uint64_t idle0 = 0;
+          if (timed) idle0 = support::monotonic_ns();
+          li = eng.next_task(w, stole, &ob.spin_iters);
+          if (timed) {
+            const std::uint64_t id =
+                li ? static_cast<std::uint64_t>(range.task(*li).id)
+                   : obs::kNoTask;
+            const std::uint64_t cause =
+                li ? obs::make_cause(eng.nodes[*li].dispatcher)
+                   : obs::kNoCause;
+            ob.span(stole ? obs::Phase::kSteal : obs::Phase::kAcquireWait,
+                    id, idle0, support::monotonic_ns(), cause);
+          }
+          ob.count(obs::Counter::kProtocolWaits);
+          if (cfg_.collect_stats) ++st.waits;
         }
-        if (cfg_.collect_stats) ++st.waits;
         if (!li) break;
         ob.count(obs::Counter::kQueuePops);
         if (stole) ob.count(obs::Counter::kSteals);
@@ -368,8 +384,10 @@ support::RunStats Runtime::run(const stf::ImageRange& range) {
             cfg_.resume != nullptr && cfg_.resume->done(task.id);
         bool body_ok = !replay;
         bool crashed = false;
+        // Decided before any clock read: untimed tasks read none.
+        const bool timed_task = timed && ob.sampler.next();
         std::uint64_t t0 = 0, t1 = 0;
-        if (timed) t0 = support::monotonic_ns();
+        if (timed_task) t0 = support::monotonic_ns();
         if (replay) {
           ob.count(obs::Counter::kTasksReplayed);
         } else if (resilient) {
@@ -398,9 +416,9 @@ support::RunStats Runtime::run(const stf::ImageRange& range) {
         } else if (eng.cancelled.load(std::memory_order_acquire)) {
           body_ok = false;
         }
-        if (timed) {
+        if (timed_task) {
           t1 = support::monotonic_ns();
-          ob.span(obs::Phase::kBody, task.id, t0, t1);
+          ob.body(task.id, t0, t1);
         }
         if (cfg_.enable_guard)
           for (const stf::Access& a : task.accesses) eng.guard.release(a);
@@ -434,13 +452,12 @@ support::RunStats Runtime::run(const stf::ImageRange& range) {
                  eng.sync_stamp.fetch_add(1, std::memory_order_acq_rel)});
         }
         eng.unlock_reductions(locked_reductions);
-        if (cfg_.collect_trace)
+        if (cfg_.collect_trace)  // a trace times every task
           traces[w].push_back(
               {task.id, w, t0, t1,
                eng.seq.fetch_add(1, std::memory_order_relaxed)});
         const Engine::DispatchTally tally = eng.complete(*li);
-        if (timed)
-          ob.span(obs::Phase::kRelease, task.id, t1, support::monotonic_ns());
+        if (timed_task) ob.release(task.id, t1, support::monotonic_ns());
         if (tally.dispatched > 0) {
           ob.count(obs::Counter::kQueuePushes, tally.dispatched);
           ob.count(obs::Counter::kWakeups, tally.dispatched);
@@ -574,17 +591,19 @@ support::RunStats Runtime::run(const stf::ImageRange& range) {
   stats.wall_ns = run_end - run_begin;
   if (watchdog) watchdog->stop();
 
+  for (std::uint32_t w = 0; w <= p; ++w) obses[w].commit(cfg_.obs);
   if (cfg_.collect_stats) {
     // Worker buckets derived from the obs phase accumulators.
-    for (std::uint32_t w = 0; w < p; ++w)
+    for (std::uint32_t w = 0; w < p; ++w) {
       stats.workers[w].buckets = obses[w].buckets(worker_wall[w]);
+      stats.workers[w].tasks_timed = obses[w].sampler.timed();
+    }
     // The master executes no tasks: its unrolling time (the kMgmt span) is
     // pure runtime management, the tail spent waiting for workers is idle.
     auto& mb = stats.workers[p].buckets;
     mb.runtime_ns = master_unroll_end - master_begin;
     mb.idle_ns = run_end > master_unroll_end ? run_end - master_unroll_end : 0;
   }
-  for (std::uint32_t w = 0; w <= p; ++w) obses[w].commit(cfg_.obs);
 
   trace_.clear();
   if (cfg_.collect_trace) {

@@ -47,8 +47,12 @@ struct Launch {
   rt::PartialMapping partial{};  ///< partial mapping (partial_mapping
                                  ///< backends); empty = the backend's
                                  ///< default 16-task alternation
-  bool collect_stats = true;   ///< fill the tau buckets (adds 4 clock reads
-                               ///< per executed task + 1 per stall)
+  bool collect_stats = true;   ///< fill the tau buckets. Counts and stalls
+                               ///< are exact (2 clock reads per stall);
+                               ///< body and release are estimated from
+                               ///< about 1 executed task in 64 (3 clock
+                               ///< reads each; every task once bodies run
+                               ///< 2 µs or longer). See tasks_timed.
   bool collect_trace = false;  ///< supports_trace backends only
   bool collect_sync = false;   ///< supports_sync backends only: acquire/
                                ///< release events for the happens-before

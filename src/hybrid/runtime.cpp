@@ -150,6 +150,7 @@ support::RunStats Runtime::run(const stf::FlowImage& image,
       const auto& src = phase_stats.workers[w];
       dst.buckets += src.buckets;
       dst.tasks_executed += src.tasks_executed;
+      dst.tasks_timed += src.tasks_timed;
       dst.tasks_skipped += src.tasks_skipped;
       dst.waits += src.waits;
     }

@@ -13,6 +13,12 @@
 // into the hub after the worker loop ends. The watchdog thread, which has
 // no lens, uses the hub's global counter line and the mutex-protected
 // out-of-band instant list instead of the single-writer rings.
+//
+// The lens also owns the worker's SpanSampler, which decides before any
+// clock read whether a task's body and release are timed. Counts and
+// stalls stay exact; body and release totals are weighted estimates
+// unless every span is timed (an execution trace, or a recorder at
+// sample 1).
 #pragma once
 
 #include <algorithm>
@@ -26,6 +32,7 @@
 #include "obs/counters.hpp"
 #include "obs/phase.hpp"
 #include "obs/recorder.hpp"
+#include "support/rng.hpp"
 #include "support/stats.hpp"
 
 namespace rio::obs {
@@ -39,7 +46,9 @@ enum class ClockUnit : std::uint8_t { kNanoseconds, kTicks };
 struct HubOptions {
   bool recorder = false;  ///< flight recorder on (opt-in; counters are free)
   std::size_t ring_capacity = std::size_t{1} << 16;  ///< events per worker ring
-  std::uint64_t sample = 1;  ///< record every sample-th span (1 = all)
+  std::uint64_t sample = 1;  ///< time and record every sample-th executed
+                             ///< task's body and release (1 = all); stalls
+                             ///< and management spans are always recorded
 };
 
 class Hub {
@@ -160,6 +169,69 @@ class Hub {
   ClockUnit clock_ = ClockUnit::kNanoseconds;
 };
 
+/// Mean gap between timed tasks under the default sampler: gaps are drawn
+/// uniformly from [1, kSampleGapSpan], so about one task in 64 is timed.
+inline constexpr std::uint64_t kSampleGapSpan = 128;
+/// A timed body at least this long (about 100 clock reads) keeps the next
+/// task timed, so flows of coarse tasks stay fully timed.
+inline constexpr std::uint64_t kLongBodyNs = 2000;
+
+/// Per-worker span sampler: decides, before any clock read, whether the
+/// current executed task is timed. Every task seen is represented by
+/// exactly one timed task — weight() counts the timed task itself plus the
+/// untimed ones since the previous timed task — and the untimed tail after
+/// the last timed task is left in tail(), for the caller to hold at that
+/// task's durations. The weights plus the tail therefore sum to the tasks
+/// seen, and weighted durations estimate the exact totals.
+class SpanSampler {
+ public:
+  /// `stride` 0: jittered gaps drawn from `seed` (mean about 1 in 64, so
+  /// periodic flows cannot alias), and a long body keeps the next task
+  /// timed. `stride` N >= 1: exactly every N-th task (1 = all). The first
+  /// task is always timed.
+  explicit SpanSampler(std::uint64_t stride = 0,
+                       std::uint64_t seed = 0) noexcept
+      : rng_(seed), stride_(stride) {}
+
+  /// Call once per executed task, before any clock read; true means time
+  /// this task.
+  [[nodiscard]] bool next() noexcept {
+    ++pending_;
+    if (--countdown_ != 0) return false;
+    untimed_ += pending_ - 1;
+    weight_ = pending_;
+    pending_ = 0;
+    ++timed_;
+    countdown_ =
+        stride_ != 0 ? stride_ : 1 + (rng_() & (kSampleGapSpan - 1));
+    return true;
+  }
+
+  /// Feeds back a timed body's duration: a long one keeps the next task
+  /// timed (default mode only; a fixed stride is what the caller asked).
+  void note_body(std::uint64_t ns) noexcept {
+    if (stride_ == 0 && ns >= kLongBodyNs) countdown_ = 1;
+  }
+
+  /// Tasks the current timed task stands for.
+  [[nodiscard]] std::uint64_t weight() const noexcept { return weight_; }
+  /// Untimed tasks after the last timed one.
+  [[nodiscard]] std::uint64_t tail() const noexcept { return pending_; }
+  [[nodiscard]] std::uint64_t timed() const noexcept { return timed_; }
+  [[nodiscard]] std::uint64_t untimed() const noexcept {
+    return untimed_ + pending_;
+  }
+
+ private:
+  support::Xoshiro256 rng_;
+  std::uint64_t stride_;
+  std::uint64_t countdown_ = 1;
+  std::uint64_t pending_ = 0;
+  std::uint64_t weight_ = 0;
+  std::uint64_t timed_ = 0;
+  std::uint64_t untimed_ = 0;
+};
+
 /// Engine-side per-worker lens. Lives in the worker's context (its own
 /// cache line there) or on its stack; every method is null-safe so the
 /// telemetry-off path costs a well-predicted branch and never allocates.
@@ -171,11 +243,34 @@ struct WorkerObs {
   WorkerCounters* counters = nullptr;
   EventRing* ring = nullptr;
   std::uint32_t worker = 0;
+  SpanSampler sampler;
+  std::uint64_t held_body_ns = 0;     ///< last timed body, held over the
+  std::uint64_t held_release_ns = 0;  ///< untimed tail (and its release)
 
-  void bind(Hub* hub, std::uint32_t w) noexcept {
+  /// Binds worker `w`'s slots of `hub` (null = telemetry off) and picks
+  /// the sampler: every task when `every_span` (an execution trace needs
+  /// each span), else a bound recorder's sample stride, else the jittered
+  /// default seeded by `w`, so a worker times the same positions each run.
+  void bind(Hub* hub, std::uint32_t w, bool every_span = false) noexcept {
     worker = w;
     counters = hub != nullptr ? hub->worker_counters(w) : nullptr;
     ring = hub != nullptr ? hub->ring(w) : nullptr;
+    const std::uint64_t stride =
+        every_span ? 1 : (ring != nullptr ? hub->sample_stride() : 0);
+    sampler = SpanSampler(stride, w);
+  }
+
+  /// Body span of a timed task, weighted by the tasks it stands for.
+  void body(std::uint64_t task, std::uint64_t b, std::uint64_t e) {
+    held_body_ns = e - b;
+    weighted(Phase::kBody, task, b, e);
+    sampler.note_body(held_body_ns);
+  }
+
+  /// Release span of a timed task, weighted like its body.
+  void release(std::uint64_t task, std::uint64_t b, std::uint64_t e) {
+    held_release_ns = e - b;
+    weighted(Phase::kRelease, task, b, e);
   }
 
   [[nodiscard]] bool recording() const noexcept { return ring != nullptr; }
@@ -198,9 +293,17 @@ struct WorkerObs {
     if (counters != nullptr) counters->add(c, n);
   }
 
-  /// Flushes the batched spin iterations and the phase totals to `hub`
-  /// (null-safe). Call once, after the worker loop.
+  /// Holds the untimed tail at the last timed task's durations, then
+  /// flushes the batched spin iterations, the sampled-out span count and
+  /// the phase totals to `hub` (null-safe). Call once, after the worker
+  /// loop and before buckets().
   void commit(Hub* hub) {
+    const std::uint64_t tail = sampler.tail();
+    phase_ns[static_cast<std::size_t>(Phase::kBody)] += tail * held_body_ns;
+    phase_ns[static_cast<std::size_t>(Phase::kRelease)] +=
+        tail * held_release_ns;
+    // An untimed task would have pushed a body and a release span.
+    if (ring != nullptr) ring->skip(2 * sampler.untimed());
     if (counters != nullptr && spin_iters > 0) {
       counters->add(Counter::kSpinIters, spin_iters);
       spin_iters = 0;
@@ -208,9 +311,10 @@ struct WorkerObs {
     if (hub != nullptr) hub->commit_phases(worker, phase_ns);
   }
 
-  /// Derives the legacy TimeBuckets from the phase totals: task time is
-  /// the body phase, idle is acquire-wait + steal, and runtime overhead is
-  /// the wall remainder (release, rollback, mgmt and untimed loop glue).
+  /// Derives the legacy TimeBuckets from the committed phase totals: task
+  /// time is the body phase, idle is acquire-wait + steal, and runtime
+  /// overhead is the wall remainder (release, rollback, mgmt and untimed
+  /// loop glue).
   [[nodiscard]] support::TimeBuckets buckets(std::uint64_t wall) const noexcept {
     support::TimeBuckets b;
     b.task_ns = phase_ns[static_cast<std::size_t>(Phase::kBody)];
@@ -219,6 +323,13 @@ struct WorkerObs {
     b.runtime_ns =
         wall > b.task_ns + b.idle_ns ? wall - b.task_ns - b.idle_ns : 0;
     return b;
+  }
+
+ private:
+  void weighted(Phase p, std::uint64_t task, std::uint64_t b,
+                std::uint64_t e) {
+    phase_ns[static_cast<std::size_t>(p)] += sampler.weight() * (e - b);
+    if (ring != nullptr) ring->push(Event{b, e, task, worker, p});
   }
 };
 

@@ -19,39 +19,35 @@ namespace rio::obs {
 
 class EventRing {
  public:
-  explicit EventRing(std::size_t capacity, std::uint64_t stride = 1) {
+  explicit EventRing(std::size_t capacity) {
     std::size_t cap = 1;
     while (cap < capacity) cap <<= 1;
     buf_.resize(cap);
     mask_ = cap - 1;
-    stride_ = stride == 0 ? 1 : stride;
   }
 
-  /// Hot path: one store, one increment (plus a predicted not-taken
-  /// branch when sampling). Overwrites the oldest event once full;
-  /// `stride > 1` keeps every stride-th push and drops the rest —
-  /// recorded()/dropped()/pushed() keep the books straight either way.
+  /// Hot path: one store, one increment. Overwrites the oldest event once
+  /// full; recorded()/dropped()/pushed() keep the books straight.
   void push(const Event& ev) noexcept {
-    ++pushed_;
-    if (skip_ != 0) {
-      --skip_;
-      return;
-    }
-    skip_ = stride_ - 1;
     buf_[head_ & mask_] = ev;
     ++head_;
   }
 
+  /// Accounts for `n` spans the lens's sampler left untimed (obs.hpp):
+  /// they count as pushed and dropped but never touch the buffer.
+  void skip(std::uint64_t n) noexcept { skipped_ += n; }
+
   [[nodiscard]] std::size_t capacity() const noexcept { return buf_.size(); }
-  [[nodiscard]] std::uint64_t stride() const noexcept { return stride_; }
-  [[nodiscard]] std::uint64_t pushed() const noexcept { return pushed_; }
+  [[nodiscard]] std::uint64_t pushed() const noexcept {
+    return head_ + skipped_;
+  }
   [[nodiscard]] std::uint64_t recorded() const noexcept {
     return head_ < buf_.size() ? head_ : buf_.size();
   }
-  /// Pushes not retained: sampled out by the stride plus stored events
+  /// Spans not retained: sampled out by the lens plus stored events
   /// overwritten by ring wrap. Always pushed() == recorded() + dropped().
   [[nodiscard]] std::uint64_t dropped() const noexcept {
-    return pushed_ - recorded();
+    return pushed() - recorded();
   }
 
   /// Appends the retained events to `out`, oldest first.
@@ -62,19 +58,18 @@ class EventRing {
 
   void clear() noexcept {
     head_ = 0;
-    pushed_ = 0;
-    skip_ = 0;
+    skipped_ = 0;
   }
 
  private:
   std::vector<Event> buf_;
   std::uint64_t head_ = 0;
-  std::uint64_t pushed_ = 0;
-  std::uint64_t stride_ = 1;
-  std::uint64_t skip_ = 0;
+  std::uint64_t skipped_ = 0;
   std::size_t mask_ = 0;
 };
 
+/// The rings of every worker plus the sampling stride their lenses'
+/// SpanSamplers apply before the clock reads (HubOptions::sample).
 class Recorder {
  public:
   explicit Recorder(std::size_t ring_capacity, std::uint64_t stride = 1)
@@ -84,7 +79,7 @@ class Recorder {
   /// their addresses (workers hold raw pointers across hybrid phases).
   void ensure(std::size_t n) {
     while (rings_.size() < n)
-      rings_.push_back(std::make_unique<EventRing>(capacity_, stride_));
+      rings_.push_back(std::make_unique<EventRing>(capacity_));
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return rings_.size(); }

@@ -43,8 +43,9 @@ struct WorkerCtx {
   bool use_bells = false;
 
   // Instrumentation (all optional). `timed` is the union of every consumer
-  // of the per-task clock reads: the tau buckets, the trace, and the flight
-  // recorder all draw from the SAME obs phase spans (docs/observability.md).
+  // of the clock reads: the tau buckets, the trace, and the flight recorder
+  // all draw from the SAME obs phase spans (docs/observability.md). Which
+  // executed tasks are actually timed is the lens's sampler's call.
   bool collect_stats = false;
   bool collect_trace = false;
   bool collect_sync = false;
@@ -85,6 +86,20 @@ void record_failure(WorkerCtx& ctx, std::exception_ptr error) {
   ctx.cancelled->store(true, std::memory_order_release);
 }
 
+/// Non-blocking pre-check of one access: would its get_* pass without
+/// waiting? It only gates the wait clock (get_* still performs the acquire),
+/// so relaxed loads suffice. A satisfied access stays satisfied until this
+/// task releases it: every task that could move its shared words comes
+/// later in flow order and waits for this one.
+bool satisfied(const SharedDataState& shared, const LocalDataState& local,
+               bool for_write) noexcept {
+  return shared.last_executed_write.value.load(std::memory_order_relaxed) ==
+             local.last_registered_write &&
+         (!for_write ||
+          shared.nb_reads_since_write.value.load(std::memory_order_relaxed) ==
+              local.nb_reads_since_write);
+}
+
 /// The mapped-here half of Algorithm 1: acquire every access (get_*), run
 /// the body, then release (terminate_*). Acquisition cannot deadlock: a
 /// get_* only waits on the completion of strictly earlier tasks, never on
@@ -94,7 +109,16 @@ void execute_owned(const stf::Task& task, WorkerCtx& ctx) {
   bool stalled = false;
   std::uint64_t wait_begin = 0;
   std::uint64_t wait_cause = obs::kNoCause;
-  if (ctx.timed) wait_begin = support::monotonic_ns();
+  // The wait clock is read only on a real stall: when the pre-check finds
+  // an unsatisfied access. A passing pre-check means no get_* below waits.
+  if (ctx.timed) {
+    for (const stf::Access& a : task.accesses) {
+      if (!satisfied(ctx.shared[a.data], ctx.local[a.data], is_write(a.mode))) {
+        wait_begin = support::monotonic_ns();
+        break;
+      }
+    }
+  }
   std::atomic<std::uint64_t>* bell =
       ctx.use_bells ? &ctx.bells[ctx.self].value : nullptr;
   for (const stf::Access& a : task.accesses) {
@@ -152,8 +176,10 @@ void execute_owned(const stf::Task& task, WorkerCtx& ctx) {
   const bool replay = ctx.resume != nullptr && ctx.resume->done(task.id);
   bool body_ok = !replay;
   bool crashed = false;
+  // Decided before any clock read: untimed tasks read none.
+  const bool timed = ctx.timed && ctx.obs.sampler.next();
   std::uint64_t t0 = 0;
-  if (ctx.timed) t0 = support::monotonic_ns();
+  if (timed) t0 = support::monotonic_ns();
   if (replay) {
     ctx.obs.count(obs::Counter::kTasksReplayed);
   } else if (ctx.resilient) {
@@ -181,9 +207,9 @@ void execute_owned(const stf::Task& task, WorkerCtx& ctx) {
     body_ok = false;
   }
   std::uint64_t t1 = 0;
-  if (ctx.timed) {
+  if (timed) {
     t1 = support::monotonic_ns();
-    ctx.obs.span(obs::Phase::kBody, task.id, t0, t1);
+    ctx.obs.body(task.id, t0, t1);
   }
 
   if (ctx.guard)
@@ -243,11 +269,10 @@ void execute_owned(const stf::Task& task, WorkerCtx& ctx) {
   } else {
     ctx.obs.count(obs::Counter::kWakeups, task.accesses.size());
   }
-  if (ctx.timed)
-    ctx.obs.span(obs::Phase::kRelease, task.id, t1, support::monotonic_ns());
+  if (timed) ctx.obs.release(task.id, t1, support::monotonic_ns());
   ctx.obs.count(obs::Counter::kTasksExecuted);
 
-  if (ctx.collect_trace) {
+  if (ctx.collect_trace) {  // a trace times every task
     ctx.trace.push_back(
         {task.id, ctx.self, t0, t1,
          ctx.seq->fetch_add(1, std::memory_order_relaxed)});
@@ -402,7 +427,7 @@ support::RunStats launch(const engine::Launch& cfg, const char* engine,
   if (cfg.obs != nullptr) cfg.obs->ensure_workers(p);
   for (std::uint32_t w = 0; w < p; ++w) {
     WorkerCtx& c = ctxs[w];
-    c.obs.bind(cfg.obs, w);
+    c.obs.bind(cfg.obs, w, /*every_span=*/cfg.collect_trace);
     c.res.obs = &c.obs;
     c.timed = cfg.collect_stats || cfg.collect_trace || c.obs.recording();
   }
@@ -477,14 +502,15 @@ support::RunStats launch(const engine::Launch& cfg, const char* engine,
   if (cfg.collect_trace && trace_reserve > 0) trace_out.reserve(trace_reserve);
   for (std::uint32_t w = 0; w < p; ++w) {
     WorkerCtx& c = ctxs[w];
+    c.obs.commit(cfg.obs);
     if (cfg.collect_stats) {
       // The tau buckets are DERIVED from the obs phase accumulators: task
       // time is the body phase, idle the acquire-wait stalls, and whatever
       // was neither is runtime management — unrolling, declare ops,
       // protocol publication.
       c.stats.buckets = c.obs.buckets(worker_wall[w]);
+      c.stats.tasks_timed = c.obs.sampler.timed();
     }
-    c.obs.commit(cfg.obs);
     stats.workers[w] = c.stats;
     for (const stf::TraceEvent& ev : c.trace) trace_out.record(ev);
     for (const stf::SyncEvent& ev : c.sync) sync_out.record(ev);

@@ -168,6 +168,8 @@ Report simulate_centralized(const stf::ImageRange& range,
       obses[w].phase_ns[static_cast<std::size_t>(
           obs::Phase::kAcquireWait)] += makespan - wfree;
   }
+  for (std::uint32_t w = 0; w < p; ++w)
+    ws[w].tasks_timed = ws[w].tasks_executed;  // virtual time is exact
   // Master accounting: pure management, then idle until the end.
   ws[p].buckets.runtime_ns = master_total;
   ws[p].buckets.idle_ns = makespan - master_total;

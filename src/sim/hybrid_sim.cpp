@@ -57,6 +57,7 @@ Report simulate_hybrid(const stf::FlowImage& image,
       const auto& src = rep.stats.workers[w];
       dst.buckets += src.buckets;
       dst.tasks_executed += src.tasks_executed;
+      dst.tasks_timed += src.tasks_timed;
       dst.tasks_skipped += src.tasks_skipped;
       dst.waits += src.waits;
     }

@@ -153,6 +153,7 @@ Report simulate_decentralized(const stf::ImageRange& range,
   // global prefix minus the skip cost of its own tasks.
   for (std::uint32_t w = 0; w < p; ++w) {
     ws[w].buckets.runtime_ns += prefix - own_skip[w];
+    ws[w].tasks_timed = ws[w].tasks_executed;  // virtual time is exact
     ws[w].tasks_skipped = n - ws[w].tasks_executed;
     if (params.pruned) ws[w].tasks_skipped = 0;
   }

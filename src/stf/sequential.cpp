@@ -1,34 +1,42 @@
 #include "stf/sequential.hpp"
 
+#include "obs/obs.hpp"
 #include "support/clock.hpp"
 
 namespace rio::stf {
 namespace {
 
 /// Shared in-order walk: `get_task(i)` yields task i of `n`, bodies run on
-/// the calling thread against `registry`.
+/// the calling thread against `registry`. Bodies are timed by the same span
+/// sampler as the parallel engines' workers (an unbound obs lens), so the
+/// task bucket is an estimate and untimed bodies read no clock.
 template <typename GetTask>
 support::RunStats run_in_order(std::size_t n, const DataRegistry& registry,
                                GetTask&& get_task) {
   support::RunStats stats;
   stats.workers.resize(1);
   support::WorkerStats& w = stats.workers[0];
+  obs::WorkerObs ob;
 
   const std::uint64_t begin = support::monotonic_ns();
   for (std::size_t i = 0; i < n; ++i) {
     const Task& task = get_task(i);
     if (!task.fn) continue;  // cost-only task: nothing to execute
     TaskContext ctx(task, registry, /*worker=*/0);
-    const std::uint64_t t0 = support::monotonic_ns();
-    task.fn(ctx);
-    w.buckets.task_ns += support::monotonic_ns() - t0;
+    if (ob.sampler.next()) {
+      const std::uint64_t t0 = support::monotonic_ns();
+      task.fn(ctx);
+      ob.body(task.id, t0, support::monotonic_ns());
+    } else {
+      task.fn(ctx);
+    }
     ++w.tasks_executed;
   }
   stats.wall_ns = support::monotonic_ns() - begin;
+  ob.commit(nullptr);
   // Everything that was not task body is loop/bookkeeping overhead.
-  // (Saturating: per-task clock granularity can make the sum overshoot.)
-  w.buckets.runtime_ns =
-      stats.wall_ns > w.buckets.task_ns ? stats.wall_ns - w.buckets.task_ns : 0;
+  w.buckets = ob.buckets(stats.wall_ns);
+  w.tasks_timed = ob.sampler.timed();
   return stats;
 }
 

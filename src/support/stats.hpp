@@ -41,10 +41,15 @@ struct TimeBuckets {
   }
 };
 
-/// Per-worker execution statistics reported by every engine.
+/// Per-worker execution statistics reported by every engine. Counts and
+/// idle time are exact. On the real engines the task bucket, and with it
+/// the runtime remainder, is estimated from the executed tasks whose spans
+/// were timed (obs::SpanSampler); the simulators time every task.
 struct WorkerStats {
   TimeBuckets buckets;
   std::uint64_t tasks_executed = 0;  ///< tasks this worker ran
+  std::uint64_t tasks_timed = 0;     ///< of those, tasks whose body and
+                                     ///< release were timed
   std::uint64_t tasks_skipped = 0;   ///< tasks declared-only (RIO) / n.a.
   std::uint64_t waits = 0;           ///< dependency stalls encountered
 };

@@ -255,25 +255,45 @@ TEST(CausalExport, PerfettoFlowEventsAreStructurallyValid) {
 // -------------------------------------------------------------- sampling --
 
 TEST(CausalSampling, RingAccountingHoldsAtAnyStride) {
-  // No overflow: recorded == ceil(pushed / stride), dropped = the rest.
-  obs::EventRing ring(64, 4);
-  for (std::uint64_t i = 0; i < 30; ++i)
-    ring.push(obs::Event{i, i + 1, i, 0, obs::Phase::kBody});
-  EXPECT_EQ(ring.pushed(), 30u);
-  EXPECT_EQ(ring.recorded(), 8u);  // pushes 0, 4, 8, ..., 28
-  EXPECT_EQ(ring.dropped(), 22u);
-  EXPECT_EQ(ring.recorded() + ring.dropped(), ring.pushed());
-  std::vector<obs::Event> out;
-  ring.drain(out);
-  ASSERT_EQ(out.size(), 8u);
-  for (std::size_t i = 0; i < out.size(); ++i)
-    EXPECT_EQ(out[i].task, i * 4);  // every 4th span, in order
+  // A stride-N recorder makes each lens time every N-th executed task,
+  // decided before any clock read. An untimed task's two spans (body and
+  // release) never reach the ring; commit() accounts them as dropped, so
+  // recorded + dropped == pushed stays exact.
+  const auto run = [](obs::Hub& hub, std::uint64_t tasks) {
+    hub.ensure_workers(1);
+    obs::WorkerObs ob;
+    ob.bind(&hub, 0);
+    for (std::uint64_t i = 0; i < tasks; ++i) {
+      if (!ob.sampler.next()) continue;
+      ob.body(i, 10 * i, 10 * i + 1);
+      ob.release(i, 10 * i + 1, 10 * i + 2);
+    }
+    ob.commit(&hub);
+  };
+
+  // No overflow: tasks 0, 4, ..., 28 are timed, the rest dropped.
+  obs::Hub hub(obs::HubOptions{
+      .recorder = true, .ring_capacity = 64, .sample = 4});
+  run(hub, 30);
+  EXPECT_EQ(hub.pushed(), 60u);    // two spans per task
+  EXPECT_EQ(hub.recorded(), 16u);  // 8 timed tasks
+  EXPECT_EQ(hub.dropped(), 44u);
+  EXPECT_EQ(hub.recorded() + hub.dropped(), hub.pushed());
+  std::vector<std::uint64_t> bodies;
+  for (const obs::Event& ev : hub.drain_events())
+    if (ev.phase == obs::Phase::kBody) bodies.push_back(ev.task);
+  ASSERT_EQ(bodies.size(), 8u);
+  for (std::size_t i = 0; i < bodies.size(); ++i)
+    EXPECT_EQ(bodies[i], i * 4);  // every 4th task, in order
+  // Every body lasted 1 ns, so the weighted total is exact: 30.
+  EXPECT_EQ(hub.phase_totals(0)[static_cast<std::size_t>(obs::Phase::kBody)],
+            30u);
 
   // With overflow on top of sampling the identity still holds exactly.
-  obs::EventRing small(4, 3);
-  for (std::uint64_t i = 0; i < 100; ++i)
-    small.push(obs::Event{i, i + 1, i, 0, obs::Phase::kBody});
-  EXPECT_EQ(small.pushed(), 100u);
+  obs::Hub small(obs::HubOptions{
+      .recorder = true, .ring_capacity = 4, .sample = 3});
+  run(small, 100);
+  EXPECT_EQ(small.pushed(), 200u);
   EXPECT_EQ(small.recorded(), 4u);
   EXPECT_EQ(small.recorded() + small.dropped(), small.pushed());
 }

@@ -10,7 +10,11 @@
 //     injected faults, retries);
 //   * the simulators emit the same schema in virtual ticks with the exact
 //     per-worker identity kBody + kAcquireWait + kMgmt == makespan;
-//   * obs.json round-trips the e_p / e_r decomposition bit-for-bit.
+//   * obs.json round-trips the e_p / e_r decomposition bit-for-bit;
+//   * the span sampler represents every task exactly once, estimates
+//     periodic, stepped and random duration sequences without bias, and
+//     the default launch times few tasks while every consumer that needs
+//     each span still gets all of them.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -29,7 +33,9 @@
 #include "obs/obs.hpp"
 #include "rio/rio.hpp"
 #include "sim/sim.hpp"
+#include "support/clock.hpp"
 #include "support/fault.hpp"
+#include "support/rng.hpp"
 #include "workloads/workloads.hpp"
 
 // Global allocation counter for the disabled-path guard. Counting is
@@ -272,6 +278,11 @@ TEST(ObsReconcile, CoorWorkersAndMasterAgree) {
   EXPECT_EQ(snap.total(obs::Counter::kTasksExecuted), wl.flow.num_tasks());
   EXPECT_EQ(snap.total(obs::Counter::kQueuePops), wl.flow.num_tasks());
   EXPECT_EQ(snap.total(obs::Counter::kQueuePushes), wl.flow.num_tasks());
+  // A wait is a pop that found the worker's queue empty, counted the same
+  // way in the stats and the counters.
+  std::uint64_t waits = 0;
+  for (const auto& ws : stats.workers) waits += ws.waits;
+  EXPECT_EQ(snap.total(obs::Counter::kProtocolWaits), waits);
 }
 
 TEST(ObsReconcile, HybridAccumulatesAcrossPhases) {
@@ -313,6 +324,243 @@ TEST(ObsReconcile, RetryCountersMatchInjector) {
             injector.injected_throws());
   EXPECT_EQ(snap.total(obs::Counter::kRetries), injector.injected_throws());
   EXPECT_EQ(snap.total(obs::Counter::kFaultsInjected), 2u);
+}
+
+// ------------------------------------------------------------- sampler ----
+
+constexpr std::size_t kSynthetic = 16384;
+
+/// Synthetic body durations in ns, one per executed task.
+using Durations = std::vector<std::uint64_t>;
+
+Durations synthetic(std::uint64_t (*f)(std::size_t)) {
+  Durations d(kSynthetic);
+  for (std::size_t i = 0; i < kSynthetic; ++i) d[i] = f(i);
+  return d;
+}
+
+Durations uniform_random() {
+  support::Xoshiro256 rng(99);
+  Durations d(kSynthetic);
+  for (auto& x : d) x = 10 + rng.bounded(1000);
+  return d;
+}
+
+std::uint64_t exact_sum(const Durations& d) {
+  std::uint64_t n = 0;
+  for (const std::uint64_t x : d) n += x;
+  return n;
+}
+
+struct Estimate {
+  std::uint64_t body_ns = 0;  ///< the lens's estimated body total
+  std::uint64_t weights = 0;  ///< weights of the timed tasks
+  std::uint64_t tail = 0;     ///< untimed tasks after the last timed one
+  std::uint64_t timed = 0;
+};
+
+/// Feeds `d` through a default-mode lens seeded with `seed`, the way an
+/// engine worker reports its executed tasks.
+Estimate estimate(const Durations& d, std::uint64_t seed) {
+  obs::WorkerObs ob;
+  ob.sampler = obs::SpanSampler(0, seed);
+  Estimate e;
+  for (std::size_t i = 0; i < d.size(); ++i) {
+    if (!ob.sampler.next()) continue;
+    e.weights += ob.sampler.weight();
+    ob.body(i, 0, d[i]);
+  }
+  e.tail = ob.sampler.tail();
+  e.timed = ob.sampler.timed();
+  ob.commit(nullptr);
+  e.body_ns = ob.phase_ns[kBodyIdx];
+  return e;
+}
+
+/// Mean over 256 seeds of the estimate, relative to the exact sum.
+double mean_ratio(const Durations& d) {
+  double sum = 0;
+  for (std::uint64_t seed = 0; seed < 256; ++seed)
+    sum += static_cast<double>(estimate(d, seed).body_ns);
+  return sum / 256 / static_cast<double>(exact_sum(d));
+}
+
+std::uint64_t constant_ns(std::size_t) { return 100; }
+std::uint64_t long_ns(std::size_t i) { return obs::kLongBodyNs + i % 7; }
+std::uint64_t period2_ns(std::size_t i) { return i % 2 != 0 ? 1000 : 10; }
+std::uint64_t period3_ns(std::size_t i) {
+  return i % 3 == 0 ? 60 : (i % 3 == 1 ? 10 : 20);
+}
+std::uint64_t step_ns(std::size_t i) { return i < kSynthetic / 2 ? 10 : 100; }
+std::uint64_t spike_ns(std::size_t i) { return i % 64 == 0 ? 10000 : 10; }
+
+TEST(ObsSampler, WeightsAndTailSumToTaskCount) {
+  for (const Durations& d :
+       {synthetic(constant_ns), synthetic(long_ns), synthetic(period2_ns),
+        synthetic(period3_ns), synthetic(step_ns), uniform_random(),
+        synthetic(spike_ns)}) {
+    for (std::uint64_t seed = 0; seed < 256; ++seed) {
+      const Estimate e = estimate(d, seed);
+      ASSERT_EQ(e.weights + e.tail, kSynthetic) << "seed " << seed;
+      ASSERT_GE(e.timed, 1u);
+    }
+  }
+}
+
+TEST(ObsSampler, ConstantAndLongFlowsAreExact) {
+  const Durations constant = synthetic(constant_ns);
+  const Durations coarse = synthetic(long_ns);
+  for (std::uint64_t seed = 0; seed < 16; ++seed) {
+    const Estimate c = estimate(constant, seed);
+    EXPECT_EQ(c.body_ns, exact_sum(constant));
+    EXPECT_LT(c.timed, kSynthetic / 16);  // about one task in 64
+    // Every body is long: each keeps the next task timed.
+    const Estimate l = estimate(coarse, seed);
+    EXPECT_EQ(l.timed, kSynthetic);
+    EXPECT_EQ(l.body_ns, exact_sum(coarse));
+  }
+}
+
+TEST(ObsSampler, AveragedEstimateIsUnbiased) {
+  // Single seeds spread by several percent; averaged over 256 seeds the
+  // jittered gaps leave no aliasing bias on periodic sequences.
+  EXPECT_NEAR(mean_ratio(synthetic(period2_ns)), 1.0, 0.02);
+  EXPECT_NEAR(mean_ratio(synthetic(period3_ns)), 1.0, 0.02);
+  EXPECT_NEAR(mean_ratio(synthetic(step_ns)), 1.0, 0.02);
+  EXPECT_NEAR(mean_ratio(uniform_random()), 1.0, 0.02);
+  // Rare 10 µs spikes among 10 ns bodies: 1 in 64, the mean gap.
+  EXPECT_NEAR(mean_ratio(synthetic(spike_ns)), 1.0, 0.10);
+}
+
+TEST(ObsSampler, SameSeedTimesSamePositions) {
+  obs::SpanSampler a(0, 42), b(0, 42), other(0, 43);
+  bool differs = false;
+  for (std::size_t i = 0; i < kSynthetic; ++i) {
+    const bool ta = a.next();
+    ASSERT_EQ(ta, b.next()) << "task " << i;
+    differs |= ta != other.next();
+  }
+  EXPECT_EQ(a.timed(), b.timed());
+  EXPECT_TRUE(differs);
+}
+
+TEST(ObsSampler, FixedStrideTimesEveryNth) {
+  obs::SpanSampler s(5);
+  for (std::size_t i = 0; i < 100; ++i) {
+    EXPECT_EQ(s.next(), i % 5 == 0) << "task " << i;
+    s.note_body(obs::kLongBodyNs * 10);  // a fixed stride ignores long bodies
+  }
+  EXPECT_EQ(s.timed(), 20u);
+  EXPECT_EQ(s.untimed(), 80u);
+}
+
+// --------------------------------------------------- sampled engine stats --
+
+constexpr std::uint32_t kStatWorkers = 2;
+
+std::uint64_t total_timed(const support::RunStats& s) {
+  std::uint64_t n = 0;
+  for (const auto& w : s.workers) n += w.tasks_timed;
+  return n;
+}
+
+std::vector<std::uint64_t> timed_per_worker(const support::RunStats& s) {
+  std::vector<std::uint64_t> v;
+  for (const auto& w : s.workers) v.push_back(w.tasks_timed);
+  return v;
+}
+
+engine::Outcome run_backend(const char* name, const workloads::Workload& wl,
+                            engine::Launch launch = {}) {
+  const engine::Backend* b = engine::Registry::instance().find(name);
+  EXPECT_NE(b, nullptr) << name;
+  launch.workers = kStatWorkers;
+  if (b->caps().needs_mapping) launch.mapping = wl.mapping(kStatWorkers);
+  return b->run(stf::FlowImage::compile(wl.flow), launch);
+}
+
+workloads::Workload fine_independent() {
+  return workloads::make_independent({.num_tasks = kSynthetic,
+                                      .task_cost = 0,
+                                      .body = workloads::BodyKind::kCounter,
+                                      .num_workers = kStatWorkers});
+}
+
+/// Independent tasks whose bodies each spin for at least 20 µs.
+workloads::Workload coarse_independent(std::size_t n) {
+  workloads::Workload wl;
+  wl.name = "coarse-independent";
+  for (std::size_t t = 0; t < n; ++t) {
+    wl.flow.submit(
+        [](stf::TaskContext&) {
+          const std::uint64_t t0 = support::monotonic_ns();
+          while (support::monotonic_ns() - t0 < 20'000) {
+          }
+        },
+        {}, 20'000);
+    wl.owners.push_back(static_cast<stf::WorkerId>(t % kStatWorkers));
+  }
+  return wl;
+}
+
+TEST(ObsSampledStats, DefaultLaunchTimesFewTasks) {
+  const auto wl = fine_independent();
+  const std::uint64_t n = wl.flow.num_tasks();
+  for (const char* e : {"seq", "rio", "rio-pruned", "coor"}) {
+    SCOPED_TRACE(e);
+    const engine::Outcome a = run_backend(e, wl);
+    EXPECT_EQ(a.stats.tasks_executed(), n);
+    EXPECT_LE(total_timed(a.stats), n / 16);
+    EXPECT_GE(total_timed(a.stats), 1u);
+    if (std::string(e) != "coor") {
+      // Seeded per worker and walked in a fixed order: two runs time the
+      // same tasks. A preempted (or cold) timed body can run past
+      // kLongBodyNs and time one extra task, so the check takes the first
+      // of three pairs that agree; a seed that varied per run would miss
+      // on all three.
+      bool same = false;
+      for (int attempt = 0; attempt < 3 && !same; ++attempt)
+        same = timed_per_worker(run_backend(e, wl).stats) ==
+               timed_per_worker(run_backend(e, wl).stats);
+      EXPECT_TRUE(same);
+    }
+  }
+  // hybrid: every phase times its first task per worker.
+  const engine::Outcome h = run_backend("hybrid", wl);
+  EXPECT_EQ(h.stats.tasks_executed(), n);
+  EXPECT_LT(total_timed(h.stats), n / 2);
+}
+
+TEST(ObsSampledStats, EveryTaskTimedWhenEachSpanIsNeeded) {
+  const auto wl = cholesky(4, kStatWorkers);
+  const auto all_timed = [](const support::RunStats& s) {
+    for (const auto& w : s.workers)
+      if (w.tasks_timed != w.tasks_executed) return false;
+    return s.tasks_executed() > 0;
+  };
+  for (const engine::Backend* b : engine::Registry::instance().all()) {
+    const engine::Capabilities& caps = b->caps();
+    const char* e = b->name().data();
+    SCOPED_TRACE(std::string(b->name()));
+    if (caps.virtual_time) {
+      // The simulators time every task.
+      EXPECT_TRUE(all_timed(run_backend(e, wl).stats));
+      continue;
+    }
+    if (caps.supports_trace) {
+      engine::Launch traced;
+      traced.collect_trace = true;
+      EXPECT_TRUE(all_timed(run_backend(e, wl, traced).stats));
+    }
+    if (caps.supports_obs) {
+      obs::Hub hub(obs::HubOptions{.recorder = true});  // sample 1
+      engine::Launch recorded;
+      recorded.obs = &hub;
+      EXPECT_TRUE(all_timed(run_backend(e, wl, recorded).stats));
+    }
+    // Bodies of 20 µs and more: each keeps the next task timed.
+    EXPECT_TRUE(all_timed(run_backend(e, coarse_independent(48)).stats));
+  }
 }
 
 // ------------------------------------------------------- registry matrix ---

@@ -43,11 +43,13 @@
 #      default) and --queue locked (the mutex+condvar deque lifo, priority
 #      and locality still use);
 #  14. ThreadSanitizer pass (skipped with RIO_SKIP_TSAN=1): rebuilds the
-#      failure suite + executor suite + hybrid suite + model checker +
-#      rioflow with RIO_SANITIZE=thread and reruns the resilience tests
-#      (incl. the recovery + crash-fuzz suites), the persistent-executor
-#      tests (concurrent callers, fallback), the hybrid phase engines on
-#      their shared pool, the modelcheck suite, the quick
+#      failure suite + executor suite + hybrid suite + obs and causal
+#      suites + model checker + rioflow with RIO_SANITIZE=thread and reruns
+#      the resilience tests (incl. the recovery + crash-fuzz suites), the
+#      persistent-executor tests (concurrent callers, fallback), the hybrid
+#      phase engines on their shared pool, the telemetry suites (span
+#      sampler and ring accounting driven from live workers on every real
+#      engine), the modelcheck suite, the quick
 #      chaos sweeps (transient AND crash kinds) and the new wait/notify
 #      configurations (block-policy doorbells, coor on both ready queues)
 #      under TSan — the retry
@@ -338,7 +340,7 @@ else
   fail "verify --quick --json"
 fi
 
-step "thread sanitizer: resilience + modelcheck suites + quick chaos sweep"
+step "thread sanitizer: resilience + telemetry + modelcheck suites + quick chaos sweep"
 if [ "${RIO_SKIP_TSAN:-0}" = "1" ]; then
   echo "RIO_SKIP_TSAN=1; skipping"
 else
@@ -347,7 +349,7 @@ else
        -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null &&
      cmake --build "$TSAN_BUILD" -j "$(nproc)" \
        --target failure_test modelcheck_test executor_test hybrid_test \
-         rioflow \
+         obs_test causal_test rioflow \
        >/dev/null; then
     "$TSAN_BUILD/tests/failure_test" >/dev/null ||
       fail "failure_test under TSan"
@@ -362,6 +364,12 @@ else
     # share one persistent pool across every phase.
     "$TSAN_BUILD/tests/hybrid_test" >/dev/null ||
       fail "hybrid_test under TSan"
+    # Telemetry: the span sampler, weighted phase totals and ring
+    # accounting run on live worker threads of every real engine.
+    "$TSAN_BUILD/tests/obs_test" >/dev/null ||
+      fail "obs_test under TSan"
+    "$TSAN_BUILD/tests/causal_test" >/dev/null ||
+      fail "causal_test under TSan"
     "$TSAN_BUILD/rioflow" chaos --quick --workers 2 >/dev/null ||
       fail "chaos --quick under TSan"
     # Worker-death recovery: the DeathBoard, dirty-span restore and
