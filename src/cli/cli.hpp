@@ -18,23 +18,10 @@
 
 namespace rio::cli {
 
+// One field per flag; the flag table in cli.cpp documents each of them
+// and renders its default in usage().
 struct Options {
-  // Subcommand: "" runs the workload (the historical behaviour); "lint"
-  // statically analyses it without executing anything; "check" executes it
-  // with sync-event recording and runs the happens-before race checker;
-  // "chaos" sweeps a fault plan over engines and verifies every surviving
-  // run against the sequential oracle; "profile" executes with the
-  // rio::obs telemetry hub attached and reports per-worker phase totals,
-  // counters and the e_p*e_r decomposition; "blame" executes with the
-  // flight recorder on and runs the obs::causal analyzer (executed-DAG
-  // critical path, per-task/per-handle blame, top stall edges);
-  // "obs-diff" compares two rio.obs.v1 reports; "engines" lists the
-  // registered backends with their capability flags (engine::Registry);
-  // "verify" model-checks the engine's real synchronization code on a
-  // small flow (mc::impl: DPOR over every interleaving of the protocol's
-  // shared-word operations); "optimize" runs the flowpass pipeline over the
-  // compiled image, byte-verifies the rewrite against the sequential
-  // oracle, and compares optimized vs unoptimized execution.
+  // Subcommand from the command table (cli.cpp); "" runs the workload.
   std::string command;
 
   // Positional (non-flag) operands after the command — only obs-diff
@@ -42,10 +29,7 @@ struct Options {
   std::vector<std::string> inputs;
 
   // Workload selection.
-  std::string workload = "independent";  ///< independent | random | chain |
-                                         ///< gemm | lu | cholesky | stencil |
-                                         ///< taskbench:<pattern> |
-                                         ///< lintfix:<fixture>
+  std::string workload = "independent";  ///< a generator or lintfix:<name>
   std::uint64_t tasks = 4096;   ///< synthetic workloads: task count
   std::uint32_t tiles = 8;      ///< tiled workloads: grid dimension
   std::uint32_t width = 24;     ///< taskbench: points per step
@@ -54,8 +38,7 @@ struct Options {
   std::uint64_t seed = 42;
 
   // Engine selection.
-  std::string engine = "rio";  ///< any engine::Registry name or alias — see
-                               ///< `rioflow engines` (docs/engines.md);
+  std::string engine = "rio";  ///< any engine::Registry name or alias;
                                ///< default overridable via RIOFLOW_ENGINE
   bool engine_given = false;   ///< --engine was passed explicitly
   std::uint32_t workers = 2;
@@ -68,8 +51,7 @@ struct Options {
 
   // Analysis (lint / check).
   std::uint32_t counter_bits = 64;  ///< lint: protocol counter width (RP2xx)
-  std::string fail_on = "warning";  ///< exit non-zero at this severity:
-                                    ///< error | warning | info
+  std::string fail_on = "warning";  ///< exit 3 at this severity
 
   // Model checking (verify).
   int max_preemptions = -1;  ///< bound context switches; < 0 = unbounded
@@ -81,22 +63,20 @@ struct Options {
   std::uint32_t retries = 3;        ///< RetryPolicy::max_attempts
   std::uint64_t watchdog_ms = 2000; ///< progress watchdog window
   std::string engines = "rio,rio-pruned,coor,hybrid";  ///< sweep targets
-  std::string faults = "transient"; ///< fault kinds to sweep:
-                                    ///< transient | stall | crash | all
+  std::string faults = "transient"; ///< fault kinds to sweep
   std::string retry_tasks;          ///< per-task retry overrides "id=N,..."
   bool quick = false;               ///< shrink the sweep for CI gates
   bool workload_given = false;      ///< --workload was passed explicitly
 
-  // Recovery (run command): wrap the execution in engine::run_supervised so
-  // a permanent worker loss is survived by evict-and-remap + resume from
-  // the checkpointed completion frontier instead of aborting the run.
+  // Recovery: run under engine::run_supervised, so a permanent worker loss
+  // is survived by evict-and-remap + resume from the checkpointed
+  // completion frontier instead of aborting the run.
   bool recover = false;
 
   // Optimization pipeline (optimize command; docs/passes.md).
   std::string passes;                ///< csv of flowpass::Registry names;
                                      ///< empty = all registered passes
-  bool tune = false;                 ///< score map candidates by simulated
-                                     ///< makespan instead of the static model
+  bool tune = false;                 ///< score map candidates by simulation
   bool report = false;               ///< print the per-pass report table
   std::uint64_t fuse_threshold = 1000;  ///< fuse: cost cutoff (also RF501)
 
@@ -112,12 +92,8 @@ struct Options {
   std::string dot_path;       ///< write DAG as Graphviz DOT
   std::string trace_path;     ///< write Chrome trace JSON (real engines;
                               ///< for profile: the obs Perfetto trace)
-  std::string json_path;      ///< machine-readable report: rio.obs.v1
-                              ///< (profile), rio.chaos.v2 (chaos),
-                              ///< rio.lint.v1 / rio.check.v1 (lint/check),
-                              ///< rio.engines.v1 (engines),
-                              ///< rio.verify.v1 (verify),
-                              ///< rio.optimize.v1 (optimize)
+  std::string json_path;      ///< the command's report (its schema is in
+                              ///< the command table)
   bool csv = false;
 
   bool help = false;

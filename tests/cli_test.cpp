@@ -7,7 +7,9 @@
 #include <string>
 
 #include "cli/cli.hpp"
+#include "cli/common.hpp"
 #include "engine/registry.hpp"
+#include "support/json_read.hpp"
 
 namespace {
 
@@ -84,6 +86,18 @@ TEST(CliParse, RejectsBadNumber) {
   std::string error;
   EXPECT_FALSE(parse_args({"--tasks", "banana"}, o, error));
   EXPECT_NE(error.find("bad numeric"), std::string::npos);
+  // Non-finite reals and integers that would wrap are bad numbers too: a
+  // NaN threshold never trips obs-diff's gate, and 2^31 preemptions would
+  // wrap to a negative bound, which means unbounded.
+  EXPECT_FALSE(parse_args({"--threshold", "nan"}, o, error));
+  EXPECT_NE(error.find("bad numeric"), std::string::npos);
+  EXPECT_FALSE(parse_args({"--threshold", "inf"}, o, error));
+  EXPECT_FALSE(parse_args({"--max-preemptions", "2147483648"}, o, error));
+  EXPECT_FALSE(parse_args({"--max-preemptions", "4294967295"}, o, error));
+  EXPECT_FALSE(parse_args({"--repeat", "2147483648"}, o, error));
+  EXPECT_TRUE(parse_args({"--max-preemptions", "2147483647"}, o, error))
+      << error;
+  EXPECT_EQ(o.max_preemptions, 2147483647);
 }
 
 TEST(CliParse, RejectsZeroWorkers) {
@@ -349,6 +363,33 @@ TEST(CliChaos, BadFaultRateFails) {
   Options o;
   std::string error;
   EXPECT_FALSE(parse_args({"chaos", "--fault-rate", "lots"}, o, error));
+  // NaN passes any range check and injects nothing.
+  EXPECT_FALSE(parse_args({"chaos", "--fault-rate", "nan"}, o, error));
+  EXPECT_FALSE(parse_args({"chaos", "--fault-rate", "inf"}, o, error));
+  EXPECT_FALSE(parse_args({"chaos", "--fault-rate", "-inf"}, o, error));
+}
+
+TEST(CliChaos, HonoursQueue) {
+  std::string text;
+  EXPECT_EQ(run_args({"chaos", "--quick", "--engines", "coor", "--queue",
+                      "bogus"},
+                     &text),
+            1);
+  EXPECT_NE(text.find("unknown queue 'bogus'"), std::string::npos) << text;
+  // The locked deque serves the sweep on coor; rio has no ready queue, so
+  // the same knob is refused there: chaos passes it through.
+  EXPECT_EQ(run_args({"chaos", "--quick", "--workload", "chain", "--tasks",
+                      "32", "--task-size", "20", "--queue", "locked",
+                      "--engines", "coor"},
+                     &text),
+            0)
+      << text;
+  EXPECT_EQ(run_args({"chaos", "--quick", "--workload", "chain", "--tasks",
+                      "32", "--task-size", "20", "--queue", "locked",
+                      "--engines", "rio"},
+                     &text),
+            2)
+      << text;
 }
 
 TEST(CliChaos, RejectsUnknownEngine) {
@@ -568,6 +609,110 @@ TEST(CliJson, CheckReportIsVersioned) {
   EXPECT_NE(doc.find("\"rio.check.v1\""), std::string::npos);
   EXPECT_NE(doc.find("interval validation"), std::string::npos);
   std::remove(json.c_str());
+}
+
+TEST(CliJson, AliasesReportCanonicalEngineNames) {
+  // docs/engines.md: reports never show an alias. `sim` is sim-rio and
+  // `pruned` is rio-pruned in every JSON document.
+  const std::string profile = "/tmp/rioflow_test_alias_profile.json";
+  const std::string blame = "/tmp/rioflow_test_alias_blame.json";
+  const std::string chaos = "/tmp/rioflow_test_alias_chaos.json";
+  std::string text;
+  EXPECT_EQ(run_args({"profile", "--quick", "--engine", "sim", "--workload",
+                      "chain", "--tasks", "16", "--json", profile.c_str()},
+                     &text),
+            0)
+      << text;
+  EXPECT_NE(text.find(" on sim-rio "), std::string::npos) << text;
+  EXPECT_EQ(run_args({"blame", "--quick", "--engine", "pruned", "--workload",
+                      "chain", "--tasks", "16", "--json", blame.c_str()},
+                     &text),
+            0)
+      << text;
+  EXPECT_EQ(run_args({"chaos", "--quick", "--engines", "pruned",
+                      "--workload", "chain", "--tasks", "16", "--json",
+                      chaos.c_str()},
+                     &text),
+            0)
+      << text;
+  EXPECT_NE(slurp(profile).find("\"engine\": \"sim-rio\""),
+            std::string::npos);
+  EXPECT_NE(slurp(blame).find("\"engine\": \"rio-pruned\""),
+            std::string::npos);
+  const std::string cells = slurp(chaos);
+  EXPECT_NE(cells.find("\"engine\": \"rio-pruned\""), std::string::npos);
+  EXPECT_EQ(cells.find("\"engine\": \"pruned\""), std::string::npos);
+  for (const std::string& path : {profile, blame, chaos})
+    std::remove(path.c_str());
+}
+
+// ------------------------------------------------------------- verify ------
+
+TEST(CliVerify, AliasChecksTheCanonicalEngine) {
+  // The alias resolves before the model checker picks its engine, so
+  // `pruned` gives exactly rio-pruned's verdicts and counts.
+  const auto report = [](const char* engine) {
+    const std::string path =
+        std::string("/tmp/rioflow_test_verify_") + engine + ".json";
+    std::string text;
+    EXPECT_EQ(run_args({"verify", "--quick", "--engine", engine, "--json",
+                        path.c_str()},
+                       &text),
+              0)
+        << text;
+    rio::support::JsonValue doc;
+    std::string error;
+    EXPECT_TRUE(rio::support::json_parse(slurp(path), doc, error)) << error;
+    std::remove(path.c_str());
+    return doc;
+  };
+  const rio::support::JsonValue alias = report("pruned");
+  const rio::support::JsonValue canonical = report("rio-pruned");
+  ASSERT_NE(alias.find("engine"), nullptr);
+  EXPECT_EQ(alias.find("engine")->str_or(""), "rio-pruned");
+  for (const char* key : {"explored", "pruned", "steps", "frontiers"}) {
+    ASSERT_NE(alias.find(key), nullptr) << key;
+    EXPECT_EQ(alias.find(key)->num_or(-1), canonical.find(key)->num_or(-2))
+        << key;
+  }
+  EXPECT_TRUE(alias.find("ok")->boolean);
+}
+
+// -------------------------------------------------------------- usage ------
+
+TEST(CliUsage, NamesEveryCommandSchemaFlagAndDefault) {
+  const std::string text = rio::cli::usage();
+  for (const rio::cli::Command& c : rio::cli::commands()) {
+    if (*c.name != '\0') {
+      EXPECT_NE(text.find(std::string("\n  ") + c.name + " "),
+                std::string::npos)
+          << c.name;
+    }
+    if (*c.schema != '\0') {
+      EXPECT_NE(text.find(c.schema), std::string::npos) << c.schema;
+    }
+  }
+  // Every flag heads its own entry, which ends with the default rendered
+  // from Options{}.
+  const Options defaults;
+  for (const rio::cli::Flag& f : rio::cli::flags()) {
+    const std::size_t at = text.find("\n  " + f.name + " ");
+    ASSERT_NE(at, std::string::npos) << f.name;
+    const std::string entry =
+        text.substr(at, text.find("\n  -", at + 1) - at);
+    const std::string value = f.show ? f.show(defaults) : "";
+    if (!value.empty()) {
+      EXPECT_NE(entry.find("[" + value + "]"), std::string::npos) << entry;
+    }
+  }
+  // Spot checks straight from the structs, independent of the renderers.
+  for (const std::string& value :
+       {std::to_string(defaults.workers), std::to_string(defaults.tasks),
+        defaults.queue, defaults.engines, defaults.fail_on})
+    EXPECT_NE(text.find("[" + value + "]"), std::string::npos) << value;
+  EXPECT_EQ(defaults.queue,
+            rio::coor::to_string(rio::engine::Launch{}.queue));
+  EXPECT_EQ(rio::cli::flags().size(), 42u);  // plus -h
 }
 
 }  // namespace

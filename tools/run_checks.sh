@@ -8,9 +8,11 @@
 #   6. `rioflow check` on every sync-capable engine (rio, rio-pruned, coor)
 #      plus the injected-race fixture;
 #   7. `rioflow chaos --quick` — the fault sweep must survive with zero
-#      oracle mismatches, and a `--faults crash` sweep must recover every
-#      permanent worker death by evict-and-remap with the oracle still
-#      matching (docs/robustness.md, "Worker loss and recovery");
+#      oracle mismatches, also on coor's locked ready queue
+#      (`--engines coor --queue locked`), and a `--faults crash` sweep must
+#      recover every permanent worker death by evict-and-remap with the
+#      oracle still matching (docs/robustness.md, "Worker loss and
+#      recovery");
 #   8. rioflow JSON reports — `profile --quick --json --trace` on two
 #      workloads x two engines, plus `chaos --json` and `lint --json`;
 #      every emitted document must parse (docs/observability.md);
@@ -18,7 +20,9 @@
 #      profiler must emit a parsing rio.blame.v1 report on a real engine,
 #      the decentralized coordinator and the exact simulator; then
 #      `rioflow obs-diff` of an obs.json report against itself must report
-#      zero drift (exit 0) and emit a parsing rio.obsdiff.v1 report;
+#      zero drift (exit 0) and emit a parsing rio.obsdiff.v1 report, and
+#      fresh sim-rio / sim-coor profiles must pass `obs-diff` against the
+#      committed baselines in tools/baselines/ (virtual time: no drift);
 #  10. engine registry sweep — `rioflow engines --json` must emit a parsing
 #      rio.engines.v1 report, every backend it lists must smoke-run
 #      (`rioflow run`), and every supports_obs backend must also
@@ -128,6 +132,13 @@ if ! "$RIOFLOW" chaos --quick --workers 2 >/dev/null; then
   fail "chaos --quick (stall, oracle mismatch or unexpected error)"
 fi
 
+# The locked deque (the queue lifo, priority and locality still use): chaos
+# builds its launches like every other command, so --queue must reach coor.
+if ! "$RIOFLOW" chaos --quick --workers 2 --engines coor --queue locked \
+     >/dev/null; then
+  fail "chaos --quick --engines coor --queue locked"
+fi
+
 step "rioflow chaos: crash faults must recover by evict-and-remap"
 if ! "$RIOFLOW" chaos --quick --workers 3 --faults crash >/dev/null; then
   fail "chaos --faults crash (worker lost, oracle mismatch or error)"
@@ -200,6 +211,21 @@ if "$RIOFLOW" obs-diff "$SELF" "$SELF" --json "$DIFFJSON" >/dev/null; then
 else
   fail "obs-diff self-check (expected exit 0)"
 fi
+
+step "rioflow obs-diff: simulator profiles against the committed baselines"
+# Virtual time makes these profiles reproducible, so any drift is a change
+# in the simulator or the telemetry. A change that means it regenerates the
+# baselines (tools/baselines/README.md) and says why.
+for e in sim-rio sim-coor; do
+  FRESH="$OBSDIR/baseline-$e.obs.json"
+  if "$RIOFLOW" profile --quick --workload cholesky --tiles 4 --workers 2 \
+       --engine "$e" --json "$FRESH" >/dev/null; then
+    "$RIOFLOW" obs-diff "$ROOT/tools/baselines/$e.obs.json" "$FRESH" \
+      >/dev/null || fail "obs-diff tools/baselines/$e.obs.json (drifted)"
+  else
+    fail "profile --quick --engine $e (baseline refresh)"
+  fi
+done
 
 step "rioflow engines: registry-driven smoke of every backend"
 ENGJSON="$OBSDIR/engines.json"
