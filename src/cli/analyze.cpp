@@ -31,8 +31,9 @@ int run_lint(const Options& o, std::ostream& out) {
   return report.count_at_least(threshold) > 0 ? 3 : 0;
 }
 
-/// `rioflow check`: execute with sync recording, then validate the trace
-/// (interval test) and run the happens-before race checker on top.
+/// `rioflow check`: execute with a recorder hub and sync recording, then
+/// validate the recorded trace (interval test) and run the happens-before
+/// race checker on top.
 int run_check(const Options& o, std::ostream& out) {
   const analysis::Severity threshold = parse_fail_on(o.fail_on);
   const engine::Backend& backend = find_engine(o.engine);
@@ -40,6 +41,7 @@ int run_check(const Options& o, std::ostream& out) {
 
   stf::Trace trace;
   stf::SyncTrace sync;
+  stf::ValidationResult recorded;
   bool worker_in_order = false;
   if (o.workload == "lintfix:race") {
     // The injected fixture IS the recorded execution: replay it instead of
@@ -51,19 +53,20 @@ int run_check(const Options& o, std::ostream& out) {
     // Engines that cannot record sync events (sims, seq, hybrid) refuse
     // the launch with the registry's UnsupportedLaunch.
     engine::Launch launch = make_launch(o, backend, wl);
-    launch.collect_trace = true;
     launch.collect_sync = true;
-    engine::Outcome outcome =
-        backend.run(stf::FlowImage::compile(wl.flow), launch);
-    trace = std::move(outcome.trace);
-    sync = std::move(outcome.sync);
+    const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
+    obs::Hub hub(stf::trace_recorder(image.size()));
+    launch.obs = &hub;
+    sync = backend.run(image, launch).sync;
+    recorded = stf::trace_from_hub(hub, trace);
     worker_in_order = backend.caps().in_order;
   }
 
   out << "-- check: " << wl.name << " --\n";
   const stf::DependencyGraph graph(wl.flow);
   const stf::ValidationResult vr =
-      trace.validate(wl.flow, graph, worker_in_order);
+      recorded.ok() ? trace.validate(wl.flow, graph, worker_in_order)
+                    : recorded;
   const std::string validation =
       !vr.ok() ? "failed" : (vr.timing_checked ? "ok" : "skipped");
   out << "interval validation: " << (vr.ok() ? validation : "FAILED")

@@ -221,8 +221,9 @@ const std::vector<Flag>& flags() {
       text("--dot", "FILE", &O::dot_path,
            "write the dependency DAG as Graphviz DOT"),
       text("--trace", "FILE", &O::trace_path,
-           "write a Chrome trace (real engines; profile/blame: the obs "
-           "Perfetto trace, whose dep flow arrows mirror the wait edges)"),
+           "write the recorder's Perfetto trace (supports_obs engines; run "
+           "names body slices after their tasks; its dep flow arrows "
+           "mirror the wait edges)"),
       text("--json", "FILE", &O::json_path,
            "write the command's machine-readable report (schemas above)"),
       on("--csv", &O::csv, "machine-readable tables"),

@@ -90,8 +90,8 @@ struct Options {
   bool summary = false;       ///< print flow structure summary
   bool decompose = false;     ///< print e_p / e_r decomposition
   std::string dot_path;       ///< write DAG as Graphviz DOT
-  std::string trace_path;     ///< write Chrome trace JSON (real engines;
-                              ///< for profile: the obs Perfetto trace)
+  std::string trace_path;     ///< write the obs recorder's Perfetto trace
+                              ///< (supports_obs engines)
   std::string json_path;      ///< the command's report (its schema is in
                               ///< the command table)
   bool csv = false;

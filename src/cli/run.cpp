@@ -1,8 +1,10 @@
 // The default command: generate the workload, execute it on --engine and
 // report time, recovery, the e_p*e_r decomposition, DOT and a trace.
 #include <algorithm>
+#include <optional>
 
 #include "cli/common.hpp"
+#include "obs/export.hpp"
 #include "stf/stf.hpp"
 #include "support/clock.hpp"
 
@@ -23,12 +25,16 @@ int run_workload(const Options& o, std::ostream& out) {
 
   engine::Launch launch = make_launch(o, backend, wl);
   parse_retry_tasks(o.retry_tasks, launch.retry);
-  launch.collect_trace = !o.trace_path.empty();
   const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
+  // --trace records every span; backends without supports_obs refuse it.
+  std::optional<obs::Hub> hub;
+  if (!o.trace_path.empty())
+    launch.obs = &hub.emplace(stf::trace_recorder(image.size()));
 
   double best_s = 1e300;
   engine::Outcome outcome;
   for (int rep = 0; rep < o.repeat; ++rep) {
+    if (hub) hub->reset();  // the trace holds the last run only
     support::Stopwatch sw;
     outcome = execute(backend, image, launch, o.recover);
     best_s = std::min(best_s, sw.elapsed_s());
@@ -57,11 +63,11 @@ int run_workload(const Options& o, std::ostream& out) {
                 : std::string())
         << "\n";
   if (o.decompose) print_decompose(outcome.stats, out);
-  if (!o.trace_path.empty() && outcome.trace.size() == 0)
-    throw Fail{2, "engine '" + std::string(backend.name()) +
-                      "' produced no trace"};
   write_report(o.trace_path, out, [&](std::ostream& f) {
-    stf::export_chrome_trace(outcome.trace, wl.flow, f);
+    obs::write_perfetto_trace(*hub, f, [&](std::uint64_t t) {
+      const std::string& name = wl.flow.task(t).name;
+      return name.empty() ? "task " + std::to_string(t) : name;
+    });
   });
   return 0;
 }

@@ -82,7 +82,6 @@ struct Engine {
   std::optional<ReadyRing> ring;
   std::atomic<std::uint64_t> completed{0};
   std::atomic<bool> done{false};
-  std::atomic<std::uint64_t> seq{0};
   std::atomic<std::uint64_t> sync_stamp{0};
   stf::AccessGuard guard;
   // First failure wins; after cancellation remaining bodies are skipped
@@ -286,7 +285,6 @@ support::RunStats Runtime::run(const stf::ImageRange& range) {
 
   support::RunStats stats;
   stats.workers.resize(p + 1);  // + master
-  std::vector<std::vector<stf::TraceEvent>> traces(p);
   std::vector<std::vector<stf::SyncEvent>> syncs(p);
   std::vector<std::uint64_t> worker_wall(p, 0);
 
@@ -310,7 +308,7 @@ support::RunStats Runtime::run(const stf::ImageRange& range) {
   if (cfg_.obs != nullptr) cfg_.obs->ensure_workers(p + 1);
   std::vector<obs::WorkerObs> obses(p + 1);
   for (std::uint32_t w = 0; w <= p; ++w)
-    obses[w].bind(cfg_.obs, w, /*every_span=*/cfg_.collect_trace);
+    obses[w].bind(cfg_.obs, w);
 
   std::barrier start(static_cast<std::ptrdiff_t>(p) + 1);
 
@@ -326,8 +324,7 @@ support::RunStats Runtime::run(const stf::ImageRange& range) {
       std::uint32_t checkpoint_pending = 0;
       obs::WorkerObs& ob = obses[w];
       res.obs = &ob;
-      const bool timed =
-          cfg_.collect_stats || cfg_.collect_trace || ob.recording();
+      const bool timed = cfg_.collect_stats || ob.recording();
       start.arrive_and_wait();
       const std::uint64_t begin = support::monotonic_ns();
       for (;;) {
@@ -452,10 +449,6 @@ support::RunStats Runtime::run(const stf::ImageRange& range) {
                  eng.sync_stamp.fetch_add(1, std::memory_order_acq_rel)});
         }
         eng.unlock_reductions(locked_reductions);
-        if (cfg_.collect_trace)  // a trace times every task
-          traces[w].push_back(
-              {task.id, w, t0, t1,
-               eng.seq.fetch_add(1, std::memory_order_relaxed)});
         const Engine::DispatchTally tally = eng.complete(*li);
         if (timed_task) ob.release(task.id, t1, support::monotonic_ns());
         if (tally.dispatched > 0) {
@@ -515,7 +508,7 @@ support::RunStats Runtime::run(const stf::ImageRange& range) {
     }
     master_unroll_end = support::monotonic_ns();
     // The whole unroll is one management span on the master's track.
-    if (cfg_.collect_stats || cfg_.collect_trace || ob.recording())
+    if (cfg_.collect_stats || ob.recording())
       ob.span(obs::Phase::kMgmt, obs::kNoTask, master_begin,
               master_unroll_end);
     if (master_dispatches > 0) {
@@ -605,12 +598,6 @@ support::RunStats Runtime::run(const stf::ImageRange& range) {
     mb.idle_ns = run_end > master_unroll_end ? run_end - master_unroll_end : 0;
   }
 
-  trace_.clear();
-  if (cfg_.collect_trace) {
-    trace_.reserve(n);
-    for (auto& tr : traces)
-      for (const auto& ev : tr) trace_.record(ev);
-  }
   sync_trace_.clear();
   if (cfg_.collect_sync) {
     for (auto& sy : syncs)

@@ -59,8 +59,6 @@ class Runtime {
   /// the slice only).
   support::RunStats run(const stf::ImageRange& range);
 
-  [[nodiscard]] const stf::Trace& trace() const noexcept { return trace_; }
-
   /// Synchronization events of the last run (empty unless
   /// launch.collect_sync).
   [[nodiscard]] const stf::SyncTrace& sync_trace() const noexcept {
@@ -79,7 +77,6 @@ class Runtime {
 
  private:
   engine::Launch cfg_;
-  stf::Trace trace_;
   stf::SyncTrace sync_trace_;
   support::ThreadPool* pool_ = nullptr;
   // Per-data reduction locks, recycled across runs (grown, never shrunk).

@@ -71,7 +71,6 @@ Outcome run_rio(RioExecutor& executor, const stf::FlowImage& image,
         out.stats = pruned ? eng.run_pruned(image, launch.mapping)
                            : eng.run(image, launch.mapping);
         out.makespan = out.stats.wall_ns;
-        out.trace = eng.trace();
         out.sync = eng.sync_trace();
         out.plan_compiles = eng.plan_compiles() - compiles_before;
         return out;
@@ -93,7 +92,6 @@ class RioBackend final : public Backend {
     static const Capabilities c{.executes_bodies = true,
                                 .supports_faults = true,
                                 .supports_watchdog = true,
-                                .supports_trace = true,
                                 .supports_sync = true,
                                 .supports_obs = true,
                                 .supports_guard = true,
@@ -129,7 +127,6 @@ class PrunedBackend final : public Backend {
     static const Capabilities c{.executes_bodies = true,
                                 .supports_faults = true,
                                 .supports_watchdog = true,
-                                .supports_trace = true,
                                 .supports_sync = true,
                                 .supports_obs = true,
                                 .needs_mapping = true,
@@ -160,7 +157,6 @@ class CoorBackend final : public Backend {
     static const Capabilities c{.executes_bodies = true,
                                 .supports_faults = true,
                                 .supports_watchdog = true,
-                                .supports_trace = true,
                                 .supports_sync = true,
                                 .supports_obs = true,
                                 .supports_guard = true,
@@ -178,7 +174,6 @@ class CoorBackend final : public Backend {
     return executor_.run(launch, launch.workers + 1, launch.pin_workers,
                          [&](coor::Runtime& eng) {
                            Outcome out = base_outcome(eng.run(image), caps());
-                           out.trace = eng.trace();
                            out.sync = eng.sync_trace();
                            return out;
                          });

@@ -44,10 +44,12 @@ struct Capabilities {
                                  ///< wall-clock ns (discrete-event simulator)
   bool supports_faults = false;  ///< fault injection + retry policy honoured
   bool supports_watchdog = false;  ///< progress watchdog (real-time engines)
-  bool supports_trace = false;   ///< records a validatable execution trace
   bool supports_sync = false;    ///< records acquire/release sync events for
                                  ///< the happens-before checker (src/analysis)
-  bool supports_obs = false;     ///< obs::Hub telemetry (docs/observability.md)
+  bool supports_obs = false;     ///< obs::Hub telemetry
+                                 ///< (docs/observability.md); a sample-1
+                                 ///< recorder's body spans form a validatable
+                                 ///< trace (stf::trace_from_hub)
   bool supports_guard = false;   ///< dynamic access-guard race detection
   bool supports_streaming = false;  ///< has a run_program streaming front end
                                     ///< (outside this interface; rio only)
@@ -79,7 +81,6 @@ struct Outcome {
   bool virtual_time = false;   ///< copied from the backend's capabilities
   std::uint64_t makespan = 0;  ///< wall ns, or virtual ticks for simulators
 
-  stf::Trace trace;     ///< filled when Launch::collect_trace
   stf::SyncTrace sync;  ///< filled when Launch::collect_sync
 
   // Simulator resilience counters (sim::Report); real engines count via the

@@ -53,7 +53,6 @@ struct Launch {
                                ///< about 1 executed task in 64 (3 clock
                                ///< reads each; every task once bodies run
                                ///< 2 µs or longer). See tasks_timed.
-  bool collect_trace = false;  ///< supports_trace backends only
   bool collect_sync = false;   ///< supports_sync backends only: acquire/
                                ///< release events for the happens-before
                                ///< checker (src/analysis)

@@ -93,7 +93,6 @@ std::vector<std::pair<std::string_view, bool>> capability_list(
           {"virtual_time", c.virtual_time},
           {"supports_faults", c.supports_faults},
           {"supports_watchdog", c.supports_watchdog},
-          {"supports_trace", c.supports_trace},
           {"supports_sync", c.supports_sync},
           {"supports_obs", c.supports_obs},
           {"supports_guard", c.supports_guard},
@@ -117,8 +116,6 @@ std::vector<std::string> unsupported_knobs(const Capabilities& caps,
     bad.emplace_back("missing mapping (backend needs_mapping)");
   if (launch.partial && !caps.partial_mapping)
     bad.emplace_back("partial mapping (backend lacks partial_mapping)");
-  if (launch.collect_trace && !caps.supports_trace)
-    bad.emplace_back("collect_trace (backend lacks supports_trace)");
   if (launch.collect_sync && !caps.supports_sync)
     bad.emplace_back("collect_sync (backend lacks supports_sync)");
   if (launch.enable_guard && !caps.supports_guard)

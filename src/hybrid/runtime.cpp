@@ -60,12 +60,11 @@ std::vector<Phase> partition(const stf::TaskFlow& flow,
 
 namespace {
 
-/// The one launch both phase engines run under. Hybrid records no trace
-/// and no sync events. It also runs unpinned: pinning would cost one
+/// The one launch both phase engines run under. Hybrid records no sync
+/// events. It also runs unpinned: pinning would cost one
 /// sched_setaffinity per worker per phase, so honouring pin_workers is a
 /// separate change that must be measured first.
 engine::Launch phase_launch(engine::Launch launch) {
-  launch.collect_trace = false;
   launch.collect_sync = false;
   launch.pin_workers = false;
   return launch;

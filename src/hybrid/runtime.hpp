@@ -63,13 +63,13 @@ class Runtime {
  public:
   /// Reads the Launch fields the hybrid backend declares (engine.hpp). Both
   /// phase engines run under one phase launch: a copy of `launch` with
-  /// collect_trace, collect_sync and pin_workers cleared. `workers` counts
-  /// the executing workers of BOTH phase kinds; dynamic phases add one
-  /// pooled master thread, as in src/coor. One rt::Runtime and one
-  /// coor::Runtime, members of this runtime, run every phase, so their
-  /// arenas persist across phases and runs. All phases share one
-  /// persistent workers+1 thread pool: the attached one, else one this
-  /// runtime builds on its first run.
+  /// collect_sync and pin_workers cleared. `workers` counts the executing
+  /// workers of BOTH phase kinds; dynamic phases add one pooled master
+  /// thread, as in src/coor. One rt::Runtime and one coor::Runtime,
+  /// members of this runtime, run every phase, so their arenas persist
+  /// across phases and runs. All phases share one persistent workers+1
+  /// thread pool: the attached one, else one this runtime builds on its
+  /// first run.
   ///
   /// Resilience and recovery (docs/robustness.md) reach both phase engines.
   /// A phase failure (retry exhaustion, stall, worker loss) propagates out

@@ -80,7 +80,9 @@ void write_counter_map(std::ostream& os,
 
 }  // namespace
 
-void write_perfetto_trace(const Hub& hub, std::ostream& os) {
+void write_perfetto_trace(
+    const Hub& hub, std::ostream& os,
+    const std::function<std::string(std::uint64_t task)>& task_name) {
   const std::vector<Event> events = hub.drain_events();
   const double scale = ts_scale(hub.clock_unit());
   std::uint64_t base = ~0ull;
@@ -98,7 +100,10 @@ void write_perfetto_trace(const Hub& hub, std::ostream& os) {
        << "\"}}";
 
   for (const Event& ev : events) {
-    os << ",\n  {\"name\": " << json_quote(to_string(ev.phase))
+    os << ",\n  {\"name\": "
+       << json_quote(task_name && ev.phase == Phase::kBody
+                         ? task_name(ev.task)
+                         : to_string(ev.phase))
        << ", \"cat\": \"obs\", \"pid\": 0, \"tid\": " << ev.worker;
     if (ev.begin == ev.end) {
       os << ", \"ph\": \"i\", \"s\": \"t\", \"ts\": "

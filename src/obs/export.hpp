@@ -2,6 +2,8 @@
 // versioned obs.json metrics schema (docs/observability.md).
 #pragma once
 
+#include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <string>
 
@@ -24,8 +26,12 @@ struct ObsJsonMeta {
 /// phase slices ("X"), instant markers ("i") for stall snapshots and
 /// injected faults, and derived counter tracks ("C") for executing /
 /// waiting worker counts. Nanosecond clocks are emitted in microseconds;
-/// tick clocks are emitted with one tick = one microsecond.
-void write_perfetto_trace(const Hub& hub, std::ostream& os);
+/// tick clocks are emitted with one tick = one microsecond. Slices are
+/// named after their phase; with `task_name`, body slices are named after
+/// their task instead.
+void write_perfetto_trace(
+    const Hub& hub, std::ostream& os,
+    const std::function<std::string(std::uint64_t task)>& task_name = {});
 
 /// Versioned machine-readable metrics dump — schema "rio.obs.v1": phase
 /// and bucket totals, counter snapshot, per-worker breakdown, recorder

@@ -17,8 +17,7 @@
 // The lens also owns the worker's SpanSampler, which decides before any
 // clock read whether a task's body and release are timed. Counts and
 // stalls stay exact; body and release totals are weighted estimates
-// unless every span is timed (an execution trace, or a recorder at
-// sample 1).
+// unless every span is timed (a recorder at sample 1).
 #pragma once
 
 #include <algorithm>
@@ -85,6 +84,9 @@ class Hub {
     return recorder_ != nullptr;
   }
   [[nodiscard]] EventRing* ring(std::size_t w) noexcept {
+    return recorder_ ? recorder_->ring(w) : nullptr;
+  }
+  [[nodiscard]] const EventRing* ring(std::size_t w) const noexcept {
     return recorder_ ? recorder_->ring(w) : nullptr;
   }
   [[nodiscard]] std::size_t ring_capacity() const noexcept {
@@ -248,16 +250,14 @@ struct WorkerObs {
   std::uint64_t held_release_ns = 0;  ///< untimed tail (and its release)
 
   /// Binds worker `w`'s slots of `hub` (null = telemetry off) and picks
-  /// the sampler: every task when `every_span` (an execution trace needs
-  /// each span), else a bound recorder's sample stride, else the jittered
-  /// default seeded by `w`, so a worker times the same positions each run.
-  void bind(Hub* hub, std::uint32_t w, bool every_span = false) noexcept {
+  /// the sampler: a bound recorder's sample stride (1 = every span), else
+  /// the jittered default seeded by `w`, so a worker times the same
+  /// positions each run.
+  void bind(Hub* hub, std::uint32_t w) noexcept {
     worker = w;
     counters = hub != nullptr ? hub->worker_counters(w) : nullptr;
     ring = hub != nullptr ? hub->ring(w) : nullptr;
-    const std::uint64_t stride =
-        every_span ? 1 : (ring != nullptr ? hub->sample_stride() : 0);
-    sampler = SpanSampler(stride, w);
+    sampler = SpanSampler(ring != nullptr ? hub->sample_stride() : 0, w);
   }
 
   /// Body span of a timed task, weighted by the tasks it stands for.

@@ -43,19 +43,16 @@ struct WorkerCtx {
   bool use_bells = false;
 
   // Instrumentation (all optional). `timed` is the union of every consumer
-  // of the clock reads: the tau buckets, the trace, and the flight recorder
-  // all draw from the SAME obs phase spans (docs/observability.md). Which
-  // executed tasks are actually timed is the lens's sampler's call.
+  // of the clock reads: the tau buckets and the flight recorder both draw
+  // from the SAME obs phase spans (docs/observability.md). Which executed
+  // tasks are actually timed is the lens's sampler's call.
   bool collect_stats = false;
-  bool collect_trace = false;
   bool collect_sync = false;
   bool timed = false;
   obs::WorkerObs obs;
   stf::AccessGuard* guard = nullptr;
-  std::atomic<std::uint64_t>* seq = nullptr;  // global completion counter
   std::atomic<std::uint64_t>* sync_stamp = nullptr;  // sync-event order
   support::WorkerStats stats;
-  std::vector<stf::TraceEvent> trace;
   std::vector<stf::SyncEvent> sync;
 
   // Failure handling: the first thrown exception wins; once `cancelled` is
@@ -271,12 +268,6 @@ void execute_owned(const stf::Task& task, WorkerCtx& ctx) {
   }
   if (timed) ctx.obs.release(task.id, t1, support::monotonic_ns());
   ctx.obs.count(obs::Counter::kTasksExecuted);
-
-  if (ctx.collect_trace) {  // a trace times every task
-    ctx.trace.push_back(
-        {task.id, ctx.self, t0, t1,
-         ctx.seq->fetch_add(1, std::memory_order_relaxed)});
-  }
   if (ctx.probe != nullptr)
     ctx.probe->progress.fetch_add(1, std::memory_order_relaxed);
   if (ctx.collect_stats) ++ctx.stats.tasks_executed;
@@ -333,7 +324,7 @@ class ReplaySink final : public stf::SubmitSink {
 
 /// The one fork-join core of every run flavour: allocates the shared
 /// protocol words and per-worker contexts, aligns the workers on a start
-/// barrier, runs `unroll(ctx)` on each, then folds stats/traces back
+/// barrier, runs `unroll(ctx)` on each, then folds stats and sync events back
 /// together. `unroll` is the whole per-worker walk (compiled-image unroll,
 /// pruned plan slice, or streaming program); `engine` labels the stall
 /// diagnostic ("rio" or "rio-pruned").
@@ -341,8 +332,7 @@ template <typename UnrollFn>
 support::RunStats launch(const engine::Launch& cfg, const char* engine,
                          support::ThreadPool* pool,
                          const stf::DataRegistry& registry,
-                         std::size_t num_data, std::size_t trace_reserve,
-                         stf::Trace& trace_out, stf::SyncTrace& sync_out,
+                         std::size_t num_data, stf::SyncTrace& sync_out,
                          RunArenas& arenas, UnrollFn&& unroll) {
   const std::uint32_t p = cfg.workers;
   // Crash-armed plans force a watchdog (default window when unset): a
@@ -382,7 +372,6 @@ support::RunStats launch(const engine::Launch& cfg, const char* engine,
   }
   stf::AccessGuard guard;
   if (cfg.enable_guard) guard.enable(num_data);
-  std::atomic<std::uint64_t> seq{0};
   std::atomic<std::uint64_t> sync_stamp{0};
   std::atomic<bool> cancelled{false};
   std::atomic<bool> abort{false};  // set only by a firing watchdog
@@ -407,10 +396,8 @@ support::RunStats launch(const engine::Launch& cfg, const char* engine,
     c.num_workers = p;
     c.use_bells = use_bells;
     c.collect_stats = cfg.collect_stats;
-    c.collect_trace = cfg.collect_trace;
     c.collect_sync = cfg.collect_sync;
     c.guard = cfg.enable_guard ? &guard : nullptr;
-    c.seq = &seq;
     c.sync_stamp = &sync_stamp;
     c.cancelled = &cancelled;
     c.first_error = &first_error;
@@ -427,9 +414,9 @@ support::RunStats launch(const engine::Launch& cfg, const char* engine,
   if (cfg.obs != nullptr) cfg.obs->ensure_workers(p);
   for (std::uint32_t w = 0; w < p; ++w) {
     WorkerCtx& c = ctxs[w];
-    c.obs.bind(cfg.obs, w, /*every_span=*/cfg.collect_trace);
+    c.obs.bind(cfg.obs, w);
     c.res.obs = &c.obs;
-    c.timed = cfg.collect_stats || cfg.collect_trace || c.obs.recording();
+    c.timed = cfg.collect_stats || c.obs.recording();
   }
 
   // All workers align on a start barrier so their wall times compare; the
@@ -497,9 +484,7 @@ support::RunStats launch(const engine::Launch& cfg, const char* engine,
   support::RunStats stats;
   stats.wall_ns = wall;
   stats.workers.resize(p);
-  trace_out.clear();
   sync_out.clear();
-  if (cfg.collect_trace && trace_reserve > 0) trace_out.reserve(trace_reserve);
   for (std::uint32_t w = 0; w < p; ++w) {
     WorkerCtx& c = ctxs[w];
     c.obs.commit(cfg.obs);
@@ -512,7 +497,6 @@ support::RunStats launch(const engine::Launch& cfg, const char* engine,
       c.stats.tasks_timed = c.obs.sampler.timed();
     }
     stats.workers[w] = c.stats;
-    for (const stf::TraceEvent& ev : c.trace) trace_out.record(ev);
     for (const stf::SyncEvent& ev : c.sync) sync_out.record(ev);
   }
   // Escalation order: worker loss outranks a stall (the stall IS the
@@ -559,8 +543,8 @@ support::RunStats Runtime::run(const stf::ImageRange& range,
   const stf::Access* acc = range.accesses_base();
   const stf::TaskId first = n > 0 ? range.first_id() : 0;
   return launch(
-      cfg_, "rio", pool_, range.registry(), range.num_data(), n, trace_,
-      sync_trace_, arenas_, [&, n, spans, acc, first](WorkerCtx& c) {
+      cfg_, "rio", pool_, range.registry(), range.num_data(), sync_trace_,
+      arenas_, [&, n, spans, acc, first](WorkerCtx& c) {
         std::uint64_t skipped = 0;  // batched: keeps the declare loop tight
         for (std::size_t i = 0; i < n; ++i) {
           const stf::TaskId id = first + i;
@@ -593,8 +577,7 @@ support::RunStats Runtime::run(const stf::FlowImage& image,
   const stf::FlowImage::Span* spans = image.spans();
   const stf::Access* acc = image.accesses();
   return launch(cfg_, "rio-pruned", pool_, image.registry(), image.num_data(),
-                image.size(), trace_, sync_trace_, arenas_,
-                [&, spans, acc](WorkerCtx& c) {
+                sync_trace_, arenas_, [&, spans, acc](WorkerCtx& c) {
                   for (const std::uint32_t i : plan.tasks_for(c.self)) {
                     // Seed the replica with exactly what a full unroll
                     // would have declared up to this task.
@@ -620,8 +603,8 @@ support::RunStats Runtime::run_program(const stf::DataRegistry& registry,
                                        const stf::ProgramFn& program,
                                        const Mapping& mapping) {
   RIO_ASSERT(mapping.valid());
-  return launch(cfg_, "rio", pool_, registry, registry.size(), 0, trace_,
-                sync_trace_, arenas_, [&](WorkerCtx& c) {
+  return launch(cfg_, "rio", pool_, registry, registry.size(), sync_trace_,
+                arenas_, [&](WorkerCtx& c) {
                   ReplaySink sink(mapping, c);
                   program(sink);  // the worker IS the unroller
                 });

@@ -98,9 +98,6 @@ class Runtime {
     return plans_.compiles();
   }
 
-  /// Trace of the last run (empty unless launch.collect_trace).
-  [[nodiscard]] const stf::Trace& trace() const noexcept { return trace_; }
-
   /// Synchronization events of the last run (empty unless
   /// launch.collect_sync).
   [[nodiscard]] const stf::SyncTrace& sync_trace() const noexcept {
@@ -121,7 +118,6 @@ class Runtime {
 
  private:
   engine::Launch cfg_;
-  stf::Trace trace_;
   stf::SyncTrace sync_trace_;
   support::ThreadPool* pool_ = nullptr;
   RunArenas arenas_;  ///< recycled across runs (never shrinks)

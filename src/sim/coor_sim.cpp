@@ -129,6 +129,7 @@ Report simulate_centralized(const stf::ImageRange& range,
     if (hub != nullptr) {
       obs::WorkerObs& ob = obses[w];
       const auto id = static_cast<std::uint64_t>(range.task_id(t));
+      const std::uint64_t t0 = scale.start_tick;
       if (ready_time > wfree) {
         // Dep-bound ready: blame the predecessor whose finish defined it;
         // discovery-bound ready is the master's serialization (no cause).
@@ -137,13 +138,15 @@ Report simulate_centralized(const stf::ImageRange& range,
                 ? obs::make_cause(
                       static_cast<std::uint64_t>(range.task_id(blocker[t])))
                 : obs::kNoCause;
-        ob.span(obs::Phase::kAcquireWait, id, wfree, ready_time, cause);
+        ob.span(obs::Phase::kAcquireWait, id, t0 + wfree, t0 + ready_time,
+                cause);
         ob.count(obs::Counter::kProtocolWaits);
       }
-      ob.span(obs::Phase::kMgmt, id, start - params.worker_pop, start);
-      ob.span(obs::Phase::kBody, id, start, start + cost);
+      ob.span(obs::Phase::kMgmt, id, t0 + start - params.worker_pop,
+              t0 + start);
+      ob.span(obs::Phase::kBody, id, t0 + start, t0 + start + cost);
       if (recovery > 0)
-        ob.span(obs::Phase::kMgmt, id, start + cost, fin);
+        ob.span(obs::Phase::kMgmt, id, t0 + start + cost, t0 + fin);
       ob.count(obs::Counter::kQueuePops);
       ob.count(obs::Counter::kTasksExecuted);
     }
@@ -176,7 +179,8 @@ Report simulate_centralized(const stf::ImageRange& range,
 
   if (hub != nullptr) {
     obs::WorkerObs& mob = obses[p];
-    mob.span(obs::Phase::kMgmt, obs::kNoTask, 0, master_total);
+    mob.span(obs::Phase::kMgmt, obs::kNoTask, scale.start_tick,
+             scale.start_tick + master_total);
     mob.phase_ns[static_cast<std::size_t>(obs::Phase::kAcquireWait)] +=
         makespan - master_total;
     mob.count(obs::Counter::kQueuePushes, n);

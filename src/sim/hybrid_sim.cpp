@@ -36,14 +36,17 @@ Report simulate_hybrid(const stf::FlowImage& image,
   for (const auto& ph : phases) {
     if (ph.count == 0) continue;
     const stf::ImageRange range(image, ph.first, ph.count);
+    // The phase starts where the earlier ones ended: the barrier.
+    TimeScale at = scale;
+    at.start_tick = scale.start_tick + total.makespan;
     Report rep;
     if (ph.kind == hybrid::Phase::Kind::kStatic) {
       RIO_ASSERT(ph.mapping.valid());
-      rep = simulate_decentralized(range, ph.mapping, dparams, scale);
+      rep = simulate_decentralized(range, ph.mapping, dparams, at);
       // The master-capable thread idles through static phases.
       total.stats.workers[p].buckets.idle_ns += rep.makespan;
     } else {
-      rep = simulate_centralized(range, cparams, scale);
+      rep = simulate_centralized(range, cparams, at);
     }
     total.makespan += rep.makespan;
     total.injected_throws += rep.injected_throws;

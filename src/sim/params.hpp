@@ -36,6 +36,10 @@ namespace rio::sim {
 /// (in "instructions") are converted with instructions_per_tick.
 struct TimeScale {
   double instructions_per_tick = 1.0;  ///< ~1 simple instruction per ns
+  /// Virtual time at which the run starts. It only shifts the hub's event
+  /// timestamps; makespans and buckets are durations. simulate_hybrid
+  /// starts each phase where the earlier phases ended.
+  std::uint64_t start_tick = 0;
 };
 
 /// Decentralized in-order (RIO) model costs.

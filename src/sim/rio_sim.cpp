@@ -126,7 +126,8 @@ Report simulate_decentralized(const stf::ImageRange& range,
     if (hub != nullptr) {
       obs::WorkerObs& ob = obses[w];
       const auto id = static_cast<std::uint64_t>(range.task_id(t));
-      ob.span(obs::Phase::kMgmt, id, arrival, after_overhead);
+      const std::uint64_t t0 = scale.start_tick;
+      ob.span(obs::Phase::kMgmt, id, t0 + arrival, t0 + after_overhead);
       if (start > after_overhead) {
         // Dep-bound start: the argmax predecessor is the exact cause.
         const std::uint64_t cause =
@@ -134,12 +135,13 @@ Report simulate_decentralized(const stf::ImageRange& range,
                 ? obs::kNoCause
                 : obs::make_cause(
                       static_cast<std::uint64_t>(range.task_id(blocker)));
-        ob.span(obs::Phase::kAcquireWait, id, after_overhead, start, cause);
+        ob.span(obs::Phase::kAcquireWait, id, t0 + after_overhead, t0 + start,
+                cause);
         ob.count(obs::Counter::kProtocolWaits);
       }
-      ob.span(obs::Phase::kBody, id, start, start + cost);
+      ob.span(obs::Phase::kBody, id, t0 + start, t0 + start + cost);
       if (recovery > 0)
-        ob.span(obs::Phase::kMgmt, id, start + cost, fin);
+        ob.span(obs::Phase::kMgmt, id, t0 + start + cost, t0 + fin);
       ob.count(obs::Counter::kTasksExecuted);
     }
 

@@ -14,5 +14,4 @@
 #include "stf/flow_range.hpp"      // IWYU pragma: export
 #include "stf/graph_export.hpp"    // IWYU pragma: export
 #include "stf/trace.hpp"           // IWYU pragma: export
-#include "stf/trace_export.hpp"    // IWYU pragma: export
 #include "stf/types.hpp"           // IWYU pragma: export

@@ -135,4 +135,32 @@ ValidationResult Trace::validate(const TaskFlow& flow,
   return {};
 }
 
+obs::HubOptions trace_recorder(std::size_t num_tasks) {
+  return {.recorder = true, .ring_capacity = 3 * num_tasks + 1};
+}
+
+ValidationResult trace_from_hub(const obs::Hub& hub, Trace& out) {
+  out.clear();
+  if (!hub.recorder_enabled())
+    return ValidationResult::failure("hub has no recorder: no spans to check");
+  if (hub.sample_stride() != 1)
+    return ValidationResult::failure(
+        "recorder samples 1 span in " + std::to_string(hub.sample_stride()) +
+        ": a trace needs every span");
+  if (hub.dropped() > 0)
+    return ValidationResult::failure(
+        "recorder dropped " + std::to_string(hub.dropped()) +
+        " events (ring too small): the trace would be incomplete");
+  std::vector<obs::Event> events;
+  for (std::size_t w = 0; w < hub.num_workers(); ++w) {
+    events.clear();
+    hub.ring(w)->drain(events);
+    std::uint64_t seq = 0;
+    for (const obs::Event& ev : events)
+      if (ev.phase == obs::Phase::kBody)
+        out.record({ev.task, ev.worker, ev.begin, ev.end, seq++});
+  }
+  return {};
+}
+
 }  // namespace rio::stf

@@ -6,14 +6,16 @@
 // dependency DAG (sequential consistency), and no two conflicting tasks
 // overlap (data-race freedom — checked via interval overlap when engines
 // record timestamps). The validator is the bridge between the formal model
-// (src/modelcheck) and the real runtimes: tests run engines with tracing
-// enabled and feed the result here.
+// (src/modelcheck) and the real runtimes: tests and `rioflow check` run
+// engines with an obs::Hub recorder attached, convert its body spans with
+// trace_from_hub() and feed the result here.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "obs/obs.hpp"
 #include "stf/dependency.hpp"
 #include "stf/task_flow.hpp"
 #include "stf/types.hpp"
@@ -26,7 +28,7 @@ struct TraceEvent {
   WorkerId worker = kInvalidWorker;
   std::uint64_t start_ns = 0;  ///< timestamp when the body began
   std::uint64_t end_ns = 0;    ///< timestamp when the body finished
-  std::uint64_t seq = 0;       ///< global completion order (engine-assigned)
+  std::uint64_t seq = 0;       ///< execution order within the worker
 };
 
 /// One synchronization operation on a data object, recorded by the engines
@@ -91,7 +93,6 @@ struct ValidationResult {
 class Trace {
  public:
   void record(TraceEvent ev) { events_.push_back(ev); }
-  void reserve(std::size_t n) { events_.reserve(n); }
   [[nodiscard]] const std::vector<TraceEvent>& events() const noexcept {
     return events_;
   }
@@ -111,5 +112,18 @@ class Trace {
  private:
   std::vector<TraceEvent> events_;
 };
+
+/// A recorder whose run trace_from_hub() can convert: every span, in rings
+/// of 3 events per task (acquire wait, body, release) plus 1 (coor's final
+/// wait), so a fault-free run of `num_tasks` tasks cannot wrap them.
+[[nodiscard]] obs::HubOptions trace_recorder(std::size_t num_tasks);
+
+/// Builds the trace of the run recorded in `hub` from its body spans: one
+/// event per span, walked through each worker's ring in push order, so
+/// `seq` is the span's position within its worker. Refuses, with a failed
+/// result naming the cause and `out` left empty, a hub with no recorder, a
+/// sample stride other than 1, or any dropped event: a trace missing spans
+/// would pass validate() vacuously.
+[[nodiscard]] ValidationResult trace_from_hub(const obs::Hub& hub, Trace& out);
 
 }  // namespace rio::stf

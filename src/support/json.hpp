@@ -1,11 +1,11 @@
-// Tiny JSON / CSV string helpers shared by every exporter in the tree.
+// Tiny JSON string helpers shared by every exporter in the tree.
 //
 // Each exporter used to carry its own escape(); the trace exporter's copy
 // forgot control characters below 0x20 and produced invalid JSON for task
 // names containing e.g. '\t'. Centralising the rules here keeps the fix in
 // one place: JSON strings escape the two mandatory characters plus ALL
-// control characters (with shorthands for the common whitespace ones),
-// doubles round-trip via %.17g, and CSV cells follow RFC 4180 quoting.
+// control characters (with shorthands for the common whitespace ones), and
+// doubles round-trip via %.17g.
 #pragma once
 
 #include <cstdio>
@@ -56,24 +56,6 @@ inline std::string json_double(double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.17g", v);
   return {buf};
-}
-
-/// RFC-4180 CSV cell: quoted iff it contains a delimiter, quote or newline;
-/// embedded quotes are doubled.
-inline std::string csv_quote(std::string_view s) {
-  bool needs = false;
-  for (char ch : s)
-    if (ch == ',' || ch == '"' || ch == '\n' || ch == '\r') needs = true;
-  if (!needs) return std::string(s);
-  std::string out = "\"";
-  for (char ch : s) {
-    if (ch == '"')
-      out += "\"\"";
-    else
-      out += ch;
-  }
-  out += '"';
-  return out;
 }
 
 }  // namespace rio::support

@@ -402,9 +402,7 @@ stf::TaskFlow make_chained_flow() {
 
 TEST(HbChecker, RioRecordedRunHasNoRaces) {
   stf::TaskFlow flow = make_chained_flow();
-  rt::Runtime engine(engine::Launch{.workers = 2,
-                                    .collect_trace = true,
-                                    .collect_sync = true});
+  rt::Runtime engine(engine::Launch{.workers = 2, .collect_sync = true});
   engine.run(flow, rt::mapping::round_robin(2));
   ASSERT_FALSE(engine.sync_trace().empty());
   const analysis::Report r =
@@ -417,9 +415,7 @@ TEST(HbChecker, RioRecordedRunHasNoRaces) {
 
 TEST(HbChecker, CoorRecordedRunHasNoRaces) {
   stf::TaskFlow flow = make_chained_flow();
-  coor::Runtime engine(engine::Launch{.workers = 2,
-                                      .collect_trace = true,
-                                      .collect_sync = true});
+  coor::Runtime engine(engine::Launch{.workers = 2, .collect_sync = true});
   engine.run(flow);
   ASSERT_FALSE(engine.sync_trace().empty());
   const analysis::Report r =

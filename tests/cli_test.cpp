@@ -184,8 +184,8 @@ TEST(CliRun, WritesDotAndTraceFiles) {
   std::remove(trace.c_str());
   std::string text;
   EXPECT_EQ(run_args({"--workload", "gemm", "--tiles", "2", "--engine", "rio",
-                      "--task-size", "10", "--dot", dot.c_str(), "--trace",
-                      trace.c_str()},
+                      "--task-size", "10", "--repeat", "3", "--dot",
+                      dot.c_str(), "--trace", trace.c_str()},
                      &text),
             0);
   std::ifstream fd(dot), ft(trace);
@@ -195,8 +195,38 @@ TEST(CliRun, WritesDotAndTraceFiles) {
   sd << fd.rdbuf();
   st << ft.rdbuf();
   EXPECT_NE(sd.str().find("digraph taskflow"), std::string::npos);
-  EXPECT_NE(st.str().find("traceEvents"), std::string::npos);
+  // The Perfetto trace profile writes, holding the last repeat only: one
+  // body slice per task of the 2x2x2 gemm, named after its task.
+  rio::support::JsonValue doc;
+  std::string error;
+  ASSERT_TRUE(rio::support::json_parse(st.str(), doc, error)) << error;
+  ASSERT_EQ(doc.kind, rio::support::JsonValue::Kind::kArray);
+  std::size_t bodies = 0;
+  for (const rio::support::JsonValue& ev : doc.items) {
+    const std::string_view name = ev.find("name")->str_or("");
+    if (ev.find("ph")->str_or("") == "X" && name.rfind("gemm(", 0) == 0)
+      ++bodies;
+    EXPECT_NE(name, "body");
+  }
+  EXPECT_EQ(bodies, 8u);
   std::remove(dot.c_str());
+  std::remove(trace.c_str());
+}
+
+TEST(CliRun, TraceRunsOnEverySupportsObsBackend) {
+  // --trace attaches a recorder hub: every supports_obs backend writes the
+  // trace, and the others refuse the hub (exit 2).
+  const std::string trace = "/tmp/rioflow_test_engine_trace.json";
+  for (const rio::engine::Backend* b :
+       rio::engine::Registry::instance().all()) {
+    const std::string name(b->name());
+    std::string text;
+    EXPECT_EQ(run_args({"--workload", "chain", "--tasks", "32", "--engine",
+                        name.c_str(), "--trace", trace.c_str()},
+                       &text),
+              b->caps().supports_obs ? 0 : 2)
+        << name << ": " << text;
+  }
   std::remove(trace.c_str());
 }
 
@@ -337,7 +367,7 @@ TEST(CliCheck, RejectsSimEnginesWithStructuredCapabilityError) {
   EXPECT_NE(text.find("engine 'sim-rio' cannot run this launch"),
             std::string::npos)
       << text;
-  EXPECT_NE(text.find("collect_trace"), std::string::npos) << text;
+  EXPECT_NE(text.find("collect_sync"), std::string::npos) << text;
 }
 
 TEST(CliChaos, ParsesFlags) {

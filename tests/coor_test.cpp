@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "coor/coor.hpp"
+#include "recorded_trace.hpp"
 #include "stf/stf.hpp"
 #include "workloads/workloads.hpp"
 
@@ -225,12 +226,13 @@ TEST(Coor, TraceIsSequentiallyConsistentButMaybeOutOfOrder) {
   spec.col_tiles = 4;
   spec.task_cost = 200;
   auto wl = workloads::make_lu_dag(spec);
-  Runtime rt(Launch{.workers = 4, .collect_trace = true,
-                    .enable_guard = true});
+  obs::Hub hub(stf::trace_recorder(wl.flow.num_tasks()));
+  Runtime rt(Launch{.workers = 4, .enable_guard = true, .obs = &hub});
   rt.run(wl.flow);
   stf::DependencyGraph graph(wl.flow);
   // OoO: no per-worker in-order requirement, but the DAG must hold.
-  const auto r = rt.trace().validate(wl.flow, graph, false);
+  const auto r =
+      testutil::recorded_trace(hub).validate(wl.flow, graph, false);
   EXPECT_TRUE(r.ok()) << r.reason;
 }
 

@@ -21,6 +21,7 @@
 
 #include "engine/registry.hpp"
 #include "obs/obs.hpp"
+#include "recorded_trace.hpp"
 #include "rio/rio.hpp"
 #include "stf/stf.hpp"
 
@@ -101,7 +102,7 @@ TEST(EngineRegistry, FindAndStructuredUnknownNameError) {
 TEST(EngineRegistry, CapabilityListIsStableAndComplete) {
   const engine::Capabilities caps{.executes_bodies = true, .in_order = true};
   const auto list = engine::capability_list(caps);
-  EXPECT_EQ(list.size(), 17u);  // one entry per Capabilities flag
+  EXPECT_EQ(list.size(), 16u);  // one entry per Capabilities flag
   bool saw_exec = false, saw_virtual = false, saw_recovery = false;
   for (const auto& [name, value] : list) {
     if (name == "executes_bodies") saw_exec = value;
@@ -165,14 +166,14 @@ TEST(EngineValidate, RejectsEveryUnsupportedKnobAtOnce) {
   plan.throw_rate = 0.5;
   support::FaultInjector injector(plan);
   engine::Launch launch;
-  launch.collect_trace = true;
+  launch.collect_sync = true;
   launch.enable_guard = true;
   launch.fault = &injector;
   launch.watchdog_ns = 1000;
   launch.obs = &hub;
 
   const auto knobs = engine::unsupported_knobs(seq->caps(), launch);
-  EXPECT_GE(knobs.size(), 5u);  // trace, guard, faults, watchdog, obs
+  EXPECT_GE(knobs.size(), 5u);  // sync, guard, faults, watchdog, obs
   try {
     (void)seq->run(stf::FlowImage::compile(make_fold_chain(4, 2)), launch);
     FAIL() << "expected UnsupportedLaunch";
@@ -183,7 +184,7 @@ TEST(EngineValidate, RejectsEveryUnsupportedKnobAtOnce) {
         << what;
     // ONE error names every offending knob, not just the first.
     for (const char* frag :
-         {"collect_trace", "enable_guard", "fault", "watchdog", "obs"})
+         {"collect_sync", "enable_guard", "fault", "watchdog", "obs"})
       EXPECT_NE(what.find(frag), std::string::npos) << what << "\n" << frag;
   }
 }
@@ -307,16 +308,18 @@ TEST(EngineOutcome, RioCarriesTraceAndSyncWhenRequested) {
   auto flow = make_fold_chain(60, 6);
   const engine::Backend* rio_b = engine::Registry::instance().find("rio");
   ASSERT_NE(rio_b, nullptr);
+  obs::Hub hub(stf::trace_recorder(flow.num_tasks()));
   engine::Launch launch;
   launch.workers = 2;
   launch.mapping = rt::mapping::round_robin(2);
-  launch.collect_trace = true;
   launch.collect_sync = true;
+  launch.obs = &hub;
   const auto outcome = rio_b->run(stf::FlowImage::compile(flow), launch);
-  EXPECT_EQ(outcome.trace.events().size(), 60u);
+  const stf::Trace trace = testutil::recorded_trace(hub);
+  EXPECT_EQ(trace.events().size(), 60u);
   EXPECT_FALSE(outcome.sync.events().empty());
   stf::DependencyGraph graph(flow);
-  const auto v = outcome.trace.validate(flow, graph, /*worker_in_order=*/true);
+  const auto v = trace.validate(flow, graph, /*worker_in_order=*/true);
   EXPECT_TRUE(v.ok()) << v.reason;
 }
 

@@ -19,6 +19,7 @@
 #include "rio/pruning.hpp"
 #include "rio/runtime.hpp"
 #include "coor/runtime.hpp"
+#include "recorded_trace.hpp"
 #include "sim/simulate.hpp"
 #include "stf/sequential.hpp"
 #include "stf/stf.hpp"
@@ -160,38 +161,42 @@ TEST(FlowImageReplay, RioStreamingImageAndPrunedAgree) {
   auto wl_stream = make_equivalence_workload();
   auto wl_image = make_equivalence_workload();
   auto wl_pruned = make_equivalence_workload();
-  const engine::Launch cfg{.workers = kWorkers,
-                           .collect_trace = true,
-                           .collect_sync = true};
+  obs::Hub hub(stf::trace_recorder(wl_stream.flow.num_tasks()));
+  const engine::Launch cfg{
+      .workers = kWorkers, .collect_sync = true, .obs = &hub};
   const stf::DependencyGraph graph(stf::FlowRange(wl_stream.flow));
 
   rt::Runtime streaming(cfg);
   streaming.run(wl_stream.flow, wl_stream.mapping(kWorkers));
-  ASSERT_TRUE(
-      streaming.trace().validate(wl_stream.flow, graph, true).ok());
+  const stf::Trace streaming_trace = testutil::recorded_trace(hub);
+  ASSERT_TRUE(streaming_trace.validate(wl_stream.flow, graph, true).ok());
   expect_clean_sync(wl_stream.flow, streaming.sync_trace(), "streaming");
   expect_same_registry(wl_stream.flow.registry(), wl_seq.flow.registry(),
                        "streaming");
 
+  hub.reset();
   rt::Runtime image_rt(cfg);
   const stf::FlowImage image = stf::FlowImage::compile(wl_image.flow);
   image_rt.run(image, wl_image.mapping(kWorkers));
-  ASSERT_TRUE(image_rt.trace().validate(wl_image.flow, graph, true).ok());
+  const stf::Trace image_trace = testutil::recorded_trace(hub);
+  ASSERT_TRUE(image_trace.validate(wl_image.flow, graph, true).ok());
   expect_clean_sync(wl_image.flow, image_rt.sync_trace(), "image");
   expect_same_registry(wl_image.flow.registry(), wl_seq.flow.registry(),
                        "image");
 
+  hub.reset();
   rt::Runtime pruned(cfg);
   const stf::FlowImage pruned_image = stf::FlowImage::compile(wl_pruned.flow);
   pruned.run_pruned(pruned_image, wl_pruned.mapping(kWorkers));
-  ASSERT_TRUE(pruned.trace().validate(wl_pruned.flow, graph, true).ok());
+  const stf::Trace pruned_trace = testutil::recorded_trace(hub);
+  ASSERT_TRUE(pruned_trace.validate(wl_pruned.flow, graph, true).ok());
   expect_clean_sync(wl_pruned.flow, pruned.sync_trace(), "pruned");
   expect_same_registry(wl_pruned.flow.registry(), wl_seq.flow.registry(),
                        "pruned");
 
   // Identical (task -> worker) assignment: the mapping is the schedule.
-  EXPECT_EQ(assignment(streaming.trace()), assignment(image_rt.trace()));
-  EXPECT_EQ(assignment(streaming.trace()), assignment(pruned.trace()));
+  EXPECT_EQ(assignment(streaming_trace), assignment(image_trace));
+  EXPECT_EQ(assignment(streaming_trace), assignment(pruned_trace));
 }
 
 TEST(FlowImageReplay, CoorImageMatchesStreaming) {
@@ -200,30 +205,31 @@ TEST(FlowImageReplay, CoorImageMatchesStreaming) {
 
   auto wl_stream = make_equivalence_workload();
   auto wl_image = make_equivalence_workload();
-  const engine::Launch cfg{.workers = 2,
-                           .collect_trace = true,
-                           .collect_sync = true};
+  obs::Hub hub(stf::trace_recorder(wl_stream.flow.num_tasks()));
+  const engine::Launch cfg{.workers = 2, .collect_sync = true, .obs = &hub};
   const stf::DependencyGraph graph(stf::FlowRange(wl_stream.flow));
 
   coor::Runtime streaming(cfg);
   streaming.run(wl_stream.flow);
-  ASSERT_TRUE(
-      streaming.trace().validate(wl_stream.flow, graph, false).ok());
+  const stf::Trace streaming_trace = testutil::recorded_trace(hub);
+  ASSERT_TRUE(streaming_trace.validate(wl_stream.flow, graph, false).ok());
   expect_clean_sync(wl_stream.flow, streaming.sync_trace(), "coor streaming");
   expect_same_registry(wl_stream.flow.registry(), wl_seq.flow.registry(),
                        "coor streaming");
 
+  hub.reset();
   coor::Runtime image_rt(cfg);
   const stf::FlowImage image = stf::FlowImage::compile(wl_image.flow);
   image_rt.run(image);
-  ASSERT_TRUE(image_rt.trace().validate(wl_image.flow, graph, false).ok());
+  const stf::Trace image_trace = testutil::recorded_trace(hub);
+  ASSERT_TRUE(image_trace.validate(wl_image.flow, graph, false).ok());
   expect_clean_sync(wl_image.flow, image_rt.sync_trace(), "coor image");
   expect_same_registry(wl_image.flow.registry(), wl_seq.flow.registry(),
                        "coor image");
 
   // OoO scheduling may reorder, but both executions cover every task
   // exactly once.
-  EXPECT_EQ(streaming.trace().size(), image_rt.trace().size());
+  EXPECT_EQ(streaming_trace.size(), image_trace.size());
 }
 
 // ----------------------------------------------------------------- cache ---
@@ -274,17 +280,20 @@ TEST(PruningCache, DestroyedMappingNeverHitsAStalePlan) {
   // closure, and the second run would replay the round-robin plan.
   auto wl = make_equivalence_workload();
   const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
-  rt::Runtime prt(engine::Launch{.workers = 3, .collect_trace = true});
+  obs::Hub hub(stf::trace_recorder(image.size()));
+  rt::Runtime prt(engine::Launch{.workers = 3, .obs = &hub});
   {
     const rt::Mapping rr = rt::mapping::round_robin(3);
     prt.run_pruned(image, rr);
   }
   {
     const rt::Mapping blk = rt::mapping::block(image.size(), 3);
+    hub.reset();
     prt.run_pruned(image, blk);
     EXPECT_EQ(prt.plan_compiles(), 2u);
-    ASSERT_EQ(prt.trace().events().size(), image.size());
-    for (const stf::TraceEvent& ev : prt.trace().events())
+    const stf::Trace trace = testutil::recorded_trace(hub);
+    ASSERT_EQ(trace.events().size(), image.size());
+    for (const stf::TraceEvent& ev : trace.events())
       EXPECT_EQ(ev.worker, blk(ev.task)) << "task " << ev.task;
   }
 }

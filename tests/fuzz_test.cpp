@@ -17,6 +17,7 @@
 #include "engine/registry.hpp"
 #include "engine/supervisor.hpp"
 #include "hybrid/hybrid.hpp"
+#include "recorded_trace.hpp"
 #include "rio/rio.hpp"
 #include "support/rng.hpp"
 #include "stf/stf.hpp"
@@ -127,10 +128,12 @@ TEST_P(EngineFuzz, AllEnginesMatchSequential) {
     SCOPED_TRACE(label);
 
     auto flow = make_fuzz_flow(spec);
+    // Every backend with a hub records a trace to validate.
+    obs::Hub hub(stf::trace_recorder(flow.num_tasks()));
     engine::Launch launch;
     launch.workers = spec.workers;
     launch.enable_guard = caps.supports_guard;
-    launch.collect_trace = caps.supports_trace;
+    if (caps.supports_obs) launch.obs = &hub;
     if (caps.needs_mapping) launch.mapping = mapping;
     if (caps.partial_mapping) {
       const std::uint64_t segment = 1 + meta.bounded(40);
@@ -152,11 +155,11 @@ TEST_P(EngineFuzz, AllEnginesMatchSequential) {
                                           : coor::QueueKind::kLocked;
     }
 
-    const auto outcome =
-        backend->run(stf::FlowImage::compile(flow), launch);
-    if (launch.collect_trace) {
+    (void)backend->run(stf::FlowImage::compile(flow), launch);
+    if (caps.supports_obs) {
       stf::DependencyGraph graph(flow);
-      const auto v = outcome.trace.validate(flow, graph, caps.in_order);
+      const auto v = testutil::recorded_trace(hub).validate(flow, graph,
+                                                           caps.in_order);
       EXPECT_TRUE(v.ok()) << label << ": " << v.reason;
     }
     expect_same_data(flow, oracle, label.c_str());

@@ -1,11 +1,14 @@
-// Cross-module integration tests: flow ranges, trace exporters fed by real
-// runtime traces, and the hybrid simulator against its component models.
+// Cross-module integration tests: flow ranges, the trace exporter fed by
+// real recorded runs, and the hybrid simulator against its component
+// models.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
 #include "coor/coor.hpp"
 #include "hybrid/hybrid.hpp"
+#include "obs/export.hpp"
+#include "recorded_trace.hpp"
 #include "rio/rio.hpp"
 #include "sim/sim.hpp"
 #include "stf/stf.hpp"
@@ -74,6 +77,15 @@ TEST(FlowRange, RioRunsSubRange) {
 
 // ---------------------------------------------------------- trace export ---
 
+/// Chrome trace JSON of `hub` with body slices named after `flow`'s tasks.
+std::string named_trace(const obs::Hub& hub, const stf::TaskFlow& flow) {
+  std::ostringstream os;
+  obs::write_perfetto_trace(hub, os, [&flow](std::uint64_t t) {
+    return flow.task(t).name;
+  });
+  return os.str();
+}
+
 stf::TaskFlow traced_flow(rt::Runtime& runtime, std::uint32_t workers) {
   stf::TaskFlow flow;
   auto d = flow.create_data<std::uint64_t>("d");
@@ -86,17 +98,17 @@ stf::TaskFlow traced_flow(rt::Runtime& runtime, std::uint32_t workers) {
 }
 
 TEST(TraceExport, ChromeJsonIsWellFormedIsh) {
-  rt::Runtime runtime(engine::Launch{.workers = 2, .collect_trace = true});
+  obs::Hub hub(obs::HubOptions{.recorder = true});
+  rt::Runtime runtime(engine::Launch{.workers = 2, .obs = &hub});
   auto flow = traced_flow(runtime, 2);
-  std::ostringstream os;
-  stf::export_chrome_trace(runtime.trace(), flow, os);
-  const std::string json = os.str();
-  EXPECT_EQ(json.front(), '{');
-  EXPECT_EQ(json.back(), '}');
-  EXPECT_NE(json.find("\"traceEvents\":["), std::string::npos);
-  EXPECT_NE(json.find("chain_0"), std::string::npos);
-  EXPECT_NE(json.find("chain_15"), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
+  const std::string json = named_trace(hub, flow);
+  EXPECT_EQ(json.front(), '[');
+  EXPECT_EQ(json[json.find_last_not_of('\n')], ']');
+  EXPECT_NE(json.find("\"chain_0\""), std::string::npos);
+  EXPECT_NE(json.find("\"chain_15\""), std::string::npos);
+  EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
+  // Every body slice carries its task's name instead of the phase's.
+  EXPECT_EQ(json.find("\"body\""), std::string::npos);
   // Balanced braces (cheap structural sanity).
   long depth = 0;
   for (char c : json) {
@@ -110,11 +122,11 @@ TEST(TraceExport, ChromeJsonIsWellFormedIsh) {
 TEST(TraceExport, JsonEscapesSpecialCharacters) {
   stf::TaskFlow flow;
   flow.add("quote\"back\\slash", [](stf::TaskContext&) {}, {});
-  rt::Runtime runtime(engine::Launch{.workers = 1, .collect_trace = true});
+  obs::Hub hub(obs::HubOptions{.recorder = true});
+  rt::Runtime runtime(engine::Launch{.workers = 1, .obs = &hub});
   runtime.run(flow, rt::mapping::single());
-  std::ostringstream os;
-  stf::export_chrome_trace(runtime.trace(), flow, os);
-  EXPECT_NE(os.str().find("quote\\\"back\\\\slash"), std::string::npos);
+  EXPECT_NE(named_trace(hub, flow).find("quote\\\"back\\\\slash"),
+            std::string::npos);
 }
 
 TEST(TraceExport, JsonEscapesControlCharacters) {
@@ -123,89 +135,33 @@ TEST(TraceExport, JsonEscapesControlCharacters) {
   stf::TaskFlow flow;
   flow.add(std::string("tab\there\x01raw\nline"), [](stf::TaskContext&) {},
            {});
-  rt::Runtime runtime(engine::Launch{.workers = 1, .collect_trace = true});
+  obs::Hub hub(obs::HubOptions{.recorder = true});
+  rt::Runtime runtime(engine::Launch{.workers = 1, .obs = &hub});
   runtime.run(flow, rt::mapping::single());
-  std::ostringstream os;
-  stf::export_chrome_trace(runtime.trace(), flow, os);
-  const std::string json = os.str();
+  const std::string json = named_trace(hub, flow);
   EXPECT_NE(json.find("tab\\there\\u0001raw\\nline"), std::string::npos);
   for (char c : json)
-    EXPECT_GE(static_cast<unsigned char>(c), 0x20u)
+    EXPECT_TRUE(c == '\n' || static_cast<unsigned char>(c) >= 0x20u)
         << "raw control character leaked into the JSON output";
 }
 
-TEST(TraceExport, CsvQuotesNamesWithDelimiters) {
-  // Regression: export_csv wrote names unquoted, so a comma in a task name
-  // shifted every following column.
-  stf::TaskFlow flow;
-  flow.add("gemm(1,2)", [](stf::TaskContext&) {}, {});
-  flow.add("say \"hi\"", [](stf::TaskContext&) {}, {});
-  rt::Runtime runtime(engine::Launch{.workers = 1, .collect_trace = true});
-  runtime.run(flow, rt::mapping::single());
-  std::ostringstream os;
-  stf::export_csv(runtime.trace(), flow, os);
-  const std::string csv = os.str();
-  EXPECT_NE(csv.find("\"gemm(1,2)\""), std::string::npos);
-  EXPECT_NE(csv.find("\"say \"\"hi\"\"\""), std::string::npos);
-  // Every row still has exactly 6 commas (7 columns).
-  std::istringstream lines(csv);
-  std::string line;
-  while (std::getline(lines, line)) {
-    std::size_t commas = 0;
-    bool quoted = false;
-    for (char c : line) {
-      if (c == '"') quoted = !quoted;
-      if (c == ',' && !quoted) ++commas;
-    }
-    EXPECT_EQ(commas, 6u) << line;
-  }
-}
-
-TEST(TraceExport, CsvHasHeaderAndAllRows) {
-  rt::Runtime runtime(engine::Launch{.workers = 2, .collect_trace = true});
-  auto flow = traced_flow(runtime, 2);
-  std::ostringstream os;
-  stf::export_csv(runtime.trace(), flow, os);
-  const std::string csv = os.str();
-  EXPECT_EQ(csv.rfind("task,name,worker,", 0), 0u);
-  std::size_t lines = 0;
-  for (char c : csv) lines += (c == '\n');
-  EXPECT_EQ(lines, 17u);  // header + 16 tasks
-}
-
-TEST(TraceExport, UtilizationSumsTasks) {
-  rt::Runtime runtime(engine::Launch{.workers = 3, .collect_trace = true});
-  auto flow = traced_flow(runtime, 3);
-  const auto util = stf::summarize_utilization(runtime.trace());
-  ASSERT_EQ(util.size(), 3u);
-  std::uint64_t tasks = 0;
-  for (const auto& u : util) {
-    tasks += u.tasks;
-    EXPECT_LE(u.utilization(), 1.0 + 1e-9);
-    EXPECT_LE(u.busy_ns, u.span_ns + 1);
-  }
-  EXPECT_EQ(tasks, 16u);
-}
-
 TEST(TraceExport, EmptyTraceProducesValidOutputs) {
-  stf::TaskFlow flow;
-  stf::Trace trace;
-  std::ostringstream js, csv;
-  stf::export_chrome_trace(trace, flow, js);
-  stf::export_csv(trace, flow, csv);
-  EXPECT_NE(js.str().find("\"traceEvents\":[]"), std::string::npos);
-  EXPECT_TRUE(stf::summarize_utilization(trace).empty());
+  const obs::Hub hub(obs::HubOptions{.recorder = true});
+  std::ostringstream os;
+  obs::write_perfetto_trace(hub, os, [](std::uint64_t) { return "x"; });
+  EXPECT_EQ(os.str().front(), '[');
+  EXPECT_EQ(os.str().find("\"X\""), std::string::npos);
+  EXPECT_TRUE(testutil::recorded_trace(hub).events().empty());
 }
 
 TEST(TraceExport, CoorTraceExportsToo) {
   stf::TaskFlow flow;
   for (int i = 0; i < 10; ++i)
     flow.add("t" + std::to_string(i), [](stf::TaskContext&) {}, {});
-  coor::Runtime runtime(engine::Launch{.workers = 2, .collect_trace = true});
+  obs::Hub hub(obs::HubOptions{.recorder = true});
+  coor::Runtime runtime(engine::Launch{.workers = 2, .obs = &hub});
   runtime.run(flow);
-  std::ostringstream os;
-  stf::export_chrome_trace(runtime.trace(), flow, os);
-  EXPECT_NE(os.str().find("t9"), std::string::npos);
+  EXPECT_NE(named_trace(hub, flow).find("\"t9\""), std::string::npos);
 }
 
 // ------------------------------------------------------------ hybrid sim ---
@@ -297,16 +253,18 @@ TEST(CrossEngine, AllEnginesProduceValidTracesOnLu) {
   auto wl = workloads::make_lu_dag(spec);
   stf::DependencyGraph graph(wl.flow);
 
-  rt::Runtime rio_rt(engine::Launch{.workers = 3, .collect_trace = true,
-                                    .enable_guard = true});
+  obs::Hub hub(stf::trace_recorder(wl.flow.num_tasks()));
+  rt::Runtime rio_rt(
+      engine::Launch{.workers = 3, .enable_guard = true, .obs = &hub});
   rio_rt.run(wl.flow, wl.mapping(3));
-  auto r1 = rio_rt.trace().validate(wl.flow, graph, true);
+  auto r1 = testutil::recorded_trace(hub).validate(wl.flow, graph, true);
   EXPECT_TRUE(r1.ok()) << r1.reason;
 
-  coor::Runtime coor_rt(engine::Launch{.workers = 3, .collect_trace = true,
-                                       .enable_guard = true});
+  hub.reset();
+  coor::Runtime coor_rt(
+      engine::Launch{.workers = 3, .enable_guard = true, .obs = &hub});
   coor_rt.run(wl.flow);
-  auto r2 = coor_rt.trace().validate(wl.flow, graph, false);
+  auto r2 = testutil::recorded_trace(hub).validate(wl.flow, graph, false);
   EXPECT_TRUE(r2.ok()) << r2.reason;
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "coor/coor.hpp"
+#include "recorded_trace.hpp"
 #include "stf/stf.hpp"
 #include <array>
 #include <atomic>
@@ -107,13 +108,14 @@ TEST(PriorityScheduler, ExecutesAllAndRespectsDeps) {
   for (stf::TaskId t = 0; t < wl.flow.num_tasks(); ++t)
     wl.flow.set_priority(t, static_cast<std::int32_t>(levels[t]));
 
+  obs::Hub hub(stf::trace_recorder(wl.flow.num_tasks()));
   coor::Runtime rt(engine::Launch{.workers = 3,
                                   .scheduler = coor::SchedulerKind::kPriority,
-                                  .collect_trace = true,
-                                  .enable_guard = true});
+                                  .enable_guard = true,
+                                  .obs = &hub});
   const auto stats = rt.run(wl.flow);
   EXPECT_EQ(stats.tasks_executed(), wl.flow.num_tasks());
-  const auto v = rt.trace().validate(wl.flow, g, false);
+  const auto v = testutil::recorded_trace(hub).validate(wl.flow, g, false);
   EXPECT_TRUE(v.ok()) << v.reason;
 }
 

@@ -7,6 +7,7 @@
 
 #include "coor/coor.hpp"
 #include "modelcheck/spec.hpp"
+#include "recorded_trace.hpp"
 #include "rio/rio.hpp"
 #include "sim/sim.hpp"
 #include "stf/stf.hpp"
@@ -136,14 +137,15 @@ class ReductionCoor : public ::testing::TestWithParam<coor::SchedulerKind> {};
 
 TEST_P(ReductionCoor, HistogramMatchesAndTraceValidates) {
   auto flow = histogram_flow(200, 4);
+  obs::Hub hub(stf::trace_recorder(flow.num_tasks()));
   coor::Runtime rt(engine::Launch{.workers = 4, .scheduler = GetParam(),
-                                  .collect_trace = true, .enable_guard = true});
+                                  .enable_guard = true, .obs = &hub});
   rt.run(flow);
   EXPECT_EQ(*flow.registry().typed<std::uint64_t>(
                 DataHandle<std::uint64_t>{4}),
             expected_total(200));
   DependencyGraph g(flow);
-  const auto v = rt.trace().validate(flow, g, false);
+  const auto v = testutil::recorded_trace(hub).validate(flow, g, false);
   EXPECT_TRUE(v.ok()) << v.reason;
 }
 
@@ -157,14 +159,15 @@ INSTANTIATE_TEST_SUITE_P(Schedulers, ReductionCoor,
 
 TEST(ReductionEngines, RioExecutesReductionsInOrder) {
   auto flow = histogram_flow(120, 3);
-  rt::Runtime rt(engine::Launch{.workers = 3, .collect_trace = true,
-                                .enable_guard = true});
+  obs::Hub hub(stf::trace_recorder(flow.num_tasks()));
+  rt::Runtime rt(
+      engine::Launch{.workers = 3, .enable_guard = true, .obs = &hub});
   rt.run(flow, rt::mapping::round_robin(3));
   EXPECT_EQ(*flow.registry().typed<std::uint64_t>(
                 DataHandle<std::uint64_t>{3}),
             expected_total(120));
   DependencyGraph g(flow);
-  const auto v = rt.trace().validate(flow, g, true);
+  const auto v = testutil::recorded_trace(hub).validate(flow, g, true);
   EXPECT_TRUE(v.ok()) << v.reason;
 }
 

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <numeric>
 
+#include "recorded_trace.hpp"
 #include "rio/rio.hpp"
 #include "stf/stf.hpp"
 #include "workloads/workloads.hpp"
@@ -155,22 +156,25 @@ TEST(Runtime, WriteWaitsForAllReaders) {
 
 // ------------------------------------------------- property: vs oracle -----
 
-// Runs a workload under RIO with tracing + guard, checks the trace against
-// the DAG, and compares all data against the sequential oracle.
+// Runs a workload under RIO with a recorder + guard, checks the recorded
+// trace against the DAG, and compares all data against the sequential
+// oracle.
 void check_against_oracle(stf::TaskFlow& parallel_flow,
                           stf::TaskFlow& sequential_flow,
                           std::uint32_t workers, WaitPolicy policy,
                           const Mapping& mapping) {
   stf::SequentialExecutor{}.run(sequential_flow);
 
+  obs::Hub hub(stf::trace_recorder(parallel_flow.num_tasks()));
   Runtime rt(Launch{.workers = workers,
                     .wait_policy = policy,
-                    .collect_trace = true,
-                    .enable_guard = true});
+                    .enable_guard = true,
+                    .obs = &hub});
   rt.run(parallel_flow, mapping);
 
   stf::DependencyGraph graph(parallel_flow);
-  const auto validation = rt.trace().validate(parallel_flow, graph, true);
+  const auto validation =
+      testutil::recorded_trace(hub).validate(parallel_flow, graph, true);
   ASSERT_TRUE(validation.ok()) << validation.reason;
 
   // Compare every data object byte-wise.

@@ -16,9 +16,10 @@
 #   8. rioflow JSON reports — `profile --quick --json --trace` on two
 #      workloads x two engines, plus `chaos --json` and `lint --json`;
 #      every emitted document must parse (docs/observability.md);
-#   9. `rioflow blame --quick --json` on rio, coor and sim-rio — the causal
-#      profiler must emit a parsing rio.blame.v1 report on a real engine,
-#      the decentralized coordinator and the exact simulator; then
+#   9. `rioflow blame --quick --json` on rio, coor, sim-rio and sim-hybrid
+#      — the causal profiler must emit a parsing rio.blame.v1 report on a
+#      real engine, the centralized coordinator, the exact simulator and
+#      the phased simulator (whose phases share one virtual clock); then
 #      `rioflow obs-diff` of an obs.json report against itself must report
 #      zero drift (exit 0) and emit a parsing rio.obsdiff.v1 report, and
 #      fresh sim-rio / sim-coor profiles must pass `obs-diff` against the
@@ -26,7 +27,8 @@
 #  10. engine registry sweep — `rioflow engines --json` must emit a parsing
 #      rio.engines.v1 report, every backend it lists must smoke-run
 #      (`rioflow run`), and every supports_obs backend must also
-#      `rioflow profile` (docs/engines.md);
+#      `rioflow profile` and write a parsing `rioflow run --trace` file
+#      (docs/engines.md);
 #  11. `rioflow optimize --passes fuse,map --report --json` on cholesky and
 #      chain — the flowpass pipeline must emit a parsing rio.optimize.v1
 #      report, and the optimized image must stay byte-identical to the
@@ -188,7 +190,7 @@ else
 fi
 
 step "rioflow blame: causal analyzer on real engines + exact simulator"
-for e in rio coor sim-rio; do
+for e in rio coor sim-rio sim-hybrid; do
   BLAME="$OBSDIR/blame-$e.json"
   if "$RIOFLOW" blame --quick --workload cholesky --tiles 4 --engine "$e" \
        --workers 2 --json "$BLAME" >/dev/null; then
@@ -254,6 +256,13 @@ print(" ".join(e["name"] for e in d["engines"]
   for e in $OBS_ENGINES; do
     "$RIOFLOW" profile --quick --workload cholesky --tiles 3 --workers 2 \
       --engine "$e" >/dev/null || fail "profile --engine $e"
+    RUNTRACE="$OBSDIR/run-$e.trace.json"
+    if "$RIOFLOW" --engine "$e" --workload cholesky --tiles 3 --task-size 50 \
+         --workers 2 --trace "$RUNTRACE" >/dev/null; then
+      json_ok "$RUNTRACE" || fail "run --trace --engine $e: does not parse"
+    else
+      fail "run --trace --engine $e"
+    fi
   done
 else
   fail "engines --json"
