@@ -36,9 +36,10 @@ void ablate_wait_policy(const bench::Options& opt) {
     spec.task_cost = 20'000;
     spec.num_workers = 2;
     auto wl = workloads::make_lu_dag(spec);
+    const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
     rt::Runtime runtime(engine::Launch{.workers = 2, .wait_policy = policy});
     support::Stopwatch sw;
-    const auto stats = runtime.run(wl.flow, wl.mapping(2));
+    const auto stats = runtime.run(image, wl.mapping(2));
     std::uint64_t waits = 0;
     for (const auto& w : stats.workers) waits += w.waits;
     table.row()
@@ -64,10 +65,11 @@ void ablate_pruning(const bench::Options& opt) {
     full.workers = w;
     auto pruned = full;
     pruned.pruned = true;
+    const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
     const auto a =
-        sim::simulate_decentralized(wl.flow, rt::mapping::round_robin(w), full);
+        sim::simulate_decentralized(image, rt::mapping::round_robin(w), full);
     const auto b = sim::simulate_decentralized(
-        wl.flow, rt::mapping::round_robin(w), pruned);
+        image, rt::mapping::round_robin(w), pruned);
     table.row()
         .integer(w)
         .num(static_cast<double>(a.makespan) * 1e-6, 2)
@@ -96,10 +98,11 @@ void ablate_mapping(const bench::Options& opt) {
   dp.workers = 24;
   stf::DependencyGraph graph(wl.flow);
   const auto ideal = sim::ideal_makespan(wl.flow, graph, 24);
+  const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
 
   support::Table table({"mapping", "time_ms", "vs_ideal", "idle_share_pct"});
   auto eval = [&](const std::string& name, const rt::Mapping& m) {
-    const auto rep = sim::simulate_decentralized(wl.flow, m, dp);
+    const auto rep = sim::simulate_decentralized(image, m, dp);
     const auto cum = rep.stats.cumulative();
     table.row()
         .str(name)
@@ -150,8 +153,9 @@ void ablate_scheduler(const bench::Options& opt) {
     coor::Runtime runtime(engine::Launch{.workers = 2,
                                          .scheduler = v.kind,
                                          .work_stealing = v.steal});
+    const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
     support::Stopwatch sw;
-    const auto stats = runtime.run(wl.flow);
+    const auto stats = runtime.run(image);
     table.row()
         .str(v.name)
         .num(sw.elapsed_s() * 1e3, 2)

@@ -25,6 +25,7 @@ void sweep(const char* name, const workloads::Workload& wl,
   std::cout << "-- " << name << " --\n";
   support::Table table({"cross_latency_ticks", "rio_good_map_ms",
                         "rio_bad_map_ms", "centralized_ms"});
+  const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
   for (std::uint64_t lat : {0ull, 5'000ull, 20'000ull, 50'000ull}) {
     sim::DecentralizedParams dp;
     dp.workers = 24;
@@ -32,9 +33,9 @@ void sweep(const char* name, const workloads::Workload& wl,
     sim::CentralizedParams cp;
     cp.workers = 23;
     cp.cross_worker_latency = lat;
-    const auto good_rep = sim::simulate_decentralized(wl.flow, good, dp);
-    const auto bad_rep = sim::simulate_decentralized(wl.flow, bad, dp);
-    const auto coor_rep = sim::simulate_centralized(wl.flow, cp);
+    const auto good_rep = sim::simulate_decentralized(image, good, dp);
+    const auto bad_rep = sim::simulate_decentralized(image, bad, dp);
+    const auto coor_rep = sim::simulate_centralized(image, cp);
     table.row()
         .integer(static_cast<long long>(lat))
         .num(static_cast<double>(good_rep.makespan) * 1e-6, 2)

@@ -28,9 +28,10 @@ std::uint64_t crossover(const sim::DecentralizedParams& dp,
     spec.task_cost = size;
     spec.body = workloads::BodyKind::kNone;
     auto wl = workloads::make_independent(spec);
+    const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
     const auto rio_rep = sim::simulate_decentralized(
-        wl.flow, rt::mapping::round_robin(dp.workers), dp);
-    const auto coor_rep = sim::simulate_centralized(wl.flow, cp);
+        image, rt::mapping::round_robin(dp.workers), dp);
+    const auto coor_rep = sim::simulate_centralized(image, cp);
     if (static_cast<double>(coor_rep.makespan) <=
         1.5 * static_cast<double>(rio_rep.makespan))
       return size;
@@ -77,8 +78,9 @@ int main(int argc, char** argv) {
       spec.task_cost = 100;
       spec.body = workloads::BodyKind::kNone;
       auto wl = workloads::make_independent(spec);
+      const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
       const auto rep = sim::simulate_decentralized(
-          wl.flow, rt::mapping::round_robin(24), dp);
+          image, rt::mapping::round_robin(24), dp);
       table.row()
           .integer(static_cast<long long>(skip))
           .integer(static_cast<long long>(crossover(dp, cp, n)))

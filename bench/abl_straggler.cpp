@@ -37,14 +37,15 @@ int main(int argc, char** argv) {
     dp.workers = 24;
     dp.worker_speed.assign(24, 1.0);
     dp.worker_speed[0] = speed;
+    const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
     const auto rio_rep =
-        sim::simulate_decentralized(wl.flow, rt::mapping::round_robin(24), dp);
+        sim::simulate_decentralized(image, rt::mapping::round_robin(24), dp);
 
     sim::CentralizedParams cp;
     cp.workers = 23;
     cp.worker_speed.assign(23, 1.0);
     cp.worker_speed[0] = speed;
-    const auto coor_rep = sim::simulate_centralized(wl.flow, cp);
+    const auto coor_rep = sim::simulate_centralized(image, cp);
 
     table.row()
         .num(speed, 2)

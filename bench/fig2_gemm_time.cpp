@@ -42,7 +42,8 @@ int main(int argc, char** argv) {
     spec.body = workloads::BodyKind::kNone;
     auto wl = workloads::make_gemm_dag(spec);
 
-    const auto rep = sim::simulate_centralized(wl.flow, cp);
+    const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
+    const auto rep = sim::simulate_centralized(image, cp);
     stf::DependencyGraph graph(wl.flow);
     const auto ideal = sim::ideal_makespan(wl.flow, graph, 24);
 

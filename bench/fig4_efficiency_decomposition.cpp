@@ -41,7 +41,8 @@ int main(int argc, char** argv) {
     spec.body = workloads::BodyKind::kNone;
     auto wl = workloads::make_gemm_dag(spec);
 
-    const auto rep = sim::simulate_centralized(wl.flow, cp);
+    const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
+    const auto rep = sim::simulate_centralized(image, cp);
     const auto cum = rep.stats.cumulative();
 
     // Sequential reference times in the same virtual unit:

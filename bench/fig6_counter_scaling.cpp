@@ -47,9 +47,10 @@ void simulated(const bench::Options& opt) {
     spec.body = workloads::BodyKind::kNone;
     auto wl = workloads::make_independent(spec);
 
+    const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
     const auto rio_rep =
-        sim::simulate_decentralized(wl.flow, rt::mapping::round_robin(24), dp);
-    const auto coor_rep = sim::simulate_centralized(wl.flow, cp);
+        sim::simulate_decentralized(image, rt::mapping::round_robin(24), dp);
+    const auto coor_rep = sim::simulate_centralized(image, cp);
     stf::DependencyGraph graph(wl.flow);
     const auto ideal = sim::ideal_makespan(wl.flow, graph, 24);
 

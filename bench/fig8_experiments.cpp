@@ -46,15 +46,17 @@ void run_experiment(const Experiment& exp, const bench::Options& opt) {
     auto wl_rio = exp.make(sz, kThreads);
     sim::DecentralizedParams dp;
     dp.workers = kThreads;
+    const stf::FlowImage rio_image = stf::FlowImage::compile(wl_rio.flow);
     const auto rio_rep =
-        sim::simulate_decentralized(wl_rio.flow, wl_rio.mapping(kThreads), dp);
+        sim::simulate_decentralized(rio_image, wl_rio.mapping(kThreads), dp);
     const auto rio_e =
         metrics::decompose_synthetic(rio_rep.stats.cumulative());
 
     auto wl_coor = exp.make(sz, kThreads);
+    const stf::FlowImage coor_image = stf::FlowImage::compile(wl_coor.flow);
     sim::CentralizedParams cp;
     cp.workers = kThreads - 1;  // 23 workers + master = 24 threads
-    const auto coor_rep = sim::simulate_centralized(wl_coor.flow, cp);
+    const auto coor_rep = sim::simulate_centralized(coor_image, cp);
     const auto coor_e =
         metrics::decompose_synthetic(coor_rep.stats.cumulative());
 

@@ -55,11 +55,13 @@ void simulated(const bench::Options& opt) {
   sim::CentralizedParams cp;
   cp.workers = 24;  // + master = 25 threads; hybrid/decentralized use 24+1
 
-  const auto coor_rep = sim::simulate_centralized(flow, cp);
+  const stf::FlowImage image = stf::FlowImage::compile(flow);
+  const auto coor_rep = sim::simulate_centralized(image, cp);
   const auto rio_rep =
-      sim::simulate_decentralized(flow, hpl.full_mapping(), dp);
-  const auto phases = hybrid::partition(flow, hpl.partial_mapping(), 24);
-  const auto hyb_rep = sim::simulate_hybrid(flow, phases, dp, cp);
+      sim::simulate_decentralized(image, hpl.full_mapping(), dp);
+  const auto phases =
+      hybrid::partition(image.size(), hpl.partial_mapping(), 24);
+  const auto hyb_rep = sim::simulate_hybrid(image, phases, dp, cp);
 
   stf::DependencyGraph graph(flow);
   const auto ideal = sim::ideal_makespan(flow, graph, 24);
@@ -109,19 +111,23 @@ void real_threads(const bench::Options& opt) {
   };
 
   run("sequential          ", [&](workloads::HplWorkload& h) {
-    stf::SequentialExecutor{}.run(h.workload.flow);
+    const stf::FlowImage image = stf::FlowImage::compile(h.workload.flow);
+    stf::SequentialExecutor{}.run(image);
   });
   run("centralized OoO     ", [&](workloads::HplWorkload& h) {
     coor::Runtime rt(engine::Launch{.workers = workers});
-    rt.run(h.workload.flow);
+    const stf::FlowImage image = stf::FlowImage::compile(h.workload.flow);
+    rt.run(image);
   });
   run("decentralized (RIO) ", [&](workloads::HplWorkload& h) {
     rt::Runtime rt(engine::Launch{.workers = workers});
-    rt.run(h.workload.flow, h.full_mapping());
+    const stf::FlowImage image = stf::FlowImage::compile(h.workload.flow);
+    rt.run(image, h.full_mapping());
   });
   run("hybrid              ", [&](workloads::HplWorkload& h) {
     hybrid::Runtime rt(engine::Launch{.workers = workers});
-    rt.run(h.workload.flow, h.partial_mapping());
+    const stf::FlowImage image = stf::FlowImage::compile(h.workload.flow);
+    rt.run(image, h.partial_mapping());
   });
   std::cout << std::endl;
 }

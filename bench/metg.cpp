@@ -70,12 +70,13 @@ int main(int argc, char** argv) {
     base.num_workers = 24;
 
     const auto rio_metg = metg(base, [&](const workloads::Workload& wl) {
-      return sim::simulate_decentralized(wl.flow, wl.mapping(24), dp)
-          .makespan;
+      const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
+      return sim::simulate_decentralized(image, wl.mapping(24), dp).makespan;
     });
     sim::CentralizedParams cp_local = cp;
     const auto coor_metg = metg(base, [&](const workloads::Workload& wl) {
-      return sim::simulate_centralized(wl.flow, cp_local).makespan;
+      const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
+      return sim::simulate_centralized(image, cp_local).makespan;
     });
 
     auto row = table.row();

@@ -132,8 +132,7 @@ int main(int argc, char** argv) {
           reps, [&] { (void)b->run(image, launch); });
 
       stf::CompletionBoard board;
-      board.reset(image.first_id(), image.size(),
-                  stf::CompletionBoard::kDefaultSampleEvery);
+      board.reset(0, image.size(), stf::CompletionBoard::kDefaultSampleEvery);
       engine::Launch with_board = launch;
       with_board.checkpoint = &board;
       const double board_ms = min_wall_ms(reps, [&] {

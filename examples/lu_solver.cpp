@@ -76,7 +76,8 @@ int main() {
   factorize(
       [&](workloads::TiledMatrix& m) {
         auto wl = workloads::make_lu_numeric(m);
-        stf::SequentialExecutor{}.run(wl.flow);
+        const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
+        stf::SequentialExecutor{}.run(image);
       },
       "sequential        ", seq);
 
@@ -85,7 +86,8 @@ int main() {
         auto wl = workloads::make_lu_numeric(m, kWorkers);
         rt::Runtime runtime(engine::Launch{.workers = kWorkers});
         // Owner-computes 2-D block-cyclic mapping from the generator.
-        runtime.run(wl.flow, wl.mapping(kWorkers));
+        const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
+        runtime.run(image, wl.mapping(kWorkers));
       },
       "RIO (4 workers)   ", rio_m);
 
@@ -93,7 +95,8 @@ int main() {
       [&](workloads::TiledMatrix& m) {
         auto wl = workloads::make_lu_numeric(m);
         coor::Runtime runtime(engine::Launch{.workers = kWorkers});
-        runtime.run(wl.flow);
+        const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
+        runtime.run(image);
       },
       "centralized OoO   ", coor_m);
 

@@ -38,7 +38,8 @@ int main() {
   hybrid::Runtime runtime(
       engine::Launch{.workers = kWorkers, .enable_guard = true});
   support::Stopwatch sw;
-  const auto stats = runtime.run(hpl.workload.flow, hpl.partial_mapping());
+  const stf::FlowImage image = stf::FlowImage::compile(hpl.workload.flow);
+  const auto stats = runtime.run(image, hpl.partial_mapping());
   std::cout << "executed in " << sw.elapsed_s() * 1e3 << " ms across "
             << runtime.last_phase_count()
             << " phases (static pivoting / dynamic update alternation)\n";

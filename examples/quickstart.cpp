@@ -1,8 +1,9 @@
 // Quickstart: the STF programming model on the RIO runtime in ~60 lines.
 //
 // Builds a small sequential task flow (a producer, parallel consumers, a
-// reduction), supplies the static mapping RIO requires, runs it on 4
-// workers and checks the result against the sequential executor.
+// reduction), compiles it into the image every engine runs, supplies the
+// static mapping RIO requires, runs it on 4 workers and checks the result
+// against the sequential semantics.
 #include <cstdint>
 #include <iostream>
 
@@ -43,12 +44,14 @@ int main() {
            },
            {stf::read(partial), stf::write(result)});
 
-  // 2. Supply the mapping TaskID -> WorkerID (Section 3.2 of the paper):
-  //    here a simple round-robin; real applications use owner-computes
-  //    maps (see the lu_solver example).
+  // 2. Compile the flow once into an image, the one input every engine
+  //    runs, and supply the mapping TaskID -> WorkerID (Section 3.2 of the
+  //    paper): here a simple round-robin; real applications use
+  //    owner-computes maps (see the lu_solver example).
+  const stf::FlowImage image = stf::FlowImage::compile(flow);
   const std::uint32_t workers = 4;
   rt::Runtime runtime(engine::Launch{.workers = workers});
-  runtime.run(flow, rt::mapping::round_robin(workers));
+  runtime.run(image, rt::mapping::round_robin(workers));
 
   const std::uint64_t got = *flow.registry().typed<std::uint64_t>(result);
   std::cout << "10^2 + 11^2 + 12^2 + 13^2 = " << got << "\n";

@@ -195,7 +195,8 @@ DataImage data_image(const stf::DataRegistry& reg) {
 
 DataImage oracle(const Options& o) {
   workloads::Workload wl = build_workload(o, workloads::BodyKind::kFold);
-  stf::SequentialExecutor{}.run(wl.flow);
+  const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
+  stf::SequentialExecutor{}.run(image);
   return data_image(wl.flow.registry());
 }
 

@@ -269,15 +269,6 @@ void Runtime::configure(const engine::Launch& launch) {
   cfg_ = launch;
 }
 
-support::RunStats Runtime::run(const stf::TaskFlow& flow) {
-  const stf::FlowImage image = stf::FlowImage::compile(flow);
-  return run(stf::ImageRange(image));
-}
-
-support::RunStats Runtime::run(const stf::FlowImage& image) {
-  return run(stf::ImageRange(image));
-}
-
 support::RunStats Runtime::run(const stf::ImageRange& range) {
   Engine eng(range, cfg_, reduction_locks_);
   const std::uint32_t p = cfg_.workers;

@@ -27,7 +27,6 @@
 #include "support/thread_pool.hpp"
 #include "engine/launch.hpp"
 #include "stf/flow_image.hpp"
-#include "stf/task_flow.hpp"
 #include "stf/trace.hpp"
 
 namespace rio::coor {
@@ -42,21 +41,14 @@ class Runtime {
   Runtime(const Runtime&) = delete;
   Runtime& operator=(const Runtime&) = delete;
 
-  /// Runs `flow` to completion. The calling thread becomes the master;
-  /// stats.workers holds `workers` entries followed by one entry for the
-  /// master (whose time is management/idle only, never task time).
-  /// Internally compiles a throwaway FlowImage — callers that run the same
-  /// flow repeatedly should compile once and use the image overloads.
-  support::RunStats run(const stf::TaskFlow& flow);
-
-  /// Fast replay from a compiled image: the master's incremental unroll and
-  /// the locality router walk the image's flat metadata (stf/flow_image.hpp)
-  /// instead of Task records. Compile once, run many times.
-  support::RunStats run(const stf::FlowImage& image);
-
-  /// Image-slice variant for hybrid phase execution: all tasks preceding
-  /// the slice must already be complete (dependencies are derived within
-  /// the slice only).
+  /// Runs a compiled image (a FlowImage converts) or a slice of one to
+  /// completion. The calling thread becomes the master; stats.workers holds
+  /// `workers` entries followed by one entry for the master (whose time is
+  /// management/idle only, never task time). The master's incremental
+  /// unroll and the locality router walk the image's flat metadata
+  /// (stf/flow_image.hpp) instead of Task records. A slice (hybrid phase
+  /// execution) requires every task before it to be complete already;
+  /// dependencies are derived within the slice only.
   support::RunStats run(const stf::ImageRange& range);
 
   /// Synchronization events of the last run (empty unless

@@ -52,7 +52,7 @@ Outcome run_supervised(const Backend& backend, const stf::FlowImage& image,
   // every attempt so the frontier is always capturable at the next loss.
   stf::CompletionBoard own_board;
   if (launch.checkpoint == nullptr) {
-    own_board.reset(image.first_id(), image.size(), opts.checkpoint_every);
+    own_board.reset(0, image.size(), opts.checkpoint_every);
     launch.checkpoint = &own_board;
   }
   stf::CompletionBoard* board = launch.checkpoint;

@@ -19,7 +19,7 @@ std::uint64_t cost_of(const stf::FlowImage& image, std::size_t i) {
 std::uint64_t critical_path(const stf::FlowImage& image) {
   const std::size_t n = image.size();
   if (n == 0) return 0;
-  const stf::DependencyGraph g{stf::ImageRange(image)};
+  const stf::DependencyGraph g{image};
   // Task ids are a topological order, so one forward sweep suffices.
   std::vector<std::uint64_t> finish(n, 0);
   std::uint64_t best = 0;
@@ -41,7 +41,7 @@ double balance(const stf::FlowImage& image, const rt::Mapping& mapping,
   std::vector<std::uint64_t> load(workers, 0);
   std::uint64_t total = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    const stf::WorkerId w = mapping(image.task_id(i));
+    const stf::WorkerId w = mapping(i);
     const std::uint64_t c = cost_of(image, i);
     if (w < workers) load[w] += c;
     total += c;
@@ -58,7 +58,7 @@ std::uint64_t static_estimate(const stf::FlowImage& image,
   if (n == 0 || workers == 0) return 0;
   std::vector<std::uint64_t> load(workers, 0);
   for (std::size_t i = 0; i < n; ++i) {
-    const stf::WorkerId w = mapping(image.task_id(i));
+    const stf::WorkerId w = mapping(i);
     if (w < workers) load[w] += cost_of(image, i);
   }
   const std::uint64_t max_load = *std::max_element(load.begin(), load.end());

@@ -31,7 +31,7 @@ bool has_reduction(const stf::FlowImage& image, std::size_t i) {
 /// Fills the shared before/after metrics. `before` selects which side.
 void measure(PassReport& report, const stf::FlowImage& image,
              const PassOptions& opts, bool before) {
-  const stf::DependencyGraph g{stf::ImageRange(image)};
+  const stf::DependencyGraph g{image};
   const rt::Mapping base = rt::mapping::round_robin(
       opts.workers > 0 ? opts.workers : 1);
   if (before) {
@@ -113,15 +113,6 @@ std::vector<stf::WorkerId> eft_owners(const stf::FlowImage& image,
   return owners;
 }
 
-/// Owner tables are indexed by GLOBAL task id; pad for images whose id
-/// space does not start at zero (sub-range compiles).
-rt::Mapping to_table(const stf::FlowImage& in,
-                     std::vector<stf::WorkerId> owners, std::string name) {
-  const auto shift = static_cast<std::size_t>(in.first_id());
-  if (shift > 0) owners.insert(owners.begin(), shift, 0);
-  return rt::mapping::table(std::move(owners), std::move(name));
-}
-
 // ---------------------------------------------------------------------------
 // fuse: collapse chains of tiny tasks into one composite body.
 //
@@ -148,7 +139,7 @@ class FusePass final : public Pass {
                                    PassReport& report) const override {
     measure(report, in, opts, /*before=*/true);
     const std::size_t n = in.size();
-    const stf::DependencyGraph g{stf::ImageRange(in)};
+    const stf::DependencyGraph g{in};
 
     // Group discovery: walk tasks in id order, greedily extending a chain
     // from each still-free tiny task.
@@ -284,7 +275,7 @@ class ReorderPass final : public Pass {
                                    PassReport& report) const override {
     measure(report, in, opts, /*before=*/true);
     const std::size_t n = in.size();
-    const stf::DependencyGraph g{stf::ImageRange(in)};
+    const stf::DependencyGraph g{in};
 
     std::vector<std::size_t> indeg(n, 0);
     std::vector<std::vector<std::size_t>> extra(n);
@@ -396,10 +387,10 @@ class PartitionPass final : public Pass {
     const std::size_t n = in.size();
     const std::uint32_t workers = opts.workers > 0 ? opts.workers : 1;
     if (n > 0) {
-      const stf::DependencyGraph g{stf::ImageRange(in)};
+      const stf::DependencyGraph g{in};
       std::vector<stf::WorkerId> owners = greedy_owners(in, g, workers);
       report.mapping =
-          to_table(in, owners, "partition/" + std::to_string(workers));
+          rt::mapping::table(owners, "partition/" + std::to_string(workers));
 
       // Contiguous cost-balanced phases: cut after every total/P share.
       const std::size_t num_phases =
@@ -418,7 +409,7 @@ class PartitionPass final : public Pass {
         if (last || (k < num_phases && acc * num_phases >= total * k)) {
           hybrid::Phase ph;
           ph.kind = hybrid::Phase::Kind::kStatic;
-          ph.first = in.task_id(start);
+          ph.first = start;
           ph.count = i + 1 - start;
           ph.mapping = report.mapping;
           report.phases.push_back(ph);
@@ -468,16 +459,16 @@ class MapPass final : public Pass {
     const std::size_t n = in.size();
     const std::uint32_t workers = opts.workers > 0 ? opts.workers : 1;
     if (n > 0) {
-      const stf::DependencyGraph g{stf::ImageRange(in)};
+      const stf::DependencyGraph g{in};
       std::vector<std::pair<std::string, rt::Mapping>> candidates;
       candidates.emplace_back("round-robin",
                               rt::mapping::round_robin(workers));
       candidates.emplace_back("block", rt::mapping::block(n, workers));
       candidates.emplace_back(
           "partition",
-          to_table(in, greedy_owners(in, g, workers), "map-partition"));
+          rt::mapping::table(greedy_owners(in, g, workers), "map-partition"));
       candidates.emplace_back(
-          "eft", to_table(in, eft_owners(in, g, workers), "map-eft"));
+          "eft", rt::mapping::table(eft_owners(in, g, workers), "map-eft"));
 
       std::size_t best = 0;
       std::uint64_t best_score = 0;

@@ -86,17 +86,15 @@ PipelineResult run_pipeline(const stf::FlowImage& src,
     rep.pass = std::string(p->name());
     stf::FlowImage next = p->run(*cur, opts, rep);
     // The machine-checkable half of the preservation contract: a rewrite
-    // never changes which data it talks about, the flow's total work, or
-    // its position in the global id space. (The byte-oracle tests check
-    // the other half — that executing it produces identical data.)
+    // never changes which data it talks about or the flow's total work.
+    // (The byte-oracle tests check the other half — that executing it
+    // produces identical data.)
     RIO_ASSERT_MSG(&next.registry() == &cur->registry(),
                    "pass must preserve the data registry");
     RIO_ASSERT_MSG(next.num_data() == cur->num_data(),
                    "pass must preserve the data-object count");
     RIO_ASSERT_MSG(next.total_cost() == cur->total_cost(),
                    "pass must preserve total flow cost");
-    RIO_ASSERT_MSG(next.first_id() == cur->first_id(),
-                   "pass must preserve the first task id");
     RIO_ASSERT_MSG(next.serial() == cur->serial(),
                    "pass must preserve the image lineage serial");
     if (rep.mapping.valid()) out.mapping = rep.mapping;

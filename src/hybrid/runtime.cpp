@@ -52,12 +52,6 @@ std::vector<Phase> partition(std::size_t num_tasks,
   return phases;
 }
 
-std::vector<Phase> partition(const stf::TaskFlow& flow,
-                             const rt::PartialMapping& pm,
-                             std::uint32_t num_workers) {
-  return partition(flow.num_tasks(), pm, num_workers);
-}
-
 namespace {
 
 /// The one launch both phase engines run under. Hybrid records no sync
@@ -82,14 +76,6 @@ void Runtime::configure(const engine::Launch& launch) {
   RIO_ASSERT_MSG(phase_.workers > 0, "need at least one worker");
   rio_.configure(phase_);
   coor_.configure(phase_);
-}
-
-support::RunStats Runtime::run(const stf::TaskFlow& flow,
-                               const std::vector<Phase>& phases) {
-  // One compilation serves every phase: each phase executes an ImageRange
-  // slice, so neither engine ever walks the AoS Task array while unrolling.
-  const stf::FlowImage image = stf::FlowImage::compile(flow);
-  return run(image, phases);
 }
 
 support::RunStats Runtime::run(const stf::FlowImage& image,
@@ -155,11 +141,6 @@ support::RunStats Runtime::run(const stf::FlowImage& image,
     }
   }
   return total;
-}
-
-support::RunStats Runtime::run(const stf::TaskFlow& flow,
-                               const rt::PartialMapping& pm) {
-  return run(flow, partition(flow, pm, phase_.workers));
 }
 
 support::RunStats Runtime::run(const stf::FlowImage& image,

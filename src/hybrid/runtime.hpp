@@ -35,7 +35,6 @@
 #include "rio/mapping.hpp"
 #include "rio/runtime.hpp"
 #include "stf/flow_image.hpp"
-#include "stf/task_flow.hpp"
 
 namespace rio::hybrid {
 
@@ -51,11 +50,6 @@ struct Phase {
 /// Cuts tasks [0, num_tasks) into maximal runs of mapped / unmapped tasks
 /// under `pm`. The returned phases cover the range exactly, in order.
 std::vector<Phase> partition(std::size_t num_tasks,
-                             const rt::PartialMapping& pm,
-                             std::uint32_t num_workers);
-
-/// Convenience overload on a materialized flow.
-std::vector<Phase> partition(const stf::TaskFlow& flow,
                              const rt::PartialMapping& pm,
                              std::uint32_t num_workers);
 
@@ -92,20 +86,9 @@ class Runtime {
   /// the runtime's runs.
   void attach_pool(support::ThreadPool* pool) noexcept { pool_ = pool; }
 
-  /// Executes pre-partitioned phases. Phases must tile the flow
-  /// contiguously from task 0 to the end.
-  support::RunStats run(const stf::TaskFlow& flow,
-                        const std::vector<Phase>& phases);
-
-  /// Convenience: partition by a partial mapping, then run.
-  support::RunStats run(const stf::TaskFlow& flow,
-                        const rt::PartialMapping& pm);
-
-  /// Replay from a compiled image (stf/flow_image.hpp): phases execute
-  /// ImageRange slices directly — compile once, run many times. The TaskFlow
-  /// overloads compile a throwaway image and forward here.
-  support::RunStats run(const stf::FlowImage& image,
-                        const std::vector<Phase>& phases);
+  /// Partitions a compiled image (stf/flow_image.hpp) by a partial mapping
+  /// and runs the phases in order, each on an ImageRange slice of the one
+  /// image: compile once, run many times.
   support::RunStats run(const stf::FlowImage& image,
                         const rt::PartialMapping& pm);
 
@@ -122,6 +105,11 @@ class Runtime {
   }
 
  private:
+  /// Executes pre-partitioned phases, which must tile the image
+  /// contiguously from task 0 to the end.
+  support::RunStats run(const stf::FlowImage& image,
+                        const std::vector<Phase>& phases);
+
   engine::Launch phase_;  // the launch both phase engines run under
   rt::Runtime rio_;       // static phases
   coor::Runtime coor_;    // dynamic phases

@@ -10,7 +10,6 @@ PrunedPlan::PrunedPlan(const stf::FlowImage& image, const Mapping& mapping,
   const std::size_t n = image.size();
   const stf::FlowImage::Span* spans = image.spans();
   const stf::Access* acc = image.accesses();
-  const stf::TaskId first = image.first_id();
 
   // Pass 1: evaluate the mapping once per task and snapshot, for every
   // access, the (last_writer, reads_since) pair a fully-unrolling worker's
@@ -21,14 +20,13 @@ PrunedPlan::PrunedPlan(const stf::FlowImage& image, const Mapping& mapping,
   offsets_.assign(num_workers + 1, 0);
   seeds_.resize(image.num_accesses_total());
   std::vector<PrunedSeed> state(image.num_data());
-  for (std::size_t i = 0; i < n; ++i) {
-    const stf::TaskId id = first + i;
+  for (stf::TaskId id = 0; id < n; ++id) {
     const stf::WorkerId owner = mapping(id);
     RIO_ASSERT_MSG(owner < num_workers, "mapping produced out-of-range worker");
-    owners[i] = owner;
+    owners[id] = owner;
     ++offsets_[owner + 1];
 
-    const stf::FlowImage::Span s = spans[i];
+    const stf::FlowImage::Span s = spans[id];
     for (std::uint32_t k = s.begin; k != s.end; ++k)
       seeds_[k] = state[acc[k].data];
     for (std::uint32_t k = s.begin; k != s.end; ++k) {

@@ -14,9 +14,9 @@
 // worker walks only its own plan slice, SEEDS its private replica from the
 // plan (local[data] = {expected_writer, expected_reads}) and runs the very
 // same get_* / body / terminate_* path a full unroll uses — zero declare
-// operations, O(own tasks) unrolling. Runtime::run(image, plan) and the
-// cached Runtime::run_pruned(image, mapping) are the entry points
-// (rio/runtime.hpp). The precomputation is a single O(n) scan shared by
+// operations, O(own tasks) unrolling. Runtime::run_pruned(image, mapping)
+// is the entry point (rio/runtime.hpp); it runs the plan its cache holds
+// for the whole image. The precomputation is a single O(n) scan shared by
 // all workers (analogous to the compiler-assisted pruning used in
 // distributed-memory STF runtimes [Agullo et al., TPDS 2017]).
 //
@@ -61,7 +61,7 @@ struct PrunedSeed {
 class PrunedPlan {
  public:
   /// O(num_tasks) scan over the image's flat access array; evaluates
-  /// `mapping` once per task. Ids stay global (image.first_id() based).
+  /// `mapping` once per task.
   PrunedPlan(const stf::FlowImage& image, const Mapping& mapping,
              std::uint32_t num_workers);
 
@@ -69,8 +69,7 @@ class PrunedPlan {
     return static_cast<std::uint32_t>(offsets_.size() - 1);
   }
 
-  /// Worker `w`'s tasks as image-local indices, in flow order (task id =
-  /// image.first_id() + index).
+  /// Worker `w`'s tasks as image indices (= task ids), in flow order.
   [[nodiscard]] std::span<const std::uint32_t> tasks_for(
       stf::WorkerId w) const {
     return {order_.data() + offsets_[w], order_.data() + offsets_[w + 1]};

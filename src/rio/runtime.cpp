@@ -520,17 +520,6 @@ void Runtime::configure(const engine::Launch& launch) {
   cfg_ = launch;
 }
 
-support::RunStats Runtime::run(const stf::TaskFlow& flow,
-                               const Mapping& mapping) {
-  const stf::FlowImage image = stf::FlowImage::compile(flow);
-  return run(stf::ImageRange(image), mapping);
-}
-
-support::RunStats Runtime::run(const stf::FlowImage& image,
-                               const Mapping& mapping) {
-  return run(stf::ImageRange(image), mapping);
-}
-
 support::RunStats Runtime::run(const stf::ImageRange& range,
                                const Mapping& mapping) {
   RIO_ASSERT(mapping.valid());
@@ -541,7 +530,7 @@ support::RunStats Runtime::run(const stf::ImageRange& range,
   const std::size_t n = range.size();
   const stf::FlowImage::Span* spans = range.spans();
   const stf::Access* acc = range.accesses_base();
-  const stf::TaskId first = n > 0 ? range.first_id() : 0;
+  const stf::TaskId first = range.first_id();
   return launch(
       cfg_, "rio", pool_, range.registry(), range.num_data(), sync_trace_,
       arenas_, [&, n, spans, acc, first](WorkerCtx& c) {

@@ -10,13 +10,14 @@
 //     shared words of each data object (data_object.hpp).
 //
 // One fork-join core and one owned-task path (get_* / body / terminate_*)
-// serve every front end; they differ only in how a worker walks the flow:
-//   * run(image, mapping)         — unrolls a compiled FlowImage: own tasks
-//                                   execute, the rest are declared;
-//   * run(image, plan) /
-//     run_pruned(image, mapping)  — Section 3.5 pruning: a worker walks only
-//                                   its own plan slice and seeds its replica
-//                                   from the plan instead of declaring;
+// serve the three entry points; they differ only in how a worker walks the
+// flow:
+//   * run(range, mapping)         — unrolls a compiled image or a slice of
+//                                   one: own tasks execute, the rest are
+//                                   declared;
+//   * run_pruned(image, mapping)  — Section 3.5 pruning: a worker walks only
+//                                   its own slice of a cached plan and seeds
+//                                   its replica from it instead of declaring;
 //   * run_program(reg, prog, map) — every worker executes the user program
 //                                   itself (the paper's true decentralized
 //                                   unrolling; nothing is ever stored).
@@ -33,7 +34,6 @@
 #include "rio/pruning.hpp"
 #include "stf/access_guard.hpp"
 #include "stf/flow_image.hpp"
-#include "stf/task_flow.hpp"
 #include "stf/trace.hpp"
 
 namespace rio::rt {
@@ -56,32 +56,20 @@ class Runtime {
   /// resilience and recovery knobs and obs. The mapping is a run() argument.
   explicit Runtime(engine::Launch launch);
 
-  /// Convenience: compiles a throwaway FlowImage and runs it under
-  /// `mapping`. Callers that run one flow repeatedly should compile once and
-  /// use the image overloads.
-  support::RunStats run(const stf::TaskFlow& flow, const Mapping& mapping);
-
-  /// Executes a compiled FlowImage (stf/flow_image.hpp) under `mapping`.
-  /// Blocks until all tasks completed on all workers. The non-mapped path
-  /// is a tight loop over the image's flat access array — just the
-  /// one-or-two private writes per access the cost model promises — and
-  /// the call performs no per-task allocation.
-  support::RunStats run(const stf::FlowImage& image, const Mapping& mapping);
-
-  /// Image-slice variant (hybrid phase execution): all tasks before the
-  /// slice must already be complete — the hybrid runtime's phase barrier
-  /// guarantees this. Task ids stay global; the mapping sees them as-is.
+  /// Executes a compiled image (a FlowImage converts) or a slice of one
+  /// under `mapping`. Blocks until all tasks completed on all workers. The
+  /// non-mapped path is a tight loop over the image's flat access array —
+  /// just the one-or-two private writes per access the cost model
+  /// promises — and the call performs no per-task allocation. A slice
+  /// (hybrid phase execution) requires every task before it to be complete
+  /// already; task ids stay global, and the mapping sees them as-is.
   support::RunStats run(const stf::ImageRange& range, const Mapping& mapping);
 
-  /// Pruned execution through an explicit plan (rio/pruning.hpp) built for
-  /// `image` and the launch's workers: each worker visits only its own
-  /// tasks. Same protocol, same owned-task path as the mapped overloads.
-  support::RunStats run(const stf::FlowImage& image, const PrunedPlan& plan);
-
-  /// Cached pruned path: compiles the plan on first call for this
-  /// (image, mapping) pair, replays from this runtime's plan cache
-  /// afterwards. A bench loop is literally
-  /// `while (...) rt.run_pruned(image, mapping);`.
+  /// Pruned execution (rio/pruning.hpp): each worker visits only its own
+  /// tasks, with the same protocol and owned-task path as run(). The plan
+  /// is compiled on the first call for this (image, mapping) pair and
+  /// replayed from this runtime's plan cache afterwards. A bench loop is
+  /// literally `while (...) rt.run_pruned(image, mapping);`.
   support::RunStats run_pruned(const stf::FlowImage& image,
                                const Mapping& mapping);
 
@@ -117,6 +105,9 @@ class Runtime {
   void attach_pool(support::ThreadPool* pool) noexcept { pool_ = pool; }
 
  private:
+  /// Runs `plan`, built for `image` and the launch's workers.
+  support::RunStats run(const stf::FlowImage& image, const PrunedPlan& plan);
+
   engine::Launch cfg_;
   stf::SyncTrace sync_trace_;
   support::ThreadPool* pool_ = nullptr;

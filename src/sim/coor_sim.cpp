@@ -19,19 +19,6 @@ std::uint64_t exec_ticks(std::uint64_t instructions, const TimeScale& scale) {
 
 }  // namespace
 
-Report simulate_centralized(const stf::TaskFlow& flow,
-                            const CentralizedParams& params,
-                            const TimeScale& scale) {
-  const stf::FlowImage image = stf::FlowImage::compile(flow);
-  return simulate_centralized(stf::ImageRange(image), params, scale);
-}
-
-Report simulate_centralized(const stf::FlowImage& image,
-                            const CentralizedParams& params,
-                            const TimeScale& scale) {
-  return simulate_centralized(stf::ImageRange(image), params, scale);
-}
-
 Report simulate_centralized(const stf::ImageRange& range,
                             const CentralizedParams& params,
                             const TimeScale& scale) {

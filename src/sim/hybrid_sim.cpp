@@ -3,15 +3,6 @@
 
 namespace rio::sim {
 
-Report simulate_hybrid(const stf::TaskFlow& flow,
-                       const std::vector<hybrid::Phase>& phases,
-                       const DecentralizedParams& dparams,
-                       const CentralizedParams& cparams,
-                       const TimeScale& scale) {
-  const stf::FlowImage image = stf::FlowImage::compile(flow);
-  return simulate_hybrid(image, phases, dparams, cparams, scale);
-}
-
 Report simulate_hybrid(const stf::FlowImage& image,
                        const std::vector<hybrid::Phase>& phases,
                        const DecentralizedParams& dparams,

@@ -18,23 +18,6 @@ std::uint64_t exec_ticks(std::uint64_t instructions, const TimeScale& scale) {
 
 }  // namespace
 
-Report simulate_decentralized(const stf::TaskFlow& flow,
-                              const rt::Mapping& mapping,
-                              const DecentralizedParams& params,
-                              const TimeScale& scale) {
-  const stf::FlowImage image = stf::FlowImage::compile(flow);
-  return simulate_decentralized(stf::ImageRange(image), mapping, params,
-                                scale);
-}
-
-Report simulate_decentralized(const stf::FlowImage& image,
-                              const rt::Mapping& mapping,
-                              const DecentralizedParams& params,
-                              const TimeScale& scale) {
-  return simulate_decentralized(stf::ImageRange(image), mapping, params,
-                                scale);
-}
-
 Report simulate_decentralized(const stf::ImageRange& range,
                               const rt::Mapping& mapping,
                               const DecentralizedParams& params,

@@ -1,8 +1,8 @@
 // Discrete-event simulation of the two execution models.
 //
-// Both simulators consume a materialized TaskFlow (costs in virtual
-// instructions) and produce the same RunStats shape as the real runtimes,
-// with the tau buckets in virtual ticks and — unlike wall-clock
+// The simulators consume a compiled image, or a slice of one (costs in
+// virtual instructions), and produce the same RunStats shape as the real
+// runtimes, with the tau buckets in virtual ticks and — unlike wall-clock
 // measurements — the EXACT identity tau_task + tau_idle + tau_runtime ==
 // p * makespan per construction. metrics/ then derives the paper's
 // efficiency decomposition from them.
@@ -49,18 +49,8 @@ struct Report {
 /// the exact Algorithm-2 semantics. Runs in O(n * accesses) time using the
 /// prefix-sum formulation (worker cursors = shared prefix + per-worker
 /// offset), valid because task ids are a topological order of both the
-/// dependency DAG and each worker's in-order chain.
-/// The TaskFlow entry point compiles a throwaway FlowImage; sweep
-/// drivers that simulate one flow many times (bench/fig*) should compile
-/// once and pass the image.
-Report simulate_decentralized(const stf::TaskFlow& flow,
-                              const rt::Mapping& mapping,
-                              const DecentralizedParams& params,
-                              const TimeScale& scale = {});
-Report simulate_decentralized(const stf::FlowImage& image,
-                              const rt::Mapping& mapping,
-                              const DecentralizedParams& params,
-                              const TimeScale& scale = {});
+/// dependency DAG and each worker's in-order chain. Sweep drivers that
+/// simulate one flow many times (bench/fig*) compile it once.
 Report simulate_decentralized(const stf::ImageRange& range,
                               const rt::Mapping& mapping,
                               const DecentralizedParams& params,
@@ -71,12 +61,6 @@ Report simulate_decentralized(const stf::ImageRange& range,
 /// dependencies are resolved AND that have been discovered enter a ready
 /// pool; idle workers take the earliest-ready task (list scheduling).
 /// Event-driven, O(n log n).
-Report simulate_centralized(const stf::TaskFlow& flow,
-                            const CentralizedParams& params,
-                            const TimeScale& scale = {});
-Report simulate_centralized(const stf::FlowImage& image,
-                            const CentralizedParams& params,
-                            const TimeScale& scale = {});
 Report simulate_centralized(const stf::ImageRange& range,
                             const CentralizedParams& params,
                             const TimeScale& scale = {});
@@ -87,11 +71,6 @@ Report simulate_centralized(const stf::ImageRange& range,
 /// extra slot is the dynamic phases' master (idle in static phases). The
 /// decentralized params' worker count must equal the centralized one so
 /// the thread pool is comparable: p workers + 1 master-capable thread.
-Report simulate_hybrid(const stf::TaskFlow& flow,
-                       const std::vector<hybrid::Phase>& phases,
-                       const DecentralizedParams& dparams,
-                       const CentralizedParams& cparams,
-                       const TimeScale& scale = {});
 Report simulate_hybrid(const stf::FlowImage& image,
                        const std::vector<hybrid::Phase>& phases,
                        const DecentralizedParams& dparams,

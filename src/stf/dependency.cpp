@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <queue>
+#include <utility>
 
 #include "support/assert.hpp"
 #include "stf/dep_scanner.hpp"
@@ -9,18 +10,20 @@
 
 namespace rio::stf {
 
-DependencyGraph::DependencyGraph(const FlowRange& range) {
-  const std::size_t n = range.size();
+template <typename Accesses>
+void DependencyGraph::scan(std::size_t n, std::size_t num_data,
+                           Accesses&& accesses) {
   preds_.resize(n);
   succs_.resize(n);
 
   // Single pass through the shared dependency scanner (dep_scanner.hpp),
   // which implements the sequential-consistency bookkeeping of Section 2.1
   // plus the commuting-reduction extension.
-  DependencyScanner scanner(range.num_data());
+  DependencyScanner scanner(num_data);
   std::vector<TaskId> scratch;
   for (TaskId t = 0; t < n; ++t) {
-    scanner.next(range[t], t, scratch);
+    const auto [begin, end] = accesses(t);
+    scanner.next(begin, end, t, scratch);
     // Self-edges are impossible: state updates happen after dep collection.
     preds_[t] = scratch;
     for (TaskId p : scratch) {
@@ -31,25 +34,20 @@ DependencyGraph::DependencyGraph(const FlowRange& range) {
   }
 }
 
-DependencyGraph::DependencyGraph(const ImageRange& range) {
-  const std::size_t n = range.size();
-  preds_.resize(n);
-  succs_.resize(n);
-
-  DependencyScanner scanner(range.num_data());
-  std::vector<TaskId> scratch;
-  for (TaskId t = 0; t < n; ++t) {
-    scanner.next(range.acc_begin(t), range.acc_end(t), t, scratch);
-    preds_[t] = scratch;
-    for (TaskId p : scratch) {
-      RIO_DEBUG_ASSERT(p < t);
-      succs_[p].push_back(t);
-    }
-    num_edges_ += scratch.size();
-  }
+DependencyGraph::DependencyGraph(const TaskFlow& flow) {
+  scan(flow.num_tasks(), flow.num_data(), [&](TaskId t) {
+    const AccessList& acc = flow.task(t).accesses;
+    return std::pair(acc.begin(), acc.end());
+  });
 }
 
-std::uint64_t DependencyGraph::critical_path_cost(const FlowRange& range) const {
+DependencyGraph::DependencyGraph(const ImageRange& range) {
+  scan(range.size(), range.num_data(), [&](TaskId t) {
+    return std::pair(range.acc_begin(t), range.acc_end(t));
+  });
+}
+
+std::uint64_t DependencyGraph::critical_path_cost(const TaskFlow& flow) const {
   const std::size_t n = num_tasks();
   std::vector<std::uint64_t> finish(n, 0);
   std::uint64_t best = 0;
@@ -57,7 +55,7 @@ std::uint64_t DependencyGraph::critical_path_cost(const FlowRange& range) const 
   for (TaskId t = 0; t < n; ++t) {
     std::uint64_t start = 0;
     for (TaskId p : preds_[t]) start = std::max(start, finish[p]);
-    const std::uint64_t cost = std::max<std::uint64_t>(range[t].cost, 1);
+    const std::uint64_t cost = std::max<std::uint64_t>(flow.task(t).cost, 1);
     finish[t] = start + cost;
     best = std::max(best, finish[t]);
   }

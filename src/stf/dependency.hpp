@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "stf/flow_range.hpp"
 #include "stf/task_flow.hpp"
 #include "stf/types.hpp"
 
@@ -22,19 +21,16 @@ class ImageRange;  // flow_image.hpp
 
 /// Explicit task DAG derived from a flow. Edges point from a task to the
 /// tasks that must wait for it (predecessor -> successor). When built from
-/// a FlowRange, node indices are positions WITHIN the range.
+/// an ImageRange, node indices are positions WITHIN the range.
 class DependencyGraph {
  public:
   /// Scans `flow` once (O(tasks + edges)) and builds the DAG.
-  explicit DependencyGraph(const TaskFlow& flow)
-      : DependencyGraph(FlowRange(flow)) {}
+  explicit DependencyGraph(const TaskFlow& flow);
 
-  /// Range variant: dependencies are derived within the range only (the
-  /// hybrid phase barrier guarantees everything before it is complete).
-  explicit DependencyGraph(const FlowRange& range);
-
-  /// Compiled-image variant: identical DAG, built from the image's flat
-  /// access array without touching any Task record.
+  /// Compiled-image variant: the same scan over the image's flat access
+  /// array, never touching a Task record. Dependencies are derived within
+  /// the range only (the hybrid phase barrier guarantees everything before
+  /// it is complete).
   explicit DependencyGraph(const ImageRange& range);
 
   [[nodiscard]] std::size_t num_tasks() const noexcept {
@@ -60,10 +56,7 @@ class DependencyGraph {
   /// Length (sum of task costs) of the longest dependency chain; the
   /// virtual-time lower bound on any schedule's makespan. Tasks with zero
   /// cost count as cost 1 so the chain length is still meaningful.
-  [[nodiscard]] std::uint64_t critical_path_cost(const TaskFlow& flow) const {
-    return critical_path_cost(FlowRange(flow));
-  }
-  [[nodiscard]] std::uint64_t critical_path_cost(const FlowRange& range) const;
+  [[nodiscard]] std::uint64_t critical_path_cost(const TaskFlow& flow) const;
 
   /// Bottom level of every task: length (in task costs, >= 1 each) of the
   /// longest dependency chain STARTING at the task. The classic critical-
@@ -77,6 +70,10 @@ class DependencyGraph {
   [[nodiscard]] std::size_t max_ready_width() const;
 
  private:
+  /// The one scan loop; `accesses(t)` yields task t's {begin, end} span.
+  template <typename Accesses>
+  void scan(std::size_t n, std::size_t num_data, Accesses&& accesses);
+
   std::vector<std::vector<TaskId>> preds_;
   std::vector<std::vector<TaskId>> succs_;
   std::size_t num_edges_ = 0;

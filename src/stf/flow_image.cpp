@@ -40,22 +40,20 @@ void fnv_mix_bytes(std::uint64_t& h, const char* p, std::size_t n) noexcept {
 
 }  // namespace
 
-FlowImage::FlowImage(const FlowRange& range) {
-  n_ = range.size();
-  num_data_ = range.num_data();
-  registry_ = &range.registry();
-  src_ = range.begin();
-  first_ = n_ > 0 ? range.first_id() : 0;
-  serial_ = next_serial();
-
-  // Pass 1: sizes. Ids must be consecutive — true for every materialized
-  // flow (a task's id is its position) and required for task_id(i) to be
-  // computable without touching the Task record.
+FlowImage::FlowImage(const Task* tasks, std::size_t n,
+                     const DataRegistry& registry)
+    : src_(tasks),
+      registry_(&registry),
+      n_(n),
+      num_data_(registry.size()),
+      serial_(next_serial()) {
+  // Pass 1: sizes. Ids must equal positions — true for every materialized
+  // flow and required for task_id(i) to be computable without touching the
+  // Task record.
   std::size_t name_bytes = 0;
   for (std::size_t i = 0; i < n_; ++i) {
     const Task& t = src_[i];
-    RIO_ASSERT_MSG(t.id == first_ + i,
-                   "FlowImage requires consecutive task ids");
+    RIO_ASSERT_MSG(t.id == i, "FlowImage requires task ids 0..n-1");
     total_acc_ += t.accesses.size();
     total_cost_ += t.cost;
     name_bytes += t.name.size();
@@ -93,7 +91,6 @@ FlowImage::FlowImage(const FlowRange& range) {
   // priority, name and the full access list.
   std::uint64_t fp = kFnvOffset;
   fnv_mix(fp, n_);
-  fnv_mix(fp, first_);
   std::uint32_t acc_cursor = 0;
   std::uint32_t char_cursor = 0;
   for (std::size_t i = 0; i < n_; ++i) {

@@ -21,6 +21,10 @@
 // lets downstream caches (rio::rt::PrunedPlanCache) key compiled artifacts
 // by identity instead of recomputing per run.
 //
+// An image always covers a whole flow, and task i has id i. Every engine and
+// simulator runs an image; those that run slices take an ImageRange, the
+// only slice, to which an image converts.
+//
 // Lifetime: the image BORROWS the source flow's Task array and DataRegistry
 // (for bodies and data resolution); the flow must outlive the image. The
 // exception is compile_owned(): a rewritten image (flowpass output) OWNS its
@@ -35,7 +39,6 @@
 #include <vector>
 
 #include "support/assert.hpp"
-#include "stf/flow_range.hpp"
 #include "stf/task_flow.hpp"
 #include "stf/types.hpp"
 
@@ -57,13 +60,7 @@ class FlowImage {
 
   /// Compiles a whole flow. O(n + total accesses + total name bytes).
   [[nodiscard]] static FlowImage compile(const TaskFlow& flow) {
-    return FlowImage(FlowRange(flow));
-  }
-
-  /// Compiles an arbitrary (sub)range; task ids stay global. The range's
-  /// ids must be consecutive (they are for every materialized flow).
-  [[nodiscard]] static FlowImage compile(const FlowRange& range) {
-    return FlowImage(range);
+    return FlowImage(flow.tasks().data(), flow.num_tasks(), flow.registry());
   }
 
   /// Compiles an image that OWNS its task vector (the rewriter/flowpass
@@ -76,7 +73,7 @@ class FlowImage {
       std::shared_ptr<const std::vector<Task>> tasks,
       const DataRegistry& registry, std::uint64_t lineage_serial) {
     RIO_ASSERT(tasks != nullptr);
-    FlowImage img{FlowRange(tasks->data(), tasks->size(), registry)};
+    FlowImage img(tasks->data(), tasks->size(), registry);
     img.owned_ = std::move(tasks);
     img.serial_ = lineage_serial;
     return img;
@@ -90,7 +87,6 @@ class FlowImage {
   [[nodiscard]] const DataRegistry& registry() const noexcept {
     return *registry_;
   }
-  [[nodiscard]] TaskId first_id() const noexcept { return first_; }
   [[nodiscard]] std::size_t num_accesses_total() const noexcept {
     return total_acc_;
   }
@@ -103,10 +99,10 @@ class FlowImage {
   /// pair it with fingerprint() to tell rewrites apart.
   [[nodiscard]] std::uint64_t serial() const noexcept { return serial_; }
 
-  /// 64-bit content hash of the compiled metadata: task count, first id,
-  /// and per-task (cost, priority, name, access list). Two images with the
-  /// same serial but different fingerprints are different rewrites of the
-  /// same flow; caches key on (serial, fingerprint).
+  /// 64-bit content hash of the compiled metadata: task count and per-task
+  /// (cost, priority, name, access list). Two images with the same serial
+  /// but different fingerprints are different rewrites of the same flow;
+  /// caches key on (serial, fingerprint).
   [[nodiscard]] std::uint64_t fingerprint() const noexcept {
     return fingerprint_;
   }
@@ -116,9 +112,7 @@ class FlowImage {
   [[nodiscard]] const Span* spans() const noexcept { return spans_; }
   [[nodiscard]] const Access* accesses() const noexcept { return acc_; }
 
-  [[nodiscard]] TaskId task_id(std::size_t i) const noexcept {
-    return first_ + i;
-  }
+  [[nodiscard]] TaskId task_id(std::size_t i) const noexcept { return i; }
   [[nodiscard]] const Access* acc_begin(std::size_t i) const noexcept {
     return acc_ + spans_[i].begin;
   }
@@ -149,7 +143,8 @@ class FlowImage {
   }
 
  private:
-  explicit FlowImage(const FlowRange& range);
+  /// Ids of `tasks` must run 0..n-1 (a task's id is its flow position).
+  FlowImage(const Task* tasks, std::size_t n, const DataRegistry& registry);
 
   std::unique_ptr<std::byte[]> arena_;
   // Interior pointers into arena_ (fixed after compile).
@@ -168,23 +163,25 @@ class FlowImage {
   std::size_t num_data_ = 0;
   std::size_t total_acc_ = 0;
   std::uint64_t total_cost_ = 0;
-  TaskId first_ = 0;
   std::uint64_t serial_ = 0;
   std::uint64_t fingerprint_ = 0;
 };
 
-/// A contiguous slice of a FlowImage — the image-world FlowRange. Hybrid
-/// phase execution and the simulators consume these; index i is LOCAL to
-/// the slice while task_id(i) stays GLOBAL.
+/// A contiguous slice of a FlowImage: the run input of rio, coor and their
+/// simulators. A FlowImage converts to its whole-image range; hybrid phases
+/// run sub-ranges. Index i is LOCAL to the slice while task_id(i) stays
+/// GLOBAL. A range borrows its image, so it cannot be made from a temporary.
 class ImageRange {
  public:
-  explicit ImageRange(const FlowImage& image)
+  ImageRange(const FlowImage& image)
       : img_(&image), first_(0), count_(image.size()) {}
+  ImageRange(FlowImage&&) = delete;
 
   ImageRange(const FlowImage& image, std::size_t first, std::size_t count)
       : img_(&image), first_(first), count_(count) {
     RIO_ASSERT(first + count <= image.size());
   }
+  ImageRange(FlowImage&&, std::size_t, std::size_t) = delete;
 
   [[nodiscard]] const FlowImage& image() const noexcept { return *img_; }
   [[nodiscard]] std::size_t size() const noexcept { return count_; }
@@ -195,9 +192,8 @@ class ImageRange {
   [[nodiscard]] const DataRegistry& registry() const noexcept {
     return img_->registry();
   }
-  [[nodiscard]] TaskId first_id() const noexcept {
-    return img_->task_id(first_);
-  }
+  /// Global id of the first task (the start id, also for an empty slice).
+  [[nodiscard]] TaskId first_id() const noexcept { return first_; }
 
   /// Spans of this slice; their begin/end index into accesses_base().
   [[nodiscard]] const FlowImage::Span* spans() const noexcept {

@@ -6,9 +6,7 @@
 namespace rio::stf {
 
 FlowRewriter::FlowRewriter(const FlowImage& src)
-    : registry_(&src.registry()),
-      first_(src.first_id()),
-      serial_(src.serial()) {
+    : registry_(&src.registry()), serial_(src.serial()) {
   tasks_.reserve(src.size());
   for (std::size_t i = 0; i < src.size(); ++i) tasks_.push_back(src.task(i));
 }
@@ -34,7 +32,7 @@ Task FlowRewriter::relocate(Task t, TaskId new_id) {
 FlowImage FlowRewriter::compile() && {
   auto out = std::make_shared<std::vector<Task>>(std::move(tasks_));
   for (std::size_t i = 0; i < out->size(); ++i) {
-    (*out)[i] = relocate(std::move((*out)[i]), first_ + i);
+    (*out)[i] = relocate(std::move((*out)[i]), i);
   }
   return FlowImage::compile_owned(
       std::shared_ptr<const std::vector<Task>>(std::move(out)), *registry_,

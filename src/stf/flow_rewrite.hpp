@@ -40,12 +40,11 @@ class FlowRewriter {
   [[nodiscard]] const DataRegistry& registry() const noexcept {
     return *registry_;
   }
-  [[nodiscard]] TaskId first_id() const noexcept { return first_; }
 
-  /// Seals the edited vector into a new image: renumbers tasks to
-  /// consecutive ids starting at the source's first_id(), trampolining any
-  /// body whose visible id changed, and compiles an owned image that
-  /// inherits the source serial (fingerprint() tells the rewrites apart).
+  /// Seals the edited vector into a new image: renumbers tasks to their
+  /// positions 0..n-1, trampolining any body whose visible id changed, and
+  /// compiles an owned image that inherits the source serial
+  /// (fingerprint() tells the rewrites apart).
   [[nodiscard]] FlowImage compile() &&;
 
   /// Renumbers one task to `new_id`, preserving body semantics: if the id
@@ -56,7 +55,6 @@ class FlowRewriter {
  private:
   std::vector<Task> tasks_;
   const DataRegistry* registry_;
-  TaskId first_ = 0;
   std::uint64_t serial_ = 0;
 };
 

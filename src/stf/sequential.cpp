@@ -4,23 +4,21 @@
 #include "support/clock.hpp"
 
 namespace rio::stf {
-namespace {
 
-/// Shared in-order walk: `get_task(i)` yields task i of `n`, bodies run on
-/// the calling thread against `registry`. Bodies are timed by the same span
-/// sampler as the parallel engines' workers (an unbound obs lens), so the
-/// task bucket is an estimate and untimed bodies read no clock.
-template <typename GetTask>
-support::RunStats run_in_order(std::size_t n, const DataRegistry& registry,
-                               GetTask&& get_task) {
+// Bodies are timed by the same span sampler as the parallel engines'
+// workers (an unbound obs lens), so the task bucket is an estimate and
+// untimed bodies read no clock.
+support::RunStats SequentialExecutor::run(const FlowImage& image) const {
   support::RunStats stats;
   stats.workers.resize(1);
   support::WorkerStats& w = stats.workers[0];
   obs::WorkerObs ob;
+  const std::size_t n = image.size();
+  const DataRegistry& registry = image.registry();
 
   const std::uint64_t begin = support::monotonic_ns();
   for (std::size_t i = 0; i < n; ++i) {
-    const Task& task = get_task(i);
+    const Task& task = image.task(i);
     if (!task.fn) continue;  // cost-only task: nothing to execute
     TaskContext ctx(task, registry, /*worker=*/0);
     if (ob.sampler.next()) {
@@ -38,21 +36,6 @@ support::RunStats run_in_order(std::size_t n, const DataRegistry& registry,
   w.buckets = ob.buckets(stats.wall_ns);
   w.tasks_timed = ob.sampler.timed();
   return stats;
-}
-
-}  // namespace
-
-support::RunStats SequentialExecutor::run(const TaskFlow& flow) const {
-  const auto& tasks = flow.tasks();
-  return run_in_order(tasks.size(), flow.registry(),
-                      [&](std::size_t i) -> const Task& { return tasks[i]; });
-}
-
-support::RunStats SequentialExecutor::run(const FlowImage& image) const {
-  return run_in_order(image.size(), image.registry(),
-                      [&](std::size_t i) -> const Task& {
-                        return image.task(i);
-                      });
 }
 
 }  // namespace rio::stf

@@ -10,21 +10,16 @@
 
 #include "support/stats.hpp"
 #include "stf/flow_image.hpp"
-#include "stf/task_flow.hpp"
 
 namespace rio::stf {
 
 class SequentialExecutor {
  public:
-  /// Runs every task of `flow` in order on the calling thread. Returns
-  /// single-worker RunStats (all time is either task or runtime bucket).
-  /// The task bucket is estimated from the sampled bodies
-  /// (obs::SpanSampler: about one in 64, every one when bodies run 2 µs or
-  /// longer); `tasks_timed` says how many were timed.
-  support::RunStats run(const TaskFlow& flow) const;
-
-  /// Image replay (stf/flow_image.hpp): same in-order walk over a compiled
-  /// image — what the engine::Registry's "seq" backend executes.
+  /// Runs every task of a compiled image (stf/flow_image.hpp) in order on
+  /// the calling thread. Returns single-worker RunStats (all time is either
+  /// task or runtime bucket). The task bucket is estimated from the sampled
+  /// bodies (obs::SpanSampler: about one in 64, every one when bodies run
+  /// 2 µs or longer); `tasks_timed` says how many were timed.
   support::RunStats run(const FlowImage& image) const;
 };
 

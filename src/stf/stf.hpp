@@ -11,7 +11,6 @@
 #include "stf/task.hpp"            // IWYU pragma: export
 #include "stf/task_flow.hpp"       // IWYU pragma: export
 #include "stf/flow_image.hpp"      // IWYU pragma: export
-#include "stf/flow_range.hpp"      // IWYU pragma: export
 #include "stf/graph_export.hpp"    // IWYU pragma: export
 #include "stf/trace.hpp"           // IWYU pragma: export
 #include "stf/types.hpp"           // IWYU pragma: export

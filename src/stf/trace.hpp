@@ -54,7 +54,6 @@ struct SyncEvent {
 class SyncTrace {
  public:
   void record(SyncEvent ev) { events_.push_back(ev); }
-  void reserve(std::size_t n) { events_.reserve(n); }
   [[nodiscard]] const std::vector<SyncEvent>& events() const noexcept {
     return events_;
   }

@@ -403,7 +403,8 @@ stf::TaskFlow make_chained_flow() {
 TEST(HbChecker, RioRecordedRunHasNoRaces) {
   stf::TaskFlow flow = make_chained_flow();
   rt::Runtime engine(engine::Launch{.workers = 2, .collect_sync = true});
-  engine.run(flow, rt::mapping::round_robin(2));
+  const stf::FlowImage image = stf::FlowImage::compile(flow);
+  engine.run(image, rt::mapping::round_robin(2));
   ASSERT_FALSE(engine.sync_trace().empty());
   const analysis::Report r =
       analysis::check_happens_before(flow, engine.sync_trace());
@@ -416,7 +417,8 @@ TEST(HbChecker, RioRecordedRunHasNoRaces) {
 TEST(HbChecker, CoorRecordedRunHasNoRaces) {
   stf::TaskFlow flow = make_chained_flow();
   coor::Runtime engine(engine::Launch{.workers = 2, .collect_sync = true});
-  engine.run(flow);
+  const stf::FlowImage image = stf::FlowImage::compile(flow);
+  engine.run(image);
   ASSERT_FALSE(engine.sync_trace().empty());
   const analysis::Report r =
       analysis::check_happens_before(flow, engine.sync_trace());
@@ -429,7 +431,8 @@ TEST(HbChecker, CoorRecordedRunHasNoRaces) {
 TEST(HbChecker, SyncRecordingIsOffByDefault) {
   stf::TaskFlow flow = make_chained_flow();
   rt::Runtime engine(engine::Launch{.workers = 2});
-  engine.run(flow, rt::mapping::round_robin(2));
+  const stf::FlowImage image = stf::FlowImage::compile(flow);
+  engine.run(image, rt::mapping::round_robin(2));
   EXPECT_TRUE(engine.sync_trace().empty());
 }
 

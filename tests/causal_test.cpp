@@ -105,7 +105,8 @@ TEST(CausalSim, ChainCriticalPathEqualsMakespanExactly) {
   sim::DecentralizedParams dp;
   dp.workers = p;
   dp.obs = &hub;
-  const auto rep = sim::simulate_decentralized(wl.flow, wl.mapping(p), dp);
+  const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
+  const auto rep = sim::simulate_decentralized(image, wl.mapping(p), dp);
 
   const obs::causal::Analysis an = obs::causal::analyze(hub);
   EXPECT_TRUE(an.complete);
@@ -127,7 +128,8 @@ TEST(CausalSim, CholeskyCritPathBoundedByMakespan) {
   sim::DecentralizedParams dp;
   dp.workers = p;
   dp.obs = &hub;
-  const auto rep = sim::simulate_decentralized(wl.flow, wl.mapping(p), dp);
+  const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
+  const auto rep = sim::simulate_decentralized(image, wl.mapping(p), dp);
 
   const obs::causal::Analysis an = obs::causal::analyze(hub);
   EXPECT_EQ(an.makespan, rep.makespan);
@@ -148,7 +150,8 @@ TEST(CausalSim, CentralizedWaitsAttributeToArgmaxPredecessor) {
   sim::CentralizedParams cp;
   cp.workers = p;
   cp.obs = &hub;
-  const auto rep = sim::simulate_centralized(wl.flow, cp);
+  const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
+  const auto rep = sim::simulate_centralized(image, cp);
 
   const obs::causal::Analysis an = obs::causal::analyze(hub);
   EXPECT_EQ(an.makespan, rep.makespan);
@@ -171,7 +174,8 @@ TEST(CausalRio, WaitTotalReconcilesWithPhaseTotalExactly) {
   rt::Runtime eng(engine::Launch{.workers = p,
                                  .collect_stats = true,
                                  .obs = &hub});
-  eng.run(wl.flow, wl.mapping(p));
+  const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
+  eng.run(image, wl.mapping(p));
   ASSERT_EQ(hub.dropped(), 0u);
 
   const obs::causal::Analysis an = obs::causal::analyze(hub);
@@ -197,11 +201,10 @@ TEST(CausalRio, PrunedRuntimeAttributesToo) {
   auto wl = chain(24, 100000, p, workloads::BodyKind::kCounter);
   obs::Hub hub(obs::HubOptions{.recorder = true});
   const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
-  rt::PrunedPlan plan(image, wl.mapping(p), p);
   rt::Runtime eng(engine::Launch{.workers = p,
                                  .collect_stats = true,
                                  .obs = &hub});
-  eng.run(image, plan);
+  eng.run_pruned(image, wl.mapping(p));
   ASSERT_EQ(hub.dropped(), 0u);
 
   const obs::causal::Analysis an = obs::causal::analyze(hub);
@@ -221,7 +224,8 @@ TEST(CausalExport, PerfettoFlowEventsAreStructurallyValid) {
   rt::Runtime eng(engine::Launch{.workers = p,
                                  .collect_stats = true,
                                  .obs = &hub});
-  eng.run(wl.flow, wl.mapping(p));
+  const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
+  eng.run(image, wl.mapping(p));
 
   std::ostringstream os;
   obs::write_perfetto_trace(hub, os);
@@ -305,7 +309,8 @@ TEST(CausalSampling, SampledRunKeepsIdentityAndAnalyzerBounds) {
   rt::Runtime eng(engine::Launch{.workers = p,
                                  .collect_stats = true,
                                  .obs = &hub});
-  eng.run(wl.flow, wl.mapping(p));
+  const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
+  eng.run(image, wl.mapping(p));
 
   EXPECT_EQ(hub.sample_stride(), 4u);
   EXPECT_EQ(hub.recorded() + hub.dropped(), hub.pushed());

@@ -183,7 +183,8 @@ TEST_P(CoorScheduler, ExecutesEveryTaskOnce) {
     flow.add("t", [&hits](stf::TaskContext&) { hits.fetch_add(1); }, {});
   Runtime rt(Launch{.workers = 3, .scheduler = sched,
                     .work_stealing = steal});
-  auto stats = rt.run(flow);
+  const stf::FlowImage image = stf::FlowImage::compile(flow);
+  auto stats = rt.run(image);
   EXPECT_EQ(hits.load(), 200);
   EXPECT_EQ(stats.tasks_executed(), 200u);
 }
@@ -198,7 +199,8 @@ TEST_P(CoorScheduler, RespectsChainOrder) {
              {stf::readwrite(d)});
   Runtime rt(Launch{.workers = 3, .scheduler = sched,
                     .work_stealing = steal, .enable_guard = true});
-  rt.run(flow);
+  const stf::FlowImage image = stf::FlowImage::compile(flow);
+  rt.run(image);
   EXPECT_EQ(flow.registry().typed<int>(d)[0], 123456);
 }
 
@@ -216,7 +218,8 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Coor, EmptyFlowTerminates) {
   stf::TaskFlow flow;
   Runtime rt(Launch{.workers = 2});
-  auto stats = rt.run(flow);
+  const stf::FlowImage image = stf::FlowImage::compile(flow);
+  auto stats = rt.run(image);
   EXPECT_EQ(stats.tasks_executed(), 0u);
 }
 
@@ -228,7 +231,8 @@ TEST(Coor, TraceIsSequentiallyConsistentButMaybeOutOfOrder) {
   auto wl = workloads::make_lu_dag(spec);
   obs::Hub hub(stf::trace_recorder(wl.flow.num_tasks()));
   Runtime rt(Launch{.workers = 4, .enable_guard = true, .obs = &hub});
-  rt.run(wl.flow);
+  const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
+  rt.run(image);
   stf::DependencyGraph graph(wl.flow);
   // OoO: no per-worker in-order requirement, but the DAG must hold.
   const auto r =
@@ -242,7 +246,8 @@ TEST(Coor, MasterStatsAreRuntimeOnly) {
   spec.task_cost = 5000;
   auto wl = workloads::make_independent(spec);
   Runtime rt(Launch{.workers = 2});
-  auto stats = rt.run(wl.flow);
+  const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
+  auto stats = rt.run(image);
   ASSERT_EQ(stats.workers.size(), 3u);  // 2 workers + master
   const auto& master = stats.workers[2];
   EXPECT_EQ(master.buckets.task_ns, 0u);
@@ -292,13 +297,15 @@ TEST_P(CoorOracle, RandomGraphMatchesSequential) {
   };
 
   auto seq_flow = make(17);
-  stf::SequentialExecutor{}.run(seq_flow);
+  const stf::FlowImage seq_image = stf::FlowImage::compile(seq_flow);
+  stf::SequentialExecutor{}.run(seq_image);
 
   auto par_flow = make(17);
   Runtime rt(Launch{.workers = 4, .scheduler = GetParam(),
                     .work_stealing = GetParam() == SchedulerKind::kLocality,
                     .enable_guard = true});
-  rt.run(par_flow);
+  const stf::FlowImage par_image = stf::FlowImage::compile(par_flow);
+  rt.run(par_image);
 
   for (stf::DataId d = 0; d < par_flow.num_data(); ++d)
     EXPECT_EQ(std::memcmp(par_flow.registry().raw(d), seq_flow.registry().raw(d),
@@ -322,11 +329,13 @@ TEST(Coor, NumericLuMatchesSequential) {
   a2.fill_random_diagonally_dominant(31);
 
   auto wl_seq = workloads::make_lu_numeric(a1);
-  stf::SequentialExecutor{}.run(wl_seq.flow);
+  const stf::FlowImage seq_image = stf::FlowImage::compile(wl_seq.flow);
+  stf::SequentialExecutor{}.run(seq_image);
 
   auto wl_par = workloads::make_lu_numeric(a2);
   Runtime rt(Launch{.workers = 4, .enable_guard = true});
-  rt.run(wl_par.flow);
+  const stf::FlowImage par_image = stf::FlowImage::compile(wl_par.flow);
+  rt.run(par_image);
 
   EXPECT_EQ(a1.max_abs_diff(a2), 0.0);
 }

@@ -119,7 +119,8 @@ TEST(EngineRegistry, CapabilityListIsStableAndComplete) {
 TEST(EngineMatrix, EveryBackendRunsTheFoldChain) {
   const std::uint32_t kTasks = 180, kData = 9, kWorkers = 3;
   auto oracle = make_fold_chain(kTasks, kData);
-  stf::SequentialExecutor{}.run(oracle);
+  const stf::FlowImage oracle_image = stf::FlowImage::compile(oracle);
+  stf::SequentialExecutor{}.run(oracle_image);
 
   for (const engine::Backend* backend : engine::Registry::instance().all()) {
     const engine::Capabilities& caps = backend->caps();
@@ -199,7 +200,8 @@ TEST(EngineValidate, RingQueueRejectedWithoutUsesQueue) {
                                     : coor::QueueKind::kRing;
   const std::string label = std::string("+") + coor::to_string(other);
   auto oracle = make_fold_chain(60, 6);
-  stf::SequentialExecutor{}.run(oracle);
+  const stf::FlowImage oracle_image = stf::FlowImage::compile(oracle);
+  stf::SequentialExecutor{}.run(oracle_image);
   for (const engine::Backend* backend : engine::Registry::instance().all()) {
     SCOPED_TRACE(std::string(backend->name()));
     engine::Launch launch;
@@ -230,7 +232,8 @@ TEST(EngineValidate, DefaultLaunchRunsOnEveryBackend) {
   // on every backend — also on those that never read a knob whose default
   // changed, like hybrid and the ring queue.
   auto oracle = make_fold_chain(60, 6);
-  stf::SequentialExecutor{}.run(oracle);
+  const stf::FlowImage oracle_image = stf::FlowImage::compile(oracle);
+  stf::SequentialExecutor{}.run(oracle_image);
   for (const engine::Backend* backend : engine::Registry::instance().all()) {
     SCOPED_TRACE(std::string(backend->name()));
     engine::Launch launch;
@@ -250,7 +253,8 @@ TEST(EngineValidate, SchedulerRejectedWithoutUsesScheduler) {
   // refused, not silently ignored; the uses_scheduler backends must still
   // run it to the oracle.
   auto oracle = make_fold_chain(60, 6);
-  stf::SequentialExecutor{}.run(oracle);
+  const stf::FlowImage oracle_image = stf::FlowImage::compile(oracle);
+  stf::SequentialExecutor{}.run(oracle_image);
   for (const engine::Backend* backend : engine::Registry::instance().all()) {
     SCOPED_TRACE(std::string(backend->name()));
     engine::Launch launch;

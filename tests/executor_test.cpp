@@ -118,7 +118,8 @@ void zero(const stf::TaskFlow& flow) {
 std::vector<std::uint64_t> oracle(std::uint32_t tasks = kTasks,
                                   std::uint32_t num_data = kData) {
   stf::TaskFlow flow = fold_flow({}, tasks, num_data);
-  stf::SequentialExecutor{}.run(flow);
+  const stf::FlowImage image = stf::FlowImage::compile(flow);
+  stf::SequentialExecutor{}.run(image);
   return values(flow);
 }
 

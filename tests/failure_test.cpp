@@ -67,14 +67,16 @@ TEST(Failure, RioRuntimeUsableAfterFailure) {
   std::atomic<int> executed{0};
   auto bad = throwing_flow(20, 0, executed);
   rt::Runtime runtime(engine::Launch{.workers = 2});
-  EXPECT_THROW(runtime.run(bad, rt::mapping::round_robin(2)), BoomError);
+  const stf::FlowImage bad_image = stf::FlowImage::compile(bad);
+  EXPECT_THROW(runtime.run(bad_image, rt::mapping::round_robin(2)), BoomError);
 
   stf::TaskFlow good;
   auto d = good.create_data<int>("d");
   for (int i = 0; i < 10; ++i)
     good.add("inc", [d](stf::TaskContext& ctx) { ctx.scalar(d) += 1; },
              {stf::readwrite(d)});
-  runtime.run(good, rt::mapping::round_robin(2));
+  const stf::FlowImage good_image = stf::FlowImage::compile(good);
+  runtime.run(good_image, rt::mapping::round_robin(2));
   EXPECT_EQ(*good.registry().typed<int>(d), 10);
 }
 
@@ -102,8 +104,9 @@ TEST(Failure, HybridPropagatesFromEitherPhaseKind) {
     std::atomic<int> executed{0};
     auto flow = throwing_flow(20, throw_at, executed);
     hybrid::Runtime runtime(engine::Launch{.workers = 2});
+    const stf::FlowImage image = stf::FlowImage::compile(flow);
     EXPECT_THROW(
-        runtime.run(flow,
+        runtime.run(image,
                     [](stf::TaskId t) -> std::optional<stf::WorkerId> {
                       if (t < 10) return static_cast<stf::WorkerId>(t % 2);
                       return std::nullopt;
@@ -117,7 +120,8 @@ TEST(Failure, HybridPropagatesFromEitherPhaseKind) {
 TEST(Failure, SequentialExecutorPropagatesNaturally) {
   std::atomic<int> executed{0};
   auto flow = throwing_flow(10, 3, executed);
-  EXPECT_THROW(stf::SequentialExecutor{}.run(flow), BoomError);
+  const stf::FlowImage image = stf::FlowImage::compile(flow);
+  EXPECT_THROW(stf::SequentialExecutor{}.run(image), BoomError);
   EXPECT_EQ(executed.load(), 3);
 }
 
@@ -128,7 +132,8 @@ TEST(Failure, FirstOfManyExceptionsWins) {
   for (int i = 0; i < 12; ++i)
     flow.add("boom", [](stf::TaskContext&) { throw BoomError{}; }, {});
   rt::Runtime runtime(engine::Launch{.workers = 4});
-  EXPECT_THROW(runtime.run(flow, rt::mapping::round_robin(4)), BoomError);
+  const stf::FlowImage image = stf::FlowImage::compile(flow);
+  EXPECT_THROW(runtime.run(image, rt::mapping::round_robin(4)), BoomError);
 }
 
 // ---- Resilience layer ----------------------------------------------------
@@ -186,7 +191,8 @@ TEST(Resilience, RetryExhaustionThrowsTaskFailure) {
                                      .retry = {.max_attempts = 3},
                                      .fault = &injector});
   try {
-    runtime.run(flow, rt::mapping::round_robin(2));
+    const stf::FlowImage image = stf::FlowImage::compile(flow);
+    runtime.run(image, rt::mapping::round_robin(2));
     FAIL() << "expected TaskFailure";
   } catch (const stf::TaskFailure& f) {
     EXPECT_EQ(f.report().task, 7u);
@@ -209,7 +215,8 @@ TEST(Resilience, NoRetryKeepsBareExceptionContract) {
   plan.throw_attempts = 99;
   support::FaultInjector injector(plan);
   rt::Runtime runtime(engine::Launch{.workers = 2, .fault = &injector});
-  EXPECT_THROW(runtime.run(flow, rt::mapping::round_robin(2)),
+  const stf::FlowImage image = stf::FlowImage::compile(flow);
+  EXPECT_THROW(runtime.run(image, rt::mapping::round_robin(2)),
                support::InjectedFault);
 }
 
@@ -224,7 +231,8 @@ TEST(Resilience, RioWatchdogFailsStalledRun) {
                                      .fault = &injector,
                                      .watchdog_ns = 200'000'000ull});
   try {
-    runtime.run(flow, rt::mapping::round_robin(2));
+    const stf::FlowImage image = stf::FlowImage::compile(flow);
+    runtime.run(image, rt::mapping::round_robin(2));
     FAIL() << "expected StallError";
   } catch (const stf::StallError& e) {
     // The diagnostic names every worker and was captured mid-stall.
@@ -271,7 +279,8 @@ TEST(Resilience, CoorWatchdogFailsStalledRun) {
                                        .fault = &injector,
                                        .watchdog_ns = 200'000'000ull});
   try {
-    runtime.run(flow);
+    const stf::FlowImage image = stf::FlowImage::compile(flow);
+    runtime.run(image);
     FAIL() << "expected StallError";
   } catch (const stf::StallError& e) {
     EXPECT_NE(e.diagnostic().find("coor"), std::string::npos);
@@ -304,8 +313,9 @@ TEST(Resilience, HybridPhaseFailureCancelsLaterPhases) {
   hybrid::Runtime runtime(engine::Launch{.workers = 2,
                                          .retry = {.max_attempts = 2},
                                          .fault = &injector});
+  const stf::FlowImage image = stf::FlowImage::compile(flow);
   EXPECT_THROW(
-      runtime.run(flow,
+      runtime.run(image,
                   [](stf::TaskId t) -> std::optional<stf::WorkerId> {
                     if (t < 10 || t >= 20)
                       return static_cast<stf::WorkerId>(t % 2);
@@ -342,7 +352,8 @@ TEST(Resilience, PerTaskRetryBudgetOverridesGlobal) {
       engine::Launch{.workers = 2,
                      .retry = {.max_attempts = 2, .task_attempts = {{5, 5}}},
                      .fault = &injector});
-  runtime.run(flow, rt::mapping::round_robin(2));
+  const stf::FlowImage image = stf::FlowImage::compile(flow);
+  runtime.run(image, rt::mapping::round_robin(2));
   EXPECT_EQ(*flow.registry().typed<int>(d), 12);
   EXPECT_EQ(injector.injected_throws(), 3u);
 }
@@ -361,7 +372,8 @@ TEST(Resilience, PerTaskRetryBudgetCanAlsoShrink) {
                      .retry = {.max_attempts = 4, .task_attempts = {{5, 1}}},
                      .fault = &injector});
   try {
-    runtime.run(flow, rt::mapping::round_robin(2));
+    const stf::FlowImage image = stf::FlowImage::compile(flow);
+    runtime.run(image, rt::mapping::round_robin(2));
     FAIL() << "expected TaskFailure";
   } catch (const stf::TaskFailure& f) {
     EXPECT_EQ(f.report().task, 5u);
@@ -401,7 +413,8 @@ TEST(Recovery, CrashWithoutSupervisorEscalatesWorkerLost) {
   support::FaultInjector injector(plan);
   rt::Runtime runtime(engine::Launch{.workers = 2, .fault = &injector});
   try {
-    runtime.run(flow, rt::mapping::round_robin(2));
+    const stf::FlowImage image = stf::FlowImage::compile(flow);
+    runtime.run(image, rt::mapping::round_robin(2));
     FAIL() << "expected WorkerLost";
   } catch (const stf::WorkerLost& loss) {
     ASSERT_EQ(loss.deaths().size(), 1u);
@@ -509,7 +522,8 @@ TEST(Recovery, ResumeSkipsFrontierTasksAndReportsReplay) {
   rt::Runtime runtime(engine::Launch{.workers = 2,
                                      .resume = &frontier,
                                      .obs = &hub});
-  runtime.run(flow, rt::mapping::round_robin(2));
+  const stf::FlowImage image = stf::FlowImage::compile(flow);
+  runtime.run(image, rt::mapping::round_robin(2));
   EXPECT_EQ(executed.load(), 10);  // only the un-done half ran
   EXPECT_EQ(*flow.registry().typed<int>(d), 10);
   EXPECT_EQ(hub.counter_snapshot().total(obs::Counter::kTasksReplayed), 10u);
@@ -599,7 +613,8 @@ TEST(Resilience, FullAndPrunedRunsShareArenasWithoutLeaks) {
   // dirty by an earlier (or a cancelled) run would corrupt the next one.
   const std::atomic<bool> never{false};
   stf::TaskFlow oracle_flow = folding_flow(48, 7, never);
-  stf::SequentialExecutor{}.run(oracle_flow);
+  const stf::FlowImage oracle_image = stf::FlowImage::compile(oracle_flow);
+  stf::SequentialExecutor{}.run(oracle_image);
   const std::vector<std::uint64_t> oracle = scalars(oracle_flow.registry());
 
   std::atomic<bool> armed{false};

@@ -2,10 +2,11 @@
 //
 // The compiled SoA image (stf/flow_image.hpp) must be a faithful mirror of
 // the source flow — same accesses, costs, names, ids — and replaying it
-// through any engine must be indistinguishable from streaming the AoS
-// flow: identical traces (up to scheduling freedom), identical final data,
-// clean happens-before verdicts, and a pruned-plan cache that compiles
-// exactly once per (image, mapping, workers) key.
+// through any engine must be indistinguishable from streaming the same
+// program through rt::Runtime::run_program: identical traces (up to
+// scheduling freedom), identical final data, clean happens-before
+// verdicts, and a pruned-plan cache that compiles exactly once per
+// (image, mapping, workers) key.
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
@@ -20,7 +21,6 @@
 #include "rio/runtime.hpp"
 #include "coor/runtime.hpp"
 #include "recorded_trace.hpp"
-#include "sim/simulate.hpp"
 #include "stf/sequential.hpp"
 #include "stf/stf.hpp"
 #include "workloads/synthetic.hpp"
@@ -61,6 +61,14 @@ std::vector<std::pair<stf::TaskId, stf::WorkerId>> assignment(
   return out;
 }
 
+/// The flow's tasks as a program, for rt::Runtime::run_program.
+stf::ProgramFn as_program(const stf::TaskFlow& flow) {
+  return [&flow](stf::SubmitSink& sink) {
+    for (const stf::Task& t : flow.tasks())
+      sink.submit(t.fn, t.accesses, t.cost, t.name);
+  };
+}
+
 void expect_clean_sync(const stf::TaskFlow& flow, const stf::SyncTrace& sync,
                        const char* what) {
   ASSERT_FALSE(sync.empty()) << what;
@@ -87,7 +95,6 @@ TEST(FlowImageLayout, MirrorsTheSourceFlow) {
 
   EXPECT_EQ(img.size(), flow.num_tasks());
   EXPECT_EQ(img.num_data(), flow.num_data());
-  EXPECT_EQ(img.first_id(), 0u);
   EXPECT_EQ(img.num_accesses_total(), 4u);
   EXPECT_EQ(img.total_cost(), 100u);
   EXPECT_EQ(&img.registry(), &flow.registry());
@@ -125,18 +132,6 @@ TEST(FlowImageLayout, SerialsAreProcessUnique) {
   EXPECT_NE(a.serial(), b.serial());
 }
 
-TEST(FlowImageLayout, SubrangeCompilationKeepsGlobalIds) {
-  const stf::TaskFlow flow = make_named_flow();
-  const stf::FlowImage img =
-      stf::FlowImage::compile(stf::FlowRange(flow, 1, 2));
-  EXPECT_EQ(img.size(), 2u);
-  EXPECT_EQ(img.first_id(), 1u);
-  EXPECT_EQ(img.task_id(0), 1u);
-  EXPECT_EQ(img.name(0), "read-both");
-  EXPECT_EQ(img.num_accesses(0), 2u);
-  EXPECT_EQ(img.num_accesses(1), 0u);
-}
-
 TEST(FlowImageLayout, ImageRangeSlicesShareAbsoluteAccessIndices) {
   const stf::TaskFlow flow = make_named_flow();
   const stf::FlowImage img = stf::FlowImage::compile(flow);
@@ -156,7 +151,8 @@ TEST(FlowImageLayout, ImageRangeSlicesShareAbsoluteAccessIndices) {
 TEST(FlowImageReplay, RioStreamingImageAndPrunedAgree) {
   constexpr std::uint32_t kWorkers = 3;
   auto wl_seq = make_equivalence_workload();
-  stf::SequentialExecutor{}.run(wl_seq.flow);
+  const stf::FlowImage seq_image = stf::FlowImage::compile(wl_seq.flow);
+  stf::SequentialExecutor{}.run(seq_image);
 
   auto wl_stream = make_equivalence_workload();
   auto wl_image = make_equivalence_workload();
@@ -164,10 +160,11 @@ TEST(FlowImageReplay, RioStreamingImageAndPrunedAgree) {
   obs::Hub hub(stf::trace_recorder(wl_stream.flow.num_tasks()));
   const engine::Launch cfg{
       .workers = kWorkers, .collect_sync = true, .obs = &hub};
-  const stf::DependencyGraph graph(stf::FlowRange(wl_stream.flow));
+  const stf::DependencyGraph graph(wl_stream.flow);
 
   rt::Runtime streaming(cfg);
-  streaming.run(wl_stream.flow, wl_stream.mapping(kWorkers));
+  streaming.run_program(wl_stream.flow.registry(), as_program(wl_stream.flow),
+                        wl_stream.mapping(kWorkers));
   const stf::Trace streaming_trace = testutil::recorded_trace(hub);
   ASSERT_TRUE(streaming_trace.validate(wl_stream.flow, graph, true).ok());
   expect_clean_sync(wl_stream.flow, streaming.sync_trace(), "streaming");
@@ -201,21 +198,24 @@ TEST(FlowImageReplay, RioStreamingImageAndPrunedAgree) {
 
 TEST(FlowImageReplay, CoorImageMatchesStreaming) {
   auto wl_seq = make_equivalence_workload();
-  stf::SequentialExecutor{}.run(wl_seq.flow);
+  const stf::FlowImage seq_image = stf::FlowImage::compile(wl_seq.flow);
+  stf::SequentialExecutor{}.run(seq_image);
 
   auto wl_stream = make_equivalence_workload();
   auto wl_image = make_equivalence_workload();
   obs::Hub hub(stf::trace_recorder(wl_stream.flow.num_tasks()));
   const engine::Launch cfg{.workers = 2, .collect_sync = true, .obs = &hub};
-  const stf::DependencyGraph graph(stf::FlowRange(wl_stream.flow));
+  const stf::DependencyGraph graph(wl_stream.flow);
 
-  coor::Runtime streaming(cfg);
-  streaming.run(wl_stream.flow);
+  // coor has no streaming front end: rio's run_program is the reference.
+  rt::Runtime streaming(cfg);
+  streaming.run_program(wl_stream.flow.registry(), as_program(wl_stream.flow),
+                        wl_stream.mapping(2));
   const stf::Trace streaming_trace = testutil::recorded_trace(hub);
-  ASSERT_TRUE(streaming_trace.validate(wl_stream.flow, graph, false).ok());
-  expect_clean_sync(wl_stream.flow, streaming.sync_trace(), "coor streaming");
+  ASSERT_TRUE(streaming_trace.validate(wl_stream.flow, graph, true).ok());
+  expect_clean_sync(wl_stream.flow, streaming.sync_trace(), "rio streaming");
   expect_same_registry(wl_stream.flow.registry(), wl_seq.flow.registry(),
-                       "coor streaming");
+                       "rio streaming");
 
   hub.reset();
   coor::Runtime image_rt(cfg);
@@ -340,37 +340,4 @@ TEST(PruningCache, ImagePlanMatchesFlowPlan) {
   }
   for (stf::WorkerId w = 0; w < 3; ++w)
     EXPECT_EQ(cursor[w], plan.tasks_for(w).size()) << "worker " << w;
-}
-
-// ------------------------------------------------------------------- sim ---
-
-TEST(SimImage, FlowAndImageEntryPointsAreBitIdentical) {
-  workloads::RandomDepsSpec spec;
-  spec.num_tasks = 400;
-  spec.num_data = 32;
-  spec.body = workloads::BodyKind::kNone;
-  auto wl = workloads::make_random_deps(spec);
-  const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
-
-  sim::DecentralizedParams dp;
-  dp.workers = 4;
-  const auto via_flow =
-      sim::simulate_decentralized(wl.flow, wl.mapping(4), dp);
-  const auto via_image =
-      sim::simulate_decentralized(image, wl.mapping(4), dp);
-  EXPECT_EQ(via_flow.makespan, via_image.makespan);
-  ASSERT_EQ(via_flow.stats.workers.size(), via_image.stats.workers.size());
-  for (std::size_t w = 0; w < via_flow.stats.workers.size(); ++w) {
-    EXPECT_EQ(via_flow.stats.workers[w].buckets.task_ns,
-              via_image.stats.workers[w].buckets.task_ns);
-    EXPECT_EQ(via_flow.stats.workers[w].buckets.idle_ns,
-              via_image.stats.workers[w].buckets.idle_ns);
-    EXPECT_EQ(via_flow.stats.workers[w].buckets.runtime_ns,
-              via_image.stats.workers[w].buckets.runtime_ns);
-  }
-
-  sim::CentralizedParams cp;
-  cp.workers = 4;
-  EXPECT_EQ(sim::simulate_centralized(wl.flow, cp).makespan,
-            sim::simulate_centralized(image, cp).makespan);
 }

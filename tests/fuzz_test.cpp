@@ -111,7 +111,8 @@ TEST_P(EngineFuzz, AllEnginesMatchSequential) {
   spec.workers = 2 + static_cast<std::uint32_t>(meta.bounded(4));
 
   auto oracle = make_fuzz_flow(spec);
-  stf::SequentialExecutor{}.run(oracle);
+  const stf::FlowImage oracle_image = stf::FlowImage::compile(oracle);
+  stf::SequentialExecutor{}.run(oracle_image);
 
   // Random (but valid) mapping table.
   std::vector<stf::WorkerId> owners(spec.num_tasks);
@@ -184,7 +185,8 @@ TEST_P(RingFuzz, RingQueueMatchesSequential) {
   spec.workers = 2 + static_cast<std::uint32_t>(meta.bounded(3));
 
   auto oracle = make_fuzz_flow(spec);
-  stf::SequentialExecutor{}.run(oracle);
+  const stf::FlowImage oracle_image = stf::FlowImage::compile(oracle);
+  stf::SequentialExecutor{}.run(oracle_image);
 
   for (auto scheduler :
        {coor::SchedulerKind::kFifo, coor::SchedulerKind::kLifo}) {
@@ -197,7 +199,8 @@ TEST_P(RingFuzz, RingQueueMatchesSequential) {
       cfg.scheduler = scheduler;
       cfg.queue = coor::QueueKind::kRing;
       cfg.wait_policy = policy;
-      coor::Runtime(cfg).run(flow);
+      const stf::FlowImage image = stf::FlowImage::compile(flow);
+      coor::Runtime(cfg).run(image);
       expect_same_data(flow, oracle,
                        (std::string("coor-ring/") + support::to_string(policy))
                            .c_str());
@@ -219,7 +222,8 @@ TEST_P(StreamingFuzz, StreamingMatchesMaterialized) {
   spec.workers = 3;
 
   auto oracle = make_fuzz_flow(spec);
-  stf::SequentialExecutor{}.run(oracle);
+  const stf::FlowImage oracle_image = stf::FlowImage::compile(oracle);
+  stf::SequentialExecutor{}.run(oracle_image);
 
   // Streaming: rebuild the same task sequence through a SubmitSink against
   // a standalone registry with the same layout.
@@ -269,7 +273,8 @@ TEST_P(FaultFuzz, RetriedRunsMatchSequential) {
   spec.workers = 2 + static_cast<std::uint32_t>(meta.bounded(3));
 
   auto oracle = make_fuzz_flow(spec);
-  stf::SequentialExecutor{}.run(oracle);
+  const stf::FlowImage oracle_image = stf::FlowImage::compile(oracle);
+  stf::SequentialExecutor{}.run(oracle_image);
 
   std::vector<stf::WorkerId> owners(spec.num_tasks);
   for (auto& o : owners)
@@ -336,7 +341,8 @@ TEST_P(CrashFuzz, SupervisedRecoveryMatchesSequential) {
   spec.workers = 3 + static_cast<std::uint32_t>(meta.bounded(2));
 
   auto oracle = make_fuzz_flow(spec);
-  stf::SequentialExecutor{}.run(oracle);
+  const stf::FlowImage oracle_image = stf::FlowImage::compile(oracle);
+  stf::SequentialExecutor{}.run(oracle_image);
 
   std::vector<stf::WorkerId> owners(spec.num_tasks);
   for (auto& o : owners)

@@ -27,7 +27,7 @@ TEST(Partition, SplitsAtMappingBoundaries) {
     if (t >= 3 && t <= 6) return static_cast<stf::WorkerId>(t % 2);
     return std::nullopt;
   };
-  const auto phases = hybrid::partition(flow, pm, 2);
+  const auto phases = hybrid::partition(flow.num_tasks(), pm, 2);
   ASSERT_EQ(phases.size(), 3u);
   EXPECT_EQ(phases[0].kind, Phase::Kind::kDynamic);
   EXPECT_EQ(phases[0].first, 0u);
@@ -45,7 +45,8 @@ TEST(Partition, AllMappedIsOneStaticPhase) {
   stf::TaskFlow flow;
   for (int i = 0; i < 5; ++i) flow.add_virtual(1, {});
   const auto phases = hybrid::partition(
-      flow, [](stf::TaskId) { return std::optional<stf::WorkerId>(0); }, 1);
+      flow.num_tasks(),
+      [](stf::TaskId) { return std::optional<stf::WorkerId>(0); }, 1);
   ASSERT_EQ(phases.size(), 1u);
   EXPECT_EQ(phases[0].kind, Phase::Kind::kStatic);
   EXPECT_EQ(phases[0].count, 5u);
@@ -54,7 +55,7 @@ TEST(Partition, AllMappedIsOneStaticPhase) {
 TEST(Partition, EmptyFlowHasNoPhases) {
   stf::TaskFlow flow;
   const auto phases = hybrid::partition(
-      flow, [](stf::TaskId) { return std::nullopt; }, 2);
+      flow.num_tasks(), [](stf::TaskId) { return std::nullopt; }, 2);
   EXPECT_TRUE(phases.empty());
 }
 
@@ -76,13 +77,15 @@ TEST(Hybrid, MixedPhasesPreserveSequentialSemantics) {
     return flow;
   };
   auto seq_flow = build();
-  stf::SequentialExecutor{}.run(seq_flow);
+  const stf::FlowImage seq_image = stf::FlowImage::compile(seq_flow);
+  stf::SequentialExecutor{}.run(seq_image);
   const auto expect = *seq_flow.registry().typed<std::uint64_t>(
       stf::DataHandle<std::uint64_t>{0});
 
   auto flow = build();
   hybrid::Runtime rt(engine::Launch{.workers = 3, .enable_guard = true});
-  rt.run(flow, [](stf::TaskId t) -> std::optional<stf::WorkerId> {
+  const stf::FlowImage image = stf::FlowImage::compile(flow);
+  rt.run(image, [](stf::TaskId t) -> std::optional<stf::WorkerId> {
     // Alternate segments of 3: mapped, unmapped, mapped, unmapped.
     if ((t / 3) % 2 == 0) return static_cast<stf::WorkerId>(t % 3);
     return std::nullopt;
@@ -128,12 +131,14 @@ TEST(Hybrid, RandomGraphMatchesOracleAcrossPhaseShapes) {
     };
 
     auto seq_flow = make();
-    stf::SequentialExecutor{}.run(seq_flow);
+    const stf::FlowImage seq_image = stf::FlowImage::compile(seq_flow);
+    stf::SequentialExecutor{}.run(seq_image);
 
     auto flow = make();
     hybrid::Runtime rt(
         engine::Launch{.workers = 3, .enable_guard = true});
-    rt.run(flow, [segment](stf::TaskId t) -> std::optional<stf::WorkerId> {
+    const stf::FlowImage image = stf::FlowImage::compile(flow);
+    rt.run(image, [segment](stf::TaskId t) -> std::optional<stf::WorkerId> {
       if ((t / segment) % 2 == 0) return static_cast<stf::WorkerId>(t % 3);
       return std::nullopt;
     });
@@ -152,8 +157,9 @@ TEST(Hybrid, StatsAggregateAcrossPhases) {
   spec.task_cost = 2000;
   auto wl = workloads::make_independent(spec);
   hybrid::Runtime rt(engine::Launch{.workers = 2});
+  const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
   const auto stats =
-      rt.run(wl.flow, [](stf::TaskId t) -> std::optional<stf::WorkerId> {
+      rt.run(image, [](stf::TaskId t) -> std::optional<stf::WorkerId> {
         if (t < 30) return static_cast<stf::WorkerId>(t % 2);  // static
         return std::nullopt;                                   // dynamic
       });
@@ -203,7 +209,8 @@ TEST_P(HplEngines, SequentialFactorizationIsCorrect) {
   a.fill_random(91);
   workloads::TiledMatrix original = a;
   auto hpl = workloads::make_hpl_lu(a, workers);
-  stf::SequentialExecutor{}.run(hpl.workload.flow);
+  const stf::FlowImage hpl_image = stf::FlowImage::compile(hpl.workload.flow);
+  stf::SequentialExecutor{}.run(hpl_image);
   EXPECT_LT(workloads::hpl_residual(original, a, *hpl.perm), 1e-13);
 }
 
@@ -215,12 +222,14 @@ TEST_P(HplEngines, HybridMatchesSequential) {
   workloads::TiledMatrix original = a1;
 
   auto seq = workloads::make_hpl_lu(a1, workers);
-  stf::SequentialExecutor{}.run(seq.workload.flow);
+  const stf::FlowImage seq_image = stf::FlowImage::compile(seq.workload.flow);
+  stf::SequentialExecutor{}.run(seq_image);
 
   auto hpl = workloads::make_hpl_lu(a2, workers);
   hybrid::Runtime rt(
       engine::Launch{.workers = workers, .enable_guard = true});
-  rt.run(hpl.workload.flow, hpl.partial_mapping());
+  const stf::FlowImage hpl_image = stf::FlowImage::compile(hpl.workload.flow);
+  rt.run(hpl_image, hpl.partial_mapping());
 
   EXPECT_EQ(a1.max_abs_diff(a2), 0.0) << "hybrid diverged from sequential";
   EXPECT_EQ(*seq.perm, *hpl.perm);
@@ -237,12 +246,14 @@ TEST_P(HplEngines, PureRioWithFullMappingMatches) {
   a2.fill_random(93);
 
   auto seq = workloads::make_hpl_lu(a1, workers);
-  stf::SequentialExecutor{}.run(seq.workload.flow);
+  const stf::FlowImage seq_image = stf::FlowImage::compile(seq.workload.flow);
+  stf::SequentialExecutor{}.run(seq_image);
 
   auto hpl = workloads::make_hpl_lu(a2, workers);
   rt::Runtime runtime(
       engine::Launch{.workers = workers, .enable_guard = true});
-  runtime.run(hpl.workload.flow, hpl.full_mapping());
+  const stf::FlowImage hpl_image = stf::FlowImage::compile(hpl.workload.flow);
+  runtime.run(hpl_image, hpl.full_mapping());
 
   EXPECT_EQ(a1.max_abs_diff(a2), 0.0);
   EXPECT_EQ(*seq.perm, *hpl.perm);
@@ -255,12 +266,14 @@ TEST_P(HplEngines, CentralizedOooMatches) {
   a2.fill_random(94);
 
   auto seq = workloads::make_hpl_lu(a1, workers);
-  stf::SequentialExecutor{}.run(seq.workload.flow);
+  const stf::FlowImage seq_image = stf::FlowImage::compile(seq.workload.flow);
+  stf::SequentialExecutor{}.run(seq_image);
 
   auto hpl = workloads::make_hpl_lu(a2, workers);
   coor::Runtime runtime(
       engine::Launch{.workers = workers, .enable_guard = true});
-  runtime.run(hpl.workload.flow);
+  const stf::FlowImage hpl_image = stf::FlowImage::compile(hpl.workload.flow);
+  runtime.run(hpl_image);
 
   EXPECT_EQ(a1.max_abs_diff(a2), 0.0);
 }
@@ -286,7 +299,8 @@ TEST(Hpl, PivotingActuallyHappens) {
   workloads::TiledMatrix original = a;
 
   auto hpl = workloads::make_hpl_lu(a, 2);
-  stf::SequentialExecutor{}.run(hpl.workload.flow);
+  const stf::FlowImage hpl_image = stf::FlowImage::compile(hpl.workload.flow);
+  stf::SequentialExecutor{}.run(hpl_image);
   EXPECT_NE((*hpl.perm)[0], 0u) << "first pivot should not stay in place";
   EXPECT_LT(workloads::hpl_residual(original, a, *hpl.perm), 1e-12);
 }

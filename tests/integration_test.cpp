@@ -1,9 +1,11 @@
-// Cross-module integration tests: flow ranges, the trace exporter fed by
+// Cross-module integration tests: image ranges, the trace exporter fed by
 // real recorded runs, and the hybrid simulator against its component
 // models.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <sstream>
+#include <type_traits>
 
 #include "coor/coor.hpp"
 #include "hybrid/hybrid.hpp"
@@ -18,50 +20,62 @@ namespace {
 
 using namespace rio;
 
-// ------------------------------------------------------------ FlowRange ----
+// ----------------------------------------------------------- ImageRange ----
 
-TEST(FlowRange, WholeFlowView) {
+// A compiled image converts to its whole-image range; a temporary does not,
+// so no range can outlive the image it borrows.
+static_assert(std::is_convertible_v<const stf::FlowImage&, stf::ImageRange>);
+static_assert(!std::is_convertible_v<stf::FlowImage&&, stf::ImageRange>);
+static_assert(
+    !std::is_constructible_v<stf::ImageRange, stf::FlowImage&&, std::size_t,
+                             std::size_t>);
+
+TEST(ImageRange, WholeFlowView) {
   stf::TaskFlow flow;
   auto d = flow.create_data<int>("d");
   for (int i = 0; i < 4; ++i) flow.add_virtual(1, {stf::readwrite(d)});
-  stf::FlowRange range(flow);
+  const stf::FlowImage image = stf::FlowImage::compile(flow);
+  const stf::ImageRange range = image;
   EXPECT_EQ(range.size(), 4u);
   EXPECT_EQ(range.first_id(), 0u);
   EXPECT_EQ(range.num_data(), 1u);
   EXPECT_EQ(&range.registry(), &flow.registry());
 }
 
-TEST(FlowRange, SubRangeKeepsGlobalIds) {
+TEST(ImageRange, SubRangeKeepsGlobalIds) {
   stf::TaskFlow flow;
   for (int i = 0; i < 10; ++i) flow.add_virtual(1, {});
-  stf::FlowRange range(flow, 3, 4);
+  const stf::FlowImage image = stf::FlowImage::compile(flow);
+  const stf::ImageRange range(image, 3, 4);
   EXPECT_EQ(range.size(), 4u);
   EXPECT_EQ(range.first_id(), 3u);
-  EXPECT_EQ(range[0].id, 3u);
-  EXPECT_EQ(range[3].id, 6u);
+  EXPECT_EQ(range.task(0).id, 3u);
+  EXPECT_EQ(range.task(3).id, 6u);
 }
 
-TEST(FlowRange, EmptyRange) {
+TEST(ImageRange, EmptyRange) {
   stf::TaskFlow flow;
   flow.add_virtual(1, {});
-  stf::FlowRange range(flow, 1, 0);
+  const stf::FlowImage image = stf::FlowImage::compile(flow);
+  const stf::ImageRange range(image, 1, 0);
   EXPECT_TRUE(range.empty());
-  EXPECT_EQ(range.first_id(), stf::kInvalidTask);
+  EXPECT_EQ(range.first_id(), 1u);  // the start id, even with no task
 }
 
-TEST(FlowRange, DependencyGraphOnSubRangeIsLocal) {
+TEST(ImageRange, DependencyGraphOnSubRangeIsLocal) {
   // A chain of 6; the sub-range [2,5) sees only its internal edges.
   stf::TaskFlow flow;
   auto d = flow.create_data<int>("d");
   for (int i = 0; i < 6; ++i) flow.add_virtual(1, {stf::readwrite(d)});
-  stf::DependencyGraph g(stf::FlowRange(flow, 2, 3));
+  const stf::FlowImage image = stf::FlowImage::compile(flow);
+  stf::DependencyGraph g(stf::ImageRange(image, 2, 3));
   EXPECT_EQ(g.num_tasks(), 3u);
   EXPECT_TRUE(g.predecessors(0).empty());  // cross-range dep not modelled
   EXPECT_EQ(g.predecessors(1), (std::vector<stf::TaskId>{0}));
   EXPECT_EQ(g.num_edges(), 2u);
 }
 
-TEST(FlowRange, RioRunsSubRange) {
+TEST(ImageRange, RioRunsSubRange) {
   stf::TaskFlow flow;
   auto d = flow.create_data<std::uint64_t>("d");
   for (int i = 0; i < 8; ++i)
@@ -93,7 +107,8 @@ stf::TaskFlow traced_flow(rt::Runtime& runtime, std::uint32_t workers) {
     flow.add("chain_" + std::to_string(i),
              [d](stf::TaskContext& ctx) { ctx.scalar(d) += 1; },
              {stf::readwrite(d)});
-  runtime.run(flow, rt::mapping::round_robin(workers));
+  const stf::FlowImage image = stf::FlowImage::compile(flow);
+  runtime.run(image, rt::mapping::round_robin(workers));
   return flow;
 }
 
@@ -124,7 +139,8 @@ TEST(TraceExport, JsonEscapesSpecialCharacters) {
   flow.add("quote\"back\\slash", [](stf::TaskContext&) {}, {});
   obs::Hub hub(obs::HubOptions{.recorder = true});
   rt::Runtime runtime(engine::Launch{.workers = 1, .obs = &hub});
-  runtime.run(flow, rt::mapping::single());
+  const stf::FlowImage image = stf::FlowImage::compile(flow);
+  runtime.run(image, rt::mapping::single());
   EXPECT_NE(named_trace(hub, flow).find("quote\\\"back\\\\slash"),
             std::string::npos);
 }
@@ -137,7 +153,8 @@ TEST(TraceExport, JsonEscapesControlCharacters) {
            {});
   obs::Hub hub(obs::HubOptions{.recorder = true});
   rt::Runtime runtime(engine::Launch{.workers = 1, .obs = &hub});
-  runtime.run(flow, rt::mapping::single());
+  const stf::FlowImage image = stf::FlowImage::compile(flow);
+  runtime.run(image, rt::mapping::single());
   const std::string json = named_trace(hub, flow);
   EXPECT_NE(json.find("tab\\there\\u0001raw\\nline"), std::string::npos);
   for (char c : json)
@@ -160,7 +177,8 @@ TEST(TraceExport, CoorTraceExportsToo) {
     flow.add("t" + std::to_string(i), [](stf::TaskContext&) {}, {});
   obs::Hub hub(obs::HubOptions{.recorder = true});
   coor::Runtime runtime(engine::Launch{.workers = 2, .obs = &hub});
-  runtime.run(flow);
+  const stf::FlowImage image = stf::FlowImage::compile(flow);
+  runtime.run(image);
   EXPECT_NE(named_trace(hub, flow).find("\"t9\""), std::string::npos);
 }
 
@@ -183,10 +201,11 @@ TEST(SimHybrid, SinglePhaseEqualsComponentModel) {
   all_static[0].first = 0;
   all_static[0].count = 1000;
   all_static[0].mapping = rt::mapping::round_robin(8);
+  const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
   const auto hyb =
-      sim::simulate_hybrid(wl.flow, all_static, dp, cp);
+      sim::simulate_hybrid(image, all_static, dp, cp);
   const auto pure =
-      sim::simulate_decentralized(wl.flow, rt::mapping::round_robin(8), dp);
+      sim::simulate_decentralized(image, rt::mapping::round_robin(8), dp);
   EXPECT_EQ(hyb.makespan, pure.makespan);
 
   // All-dynamic single phase == simulate_centralized.
@@ -194,8 +213,8 @@ TEST(SimHybrid, SinglePhaseEqualsComponentModel) {
   all_dynamic[0].kind = hybrid::Phase::Kind::kDynamic;
   all_dynamic[0].first = 0;
   all_dynamic[0].count = 1000;
-  const auto hyb2 = sim::simulate_hybrid(wl.flow, all_dynamic, dp, cp);
-  const auto pure2 = sim::simulate_centralized(wl.flow, cp);
+  const auto hyb2 = sim::simulate_hybrid(image, all_dynamic, dp, cp);
+  const auto pure2 = sim::simulate_centralized(image, cp);
   EXPECT_EQ(hyb2.makespan, pure2.makespan);
 }
 
@@ -235,10 +254,11 @@ TEST(SimHybrid, HplMixedFlowBeatsCentralizedAtFineGranularity) {
   dp.workers = 16;
   sim::CentralizedParams cp;
   cp.workers = 16;
+  const stf::FlowImage hpl_image = stf::FlowImage::compile(hpl.workload.flow);
   const auto phases =
-      hybrid::partition(hpl.workload.flow, hpl.partial_mapping(), 16);
-  const auto hyb = sim::simulate_hybrid(hpl.workload.flow, phases, dp, cp);
-  const auto coor = sim::simulate_centralized(hpl.workload.flow, cp);
+      hybrid::partition(hpl_image.size(), hpl.partial_mapping(), 16);
+  const auto hyb = sim::simulate_hybrid(hpl_image, phases, dp, cp);
+  const auto coor = sim::simulate_centralized(hpl_image, cp);
   EXPECT_LT(hyb.makespan, coor.makespan);
 }
 
@@ -256,14 +276,15 @@ TEST(CrossEngine, AllEnginesProduceValidTracesOnLu) {
   obs::Hub hub(stf::trace_recorder(wl.flow.num_tasks()));
   rt::Runtime rio_rt(
       engine::Launch{.workers = 3, .enable_guard = true, .obs = &hub});
-  rio_rt.run(wl.flow, wl.mapping(3));
+  const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
+  rio_rt.run(image, wl.mapping(3));
   auto r1 = testutil::recorded_trace(hub).validate(wl.flow, graph, true);
   EXPECT_TRUE(r1.ok()) << r1.reason;
 
   hub.reset();
   coor::Runtime coor_rt(
       engine::Launch{.workers = 3, .enable_guard = true, .obs = &hub});
-  coor_rt.run(wl.flow);
+  coor_rt.run(image);
   auto r2 = testutil::recorded_trace(hub).validate(wl.flow, graph, false);
   EXPECT_TRUE(r2.ok()) << r2.reason;
 }

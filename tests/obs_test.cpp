@@ -136,7 +136,8 @@ TEST(ObsRing, EngineDropsAreReportedNotLost) {
   rt::Runtime eng(engine::Launch{.workers = 2,
                                  .collect_stats = false,
                                  .obs = &hub});
-  eng.run(wl.flow, wl.mapping(2));
+  const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
+  eng.run(image, wl.mapping(2));
   EXPECT_GT(hub.dropped(), 0u);
   EXPECT_LE(hub.recorded(), 2u * 8u);
   EXPECT_EQ(hub.drain_events().size(), hub.recorded());
@@ -189,7 +190,8 @@ TEST(ObsDisabled, NullHubRunLeavesNothingBehind) {
   // Engines run with cfg.obs == nullptr: a separate hub stays all-zero.
   auto wl = cholesky(3, 2);
   rt::Runtime eng(engine::Launch{.workers = 2});
-  eng.run(wl.flow, wl.mapping(2));
+  const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
+  eng.run(image, wl.mapping(2));
   obs::Hub hub;
   const obs::CounterSnapshot snap = hub.counter_snapshot();
   for (std::size_t c = 0; c < obs::kNumCounters; ++c)
@@ -206,7 +208,8 @@ TEST(ObsReconcile, RioTraceRingAndBucketsAgreeExactly) {
   rt::Runtime eng(engine::Launch{.workers = p,
                                  .collect_stats = true,
                                  .obs = &hub});
-  const auto stats = eng.run(wl.flow, wl.mapping(p));
+  const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
+  const auto stats = eng.run(image, wl.mapping(p));
 
   // The trace is built from the ring's kBody spans, one event per span:
   // its busy time equals the ring's exactly, not approximately.
@@ -234,11 +237,10 @@ TEST(ObsReconcile, PrunedRioAgreesToo) {
   auto wl = cholesky(4, p);
   obs::Hub hub(obs::HubOptions{.recorder = true});
   const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
-  rt::PrunedPlan plan(image, wl.mapping(p), p);
   rt::Runtime eng(engine::Launch{.workers = p,
                                  .collect_stats = true,
                                  .obs = &hub});
-  const auto stats = eng.run(image, plan);
+  const auto stats = eng.run_pruned(image, wl.mapping(p));
   const auto busy = trace_busy(testutil::recorded_trace(hub), p);
   const auto body = ring_body(hub);
   for (std::uint32_t w = 0; w < p; ++w) {
@@ -257,7 +259,8 @@ TEST(ObsReconcile, CoorWorkersAndMasterAgree) {
   coor::Runtime eng(engine::Launch{.workers = p,
                                    .collect_stats = true,
                                    .obs = &hub});
-  const auto stats = eng.run(wl.flow);
+  const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
+  const auto stats = eng.run(image);
   ASSERT_EQ(hub.num_workers(), p + 1);
   const auto busy = trace_busy(testutil::recorded_trace(hub), p);
   const auto body = ring_body(hub);
@@ -290,8 +293,9 @@ TEST(ObsReconcile, HybridAccumulatesAcrossPhases) {
   hybrid::Runtime eng(engine::Launch{.workers = p,
                                      .collect_stats = true,
                                      .obs = &hub});
+  const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
   const auto stats = eng.run(
-      wl.flow, [p](stf::TaskId t) -> std::optional<stf::WorkerId> {
+      image, [p](stf::TaskId t) -> std::optional<stf::WorkerId> {
         if ((t / 4) % 2 == 0) return static_cast<stf::WorkerId>(t % p);
         return std::nullopt;
       });
@@ -316,7 +320,8 @@ TEST(ObsReconcile, RetryCountersMatchInjector) {
                                  .retry = {.max_attempts = 3},
                                  .fault = &injector,
                                  .obs = &hub});
-  eng.run(wl.flow, wl.mapping(2));
+  const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
+  eng.run(image, wl.mapping(2));
   const obs::CounterSnapshot snap = hub.counter_snapshot();
   EXPECT_EQ(snap.total(obs::Counter::kFaultsInjected),
             injector.injected_throws());
@@ -628,7 +633,8 @@ TEST(ObsSim, DecentralizedEmitsTicksWithExactIdentity) {
   sim::DecentralizedParams dp;
   dp.workers = p;
   dp.obs = &hub;
-  const auto rep = sim::simulate_decentralized(wl.flow, wl.mapping(p), dp);
+  const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
+  const auto rep = sim::simulate_decentralized(image, wl.mapping(p), dp);
   EXPECT_EQ(hub.clock_unit(), obs::ClockUnit::kTicks);
   ASSERT_EQ(hub.num_workers(), p);
   for (std::uint32_t w = 0; w < p; ++w) {
@@ -651,7 +657,8 @@ TEST(ObsSim, CentralizedMasterSlotMatches) {
   sim::CentralizedParams cp;
   cp.workers = p;
   cp.obs = &hub;
-  const auto rep = sim::simulate_centralized(wl.flow, cp);
+  const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
+  const auto rep = sim::simulate_centralized(image, cp);
   ASSERT_EQ(hub.num_workers(), p + 1);
   for (std::uint32_t w = 0; w <= p; ++w) {
     const auto& ph = hub.phase_totals(w);
@@ -672,7 +679,8 @@ TEST(ObsExport, PerfettoTraceIsStructurallySound) {
   rt::Runtime eng(engine::Launch{.workers = 2,
                                  .collect_stats = true,
                                  .obs = &hub});
-  eng.run(wl.flow, wl.mapping(2));
+  const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
+  eng.run(image, wl.mapping(2));
   std::ostringstream os;
   obs::write_perfetto_trace(hub, os);
   const std::string json = os.str();
@@ -696,7 +704,8 @@ TEST(ObsExport, ObsJsonRoundTripsDecompositionBitForBit) {
   rt::Runtime eng(engine::Launch{.workers = p,
                                  .collect_stats = true,
                                  .obs = &hub});
-  const auto stats = eng.run(wl.flow, wl.mapping(p));
+  const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
+  const auto stats = eng.run(image, wl.mapping(p));
   const auto e = metrics::decompose_synthetic(stats.cumulative());
 
   obs::ObsJsonMeta meta;

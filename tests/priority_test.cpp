@@ -113,7 +113,8 @@ TEST(PriorityScheduler, ExecutesAllAndRespectsDeps) {
                                   .scheduler = coor::SchedulerKind::kPriority,
                                   .enable_guard = true,
                                   .obs = &hub});
-  const auto stats = rt.run(wl.flow);
+  const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
+  const auto stats = rt.run(image);
   EXPECT_EQ(stats.tasks_executed(), wl.flow.num_tasks());
   const auto v = testutil::recorded_trace(hub).validate(wl.flow, g, false);
   EXPECT_TRUE(v.ok()) << v.reason;
@@ -138,7 +139,8 @@ TEST(PriorityScheduler, CriticalTaskJumpsTheQueue) {
   }
   coor::Runtime rt(engine::Launch{.workers = 1,
                                   .scheduler = coor::SchedulerKind::kPriority});
-  rt.run(flow);
+  const stf::FlowImage image = stf::FlowImage::compile(flow);
+  rt.run(image);
   // Task 9 runs first or second (the worker may have grabbed task 0 before
   // task 9 was discovered); every plain task except possibly task 0 runs
   // after it.

@@ -127,7 +127,8 @@ std::uint64_t expected_total(std::uint32_t num_tasks) {
 
 TEST(ReductionEngines, SequentialIsTheOracle) {
   auto flow = histogram_flow(100, 4);
-  SequentialExecutor{}.run(flow);
+  const stf::FlowImage image = stf::FlowImage::compile(flow);
+  SequentialExecutor{}.run(image);
   EXPECT_EQ(*flow.registry().typed<std::uint64_t>(
                 DataHandle<std::uint64_t>{4}),
             expected_total(100));
@@ -140,7 +141,8 @@ TEST_P(ReductionCoor, HistogramMatchesAndTraceValidates) {
   obs::Hub hub(stf::trace_recorder(flow.num_tasks()));
   coor::Runtime rt(engine::Launch{.workers = 4, .scheduler = GetParam(),
                                   .enable_guard = true, .obs = &hub});
-  rt.run(flow);
+  const stf::FlowImage image = stf::FlowImage::compile(flow);
+  rt.run(image);
   EXPECT_EQ(*flow.registry().typed<std::uint64_t>(
                 DataHandle<std::uint64_t>{4}),
             expected_total(200));
@@ -162,7 +164,8 @@ TEST(ReductionEngines, RioExecutesReductionsInOrder) {
   obs::Hub hub(stf::trace_recorder(flow.num_tasks()));
   rt::Runtime rt(
       engine::Launch{.workers = 3, .enable_guard = true, .obs = &hub});
-  rt.run(flow, rt::mapping::round_robin(3));
+  const stf::FlowImage image = stf::FlowImage::compile(flow);
+  rt.run(image, rt::mapping::round_robin(3));
   EXPECT_EQ(*flow.registry().typed<std::uint64_t>(
                 DataHandle<std::uint64_t>{3}),
             expected_total(120));
@@ -175,9 +178,8 @@ TEST(ReductionEngines, PrunedRioMatches) {
   auto flow = histogram_flow(90, 2);
   const auto mapping = rt::mapping::round_robin(2);
   const FlowImage image = FlowImage::compile(flow);
-  rt::PrunedPlan plan(image, mapping, 2);
   rt::Runtime prt(engine::Launch{.workers = 2});
-  prt.run(image, plan);
+  prt.run_pruned(image, mapping);
   EXPECT_EQ(*flow.registry().typed<std::uint64_t>(
                 DataHandle<std::uint64_t>{2}),
             expected_total(90));
@@ -198,8 +200,10 @@ TEST(ReductionSim, CommutingUnlocksParallelismInCentralizedModel) {
   sim::CentralizedParams cp;
   auto chain = build(AccessMode::kReadWrite);
   auto red = build(AccessMode::kReduction);
-  const auto chain_rep = sim::simulate_centralized(chain, cp);
-  const auto red_rep = sim::simulate_centralized(red, cp);
+  const stf::FlowImage chain_image = stf::FlowImage::compile(chain);
+  const auto chain_rep = sim::simulate_centralized(chain_image, cp);
+  const stf::FlowImage red_image = stf::FlowImage::compile(red);
+  const auto red_rep = sim::simulate_centralized(red_image, cp);
   EXPECT_LT(red_rep.makespan * 4, chain_rep.makespan)
       << "reductions should be at least 4x faster than the serial chain";
 }

@@ -74,7 +74,8 @@ TEST(Runtime, ExecutesEveryTaskExactlyOnce) {
   for (int i = 0; i < 100; ++i)
     flow.add("t", [&hits](stf::TaskContext&) { hits.fetch_add(1); }, {});
   Runtime rt(Launch{.workers = 4});
-  auto stats = rt.run(flow, rt::mapping::round_robin(4));
+  const stf::FlowImage image = stf::FlowImage::compile(flow);
+  auto stats = rt.run(image, rt::mapping::round_robin(4));
   EXPECT_EQ(hits.load(), 100);
   EXPECT_EQ(stats.tasks_executed(), 100u);
   // Everyone else declared the rest: (p-1) skips per task.
@@ -91,7 +92,8 @@ TEST(Runtime, SingleWorkerDegeneratesToSequential) {
              [d, i](stf::TaskContext& ctx) { ctx.scalar(d) = ctx.scalar(d) * 10 + i; },
              {stf::readwrite(d)});
   Runtime rt(Launch{.workers = 1});
-  rt.run(flow, rt::mapping::single());
+  const stf::FlowImage image = stf::FlowImage::compile(flow);
+  rt.run(image, rt::mapping::single());
   EXPECT_EQ(flow.registry().typed<int>(d)[0], 12345);
 }
 
@@ -106,7 +108,8 @@ TEST(Runtime, ChainAcrossWorkersRespectsOrder) {
              [d](stf::TaskContext& ctx) { ctx.scalar(d) += 1; },
              {stf::readwrite(d)});
   Runtime rt(Launch{.workers = 2, .enable_guard = true});
-  rt.run(flow, rt::mapping::round_robin(2));
+  const stf::FlowImage image = stf::FlowImage::compile(flow);
+  rt.run(image, rt::mapping::round_robin(2));
   EXPECT_EQ(flow.registry().typed<std::uint64_t>(d)[0],
             static_cast<std::uint64_t>(kLinks));
 }
@@ -127,7 +130,8 @@ TEST(Runtime, FanOutReadersAllSeeTheWrite) {
   // NOTE: all consumers also RW the sums buffer, serializing them — the
   // point here is the producer/consumer write visibility.
   Runtime rt(Launch{.workers = 3, .enable_guard = true});
-  rt.run(flow, rt::mapping::round_robin(3));
+  const stf::FlowImage image = stf::FlowImage::compile(flow);
+  rt.run(image, rt::mapping::round_robin(3));
   const auto* s = flow.registry().typed<std::uint64_t>(sums);
   for (int r = 0; r < 8; ++r) EXPECT_EQ(s[r], 42u);
 }
@@ -148,7 +152,8 @@ TEST(Runtime, WriteWaitsForAllReaders) {
   flow.add("w1", [d](stf::TaskContext& ctx) { ctx.scalar(d) = 9; },
            {stf::write(d)});
   Runtime rt(Launch{.workers = 4, .enable_guard = true});
-  rt.run(flow, rt::mapping::round_robin(4));
+  const stf::FlowImage image = stf::FlowImage::compile(flow);
+  rt.run(image, rt::mapping::round_robin(4));
   const int* o = flow.registry().typed<int>(out);
   for (int r = 0; r < 3; ++r) EXPECT_EQ(o[r], 7);  // readers saw w0, not w1
   EXPECT_EQ(flow.registry().typed<int>(d)[0], 9);
@@ -163,14 +168,16 @@ void check_against_oracle(stf::TaskFlow& parallel_flow,
                           stf::TaskFlow& sequential_flow,
                           std::uint32_t workers, WaitPolicy policy,
                           const Mapping& mapping) {
-  stf::SequentialExecutor{}.run(sequential_flow);
+  const stf::FlowImage seq_image = stf::FlowImage::compile(sequential_flow);
+  stf::SequentialExecutor{}.run(seq_image);
 
   obs::Hub hub(stf::trace_recorder(parallel_flow.num_tasks()));
   Runtime rt(Launch{.workers = workers,
                     .wait_policy = policy,
                     .enable_guard = true,
                     .obs = &hub});
-  rt.run(parallel_flow, mapping);
+  const stf::FlowImage parallel_image = stf::FlowImage::compile(parallel_flow);
+  rt.run(parallel_image, mapping);
 
   stf::DependencyGraph graph(parallel_flow);
   const auto validation =
@@ -273,11 +280,13 @@ TEST(RioNumeric, TiledGemmMatchesSequential) {
   b2.fill_random(2);
 
   auto wl_seq = workloads::make_gemm_numeric(a1, b1, c1);
-  stf::SequentialExecutor{}.run(wl_seq.flow);
+  const stf::FlowImage seq_image = stf::FlowImage::compile(wl_seq.flow);
+  stf::SequentialExecutor{}.run(seq_image);
 
   auto wl_par = workloads::make_gemm_numeric(a2, b2, c2, workers);
   Runtime rt(Launch{.workers = workers, .enable_guard = true});
-  rt.run(wl_par.flow, wl_par.mapping(workers));
+  const stf::FlowImage par_image = stf::FlowImage::compile(wl_par.flow);
+  rt.run(par_image, wl_par.mapping(workers));
 
   EXPECT_EQ(c1.max_abs_diff(c2), 0.0);
 }
@@ -289,11 +298,13 @@ TEST(RioNumeric, TiledLuMatchesSequential) {
   a2.fill_random_diagonally_dominant(11);
 
   auto wl_seq = workloads::make_lu_numeric(a1);
-  stf::SequentialExecutor{}.run(wl_seq.flow);
+  const stf::FlowImage seq_image = stf::FlowImage::compile(wl_seq.flow);
+  stf::SequentialExecutor{}.run(seq_image);
 
   auto wl_par = workloads::make_lu_numeric(a2, workers);
   Runtime rt(Launch{.workers = workers, .enable_guard = true});
-  rt.run(wl_par.flow, wl_par.mapping(workers));
+  const stf::FlowImage par_image = stf::FlowImage::compile(wl_par.flow);
+  rt.run(par_image, wl_par.mapping(workers));
 
   EXPECT_EQ(a1.max_abs_diff(a2), 0.0);
 }
@@ -307,11 +318,13 @@ TEST(RioNumeric, TiledCholeskyMatchesSequential) {
   a2.symmetrize();
 
   auto wl_seq = workloads::make_cholesky_numeric(a1);
-  stf::SequentialExecutor{}.run(wl_seq.flow);
+  const stf::FlowImage seq_image = stf::FlowImage::compile(wl_seq.flow);
+  stf::SequentialExecutor{}.run(seq_image);
 
   auto wl_par = workloads::make_cholesky_numeric(a2, workers);
   Runtime rt(Launch{.workers = workers, .enable_guard = true});
-  rt.run(wl_par.flow, wl_par.mapping(workers));
+  const stf::FlowImage par_image = stf::FlowImage::compile(wl_par.flow);
+  rt.run(par_image, wl_par.mapping(workers));
 
   EXPECT_EQ(a1.max_abs_diff(a2), 0.0);
 }
@@ -324,12 +337,14 @@ TEST(RioNumeric, StencilMatchesSequential) {
     a1[i] = a2[i] = static_cast<double>(i % 17) - 8.0;
 
   auto wl_seq = workloads::make_stencil_numeric(chunks, len, steps, a1, b1);
-  stf::SequentialExecutor{}.run(wl_seq.flow);
+  const stf::FlowImage seq_image = stf::FlowImage::compile(wl_seq.flow);
+  stf::SequentialExecutor{}.run(seq_image);
 
   auto wl_par =
       workloads::make_stencil_numeric(chunks, len, steps, a2, b2, workers);
   Runtime rt(Launch{.workers = workers, .enable_guard = true});
-  rt.run(wl_par.flow, wl_par.mapping(workers));
+  const stf::FlowImage par_image = stf::FlowImage::compile(wl_par.flow);
+  rt.run(par_image, wl_par.mapping(workers));
 
   for (std::size_t i = 0; i < a1.size(); ++i) {
     EXPECT_EQ(a1[i], a2[i]) << "buffer A diverged at " << i;
@@ -373,7 +388,8 @@ TEST(RunProgram, StreamingMatchesMaterialized) {
   make_data(flow, data_a);
   program(data_a)(flow);
   Runtime rt_a(Launch{.workers = workers, .enable_guard = true});
-  rt_a.run(flow, rt::mapping::round_robin(workers));
+  const stf::FlowImage image = stf::FlowImage::compile(flow);
+  rt_a.run(image, rt::mapping::round_robin(workers));
 
   // (b) streaming over a standalone registry
   stf::DataRegistry registry;
@@ -432,12 +448,12 @@ TEST(Pruning, PrunedExecutionMatchesOracle) {
   constexpr std::uint32_t workers = 3;
   auto parallel = make_order_sensitive_random(99, workers);
   auto sequential = make_order_sensitive_random(99, workers);
-  stf::SequentialExecutor{}.run(sequential.flow);
+  const stf::FlowImage seq_image = stf::FlowImage::compile(sequential.flow);
+  stf::SequentialExecutor{}.run(seq_image);
 
   const stf::FlowImage image = stf::FlowImage::compile(parallel.flow);
-  rt::PrunedPlan plan(image, parallel.mapping(workers), workers);
   Runtime prt(Launch{.workers = workers});
-  auto stats = prt.run(image, plan);
+  auto stats = prt.run_pruned(image, parallel.mapping(workers));
   EXPECT_EQ(stats.tasks_executed(), parallel.flow.num_tasks());
 
   const auto& pr = parallel.flow.registry();
@@ -454,13 +470,13 @@ TEST(Pruning, NumericLuThroughPrunedRuntime) {
   a2.fill_random_diagonally_dominant(5);
 
   auto wl_seq = workloads::make_lu_numeric(a1);
-  stf::SequentialExecutor{}.run(wl_seq.flow);
+  const stf::FlowImage seq_image = stf::FlowImage::compile(wl_seq.flow);
+  stf::SequentialExecutor{}.run(seq_image);
 
   auto wl_par = workloads::make_lu_numeric(a2, workers);
-  const stf::FlowImage image = stf::FlowImage::compile(wl_par.flow);
-  rt::PrunedPlan plan(image, wl_par.mapping(workers), workers);
+  const stf::FlowImage par_image = stf::FlowImage::compile(wl_par.flow);
   Runtime prt(Launch{.workers = workers});
-  prt.run(image, plan);
+  prt.run_pruned(par_image, wl_par.mapping(workers));
 
   EXPECT_EQ(a1.max_abs_diff(a2), 0.0);
 }
@@ -474,7 +490,8 @@ TEST(Stats, BucketsRoughlyCoverWallTime) {
   spec.num_workers = 2;
   auto wl = workloads::make_independent(spec);
   Runtime rt(Launch{.workers = 2});
-  auto stats = rt.run(wl.flow, wl.mapping(2));
+  const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
+  auto stats = rt.run(image, wl.mapping(2));
   const auto cum = stats.cumulative();
   EXPECT_GT(cum.task_ns, 0u);
   // tau_p == p * t_p within generous tolerance (oversubscribed host).
@@ -490,7 +507,8 @@ TEST(Stats, WaitsCountedOnDependencyStalls) {
     flow.add("c", [d](stf::TaskContext& ctx) { ctx.scalar(d) += 1; },
              {stf::readwrite(d)});
   Runtime rt(Launch{.workers = 2});
-  auto stats = rt.run(flow, rt::mapping::round_robin(2));
+  const stf::FlowImage image = stf::FlowImage::compile(flow);
+  auto stats = rt.run(image, rt::mapping::round_robin(2));
   std::uint64_t waits = 0;
   for (auto& w : stats.workers) waits += w.waits;
   EXPECT_GT(waits, 0u);

@@ -26,7 +26,8 @@ TEST(SimRio, TauIdentityHoldsExactly) {
   auto flow = independent_flow(1000, 500);
   DecentralizedParams p;
   p.workers = 8;
-  auto rep = sim::simulate_decentralized(flow, rt::mapping::round_robin(8), p);
+  const stf::FlowImage image = stf::FlowImage::compile(flow);
+  auto rep = sim::simulate_decentralized(image, rt::mapping::round_robin(8), p);
   for (const auto& w : rep.stats.workers)
     EXPECT_EQ(w.buckets.total(), rep.makespan) << "per-worker tau identity";
   EXPECT_EQ(rep.stats.cumulative().total(), rep.makespan * 8);
@@ -36,7 +37,8 @@ TEST(SimCoor, TauIdentityHoldsExactly) {
   auto flow = independent_flow(1000, 500);
   CentralizedParams p;
   p.workers = 7;
-  auto rep = sim::simulate_centralized(flow, p);
+  const stf::FlowImage image = stf::FlowImage::compile(flow);
+  auto rep = sim::simulate_centralized(image, p);
   ASSERT_EQ(rep.stats.workers.size(), 8u);  // 7 + master
   for (const auto& w : rep.stats.workers)
     EXPECT_EQ(w.buckets.total(), rep.makespan);
@@ -56,7 +58,8 @@ TEST(SimRio, SingleWorkerChainIsSequential) {
   p.skip_per_access = 0;
   p.own_per_task = 10;
   p.own_per_access = 0;
-  auto rep = sim::simulate_decentralized(flow, rt::mapping::single(), p);
+  const stf::FlowImage image = stf::FlowImage::compile(flow);
+  auto rep = sim::simulate_decentralized(image, rt::mapping::single(), p);
   // Each task: 10 overhead + 100 exec, no stalls: makespan = 330.
   EXPECT_EQ(rep.makespan, 330u);
   EXPECT_EQ(rep.stats.workers[0].buckets.task_ns, 300u);
@@ -77,7 +80,8 @@ TEST(SimRio, CrossWorkerChainStalls) {
   p.skip_per_access = 0;
   p.own_per_task = 5;
   p.own_per_access = 0;
-  auto rep = sim::simulate_decentralized(flow, rt::mapping::round_robin(2), p);
+  const stf::FlowImage image = stf::FlowImage::compile(flow);
+  auto rep = sim::simulate_decentralized(image, rt::mapping::round_robin(2), p);
   // Worker0: own(5) + exec(100) -> finish t0 at 105.
   // Worker1: skip t0 (1) + own(5) = ready at 6, stalls until 105, exec 100
   //          -> finish 205. Worker0 then skips t1 at 106.
@@ -94,7 +98,8 @@ TEST(SimCoor, MasterBoundWhenTasksTiny) {
   p.master_per_task = 1000;
   p.master_per_access = 0;
   p.worker_pop = 10;
-  auto rep = sim::simulate_centralized(flow, p);
+  const stf::FlowImage image = stf::FlowImage::compile(flow);
+  auto rep = sim::simulate_centralized(image, p);
   EXPECT_GE(rep.makespan, 1000u * 1000u);
   EXPECT_LE(rep.makespan, 1000u * 1000u + 2000u);
 }
@@ -107,7 +112,8 @@ TEST(SimCoor, WorkerBoundWhenTasksLarge) {
   p.master_per_task = 100;
   p.master_per_access = 0;
   p.worker_pop = 10;
-  auto rep = sim::simulate_centralized(flow, p);
+  const stf::FlowImage image = stf::FlowImage::compile(flow);
+  auto rep = sim::simulate_centralized(image, p);
   const std::uint64_t ideal = 64ull * 100000 / 8;
   EXPECT_GE(rep.makespan, ideal);
   EXPECT_LE(rep.makespan, ideal + ideal / 10);
@@ -124,7 +130,8 @@ TEST(SimRio, DecentralizedAdditiveCostModel) {
   p.skip_per_access = 0;
   p.own_per_task = 10;
   p.own_per_access = 0;
-  auto rep = sim::simulate_decentralized(flow, rt::mapping::round_robin(4), p);
+  const stf::FlowImage image = stf::FlowImage::compile(flow);
+  auto rep = sim::simulate_decentralized(image, rt::mapping::round_robin(4), p);
   // Every worker pays ~n * 10 unrolling regardless of execution.
   EXPECT_GE(rep.makespan, n * 10);
   EXPECT_LE(rep.makespan, n * 10 + n);
@@ -143,15 +150,18 @@ TEST(SimComparison, RioWinsOnFineTasksCoorWinsPipelined) {
   auto fine = independent_flow(n, 1'000);     // ~1 us tasks
   auto coarse = independent_flow(n, 10'000'000);  // ~10 ms tasks
 
+  const stf::FlowImage fine_image = stf::FlowImage::compile(fine);
   const auto rio_fine =
-      sim::simulate_decentralized(fine, rt::mapping::round_robin(24), dp);
-  const auto coor_fine = sim::simulate_centralized(fine, cp);
+      sim::simulate_decentralized(fine_image, rt::mapping::round_robin(24), dp);
+  const auto coor_fine = sim::simulate_centralized(fine_image, cp);
   EXPECT_LT(rio_fine.makespan, coor_fine.makespan)
       << "RIO must win on fine-grained tasks";
 
+  const stf::FlowImage coarse_image = stf::FlowImage::compile(coarse);
   const auto rio_coarse =
-      sim::simulate_decentralized(coarse, rt::mapping::round_robin(24), dp);
-  const auto coor_coarse = sim::simulate_centralized(coarse, cp);
+      sim::simulate_decentralized(coarse_image, rt::mapping::round_robin(24),
+                                  dp);
+  const auto coor_coarse = sim::simulate_centralized(coarse_image, cp);
   // Both within a few percent of ideal for coarse tasks.
   stf::DependencyGraph g_coarse(coarse);
   const auto ideal = sim::ideal_makespan(coarse, g_coarse, 24);
@@ -166,10 +176,11 @@ TEST(SimRio, PruningRemovesUnrollOverhead) {
   full.workers = 16;
   DecentralizedParams pruned = full;
   pruned.pruned = true;
+  const stf::FlowImage image = stf::FlowImage::compile(flow);
   const auto rep_full =
-      sim::simulate_decentralized(flow, rt::mapping::round_robin(16), full);
+      sim::simulate_decentralized(image, rt::mapping::round_robin(16), full);
   const auto rep_pruned =
-      sim::simulate_decentralized(flow, rt::mapping::round_robin(16), pruned);
+      sim::simulate_decentralized(image, rt::mapping::round_robin(16), pruned);
   EXPECT_LT(rep_pruned.makespan, rep_full.makespan);
   // Pruned runtime bucket excludes all skip costs.
   EXPECT_LT(rep_pruned.stats.cumulative().runtime_ns,
@@ -184,8 +195,9 @@ TEST(SimRio, UnrollOverheadGrowsWithWorkers) {
     auto flow = independent_flow(512ull * w, 100);
     DecentralizedParams p;
     p.workers = w;
+    const stf::FlowImage image = stf::FlowImage::compile(flow);
     const auto rep =
-        sim::simulate_decentralized(flow, rt::mapping::round_robin(w), p);
+        sim::simulate_decentralized(image, rt::mapping::round_robin(w), p);
     EXPECT_GT(rep.makespan, prev_makespan);
     prev_makespan = rep.makespan;
   }
@@ -202,16 +214,18 @@ TEST(Sim, DeterministicAcrossRuns) {
   auto wl2 = workloads::make_random_deps(spec);
   DecentralizedParams dp;
   dp.workers = 6;
+  const stf::FlowImage wl1_image = stf::FlowImage::compile(wl1.flow);
   const auto a =
-      sim::simulate_decentralized(wl1.flow, rt::mapping::round_robin(6), dp);
+      sim::simulate_decentralized(wl1_image, rt::mapping::round_robin(6), dp);
+  const stf::FlowImage wl2_image = stf::FlowImage::compile(wl2.flow);
   const auto b =
-      sim::simulate_decentralized(wl2.flow, rt::mapping::round_robin(6), dp);
+      sim::simulate_decentralized(wl2_image, rt::mapping::round_robin(6), dp);
   EXPECT_EQ(a.makespan, b.makespan);
   EXPECT_EQ(a.stats.cumulative().idle_ns, b.stats.cumulative().idle_ns);
 
   CentralizedParams cp;
-  const auto c = sim::simulate_centralized(wl1.flow, cp);
-  const auto d = sim::simulate_centralized(wl2.flow, cp);
+  const auto c = sim::simulate_centralized(wl1_image, cp);
+  const auto d = sim::simulate_centralized(wl2_image, cp);
   EXPECT_EQ(c.makespan, d.makespan);
 }
 
@@ -230,10 +244,11 @@ TEST(SimBoth, LuDagRespectsCriticalPath) {
 
   DecentralizedParams dp;
   dp.workers = 8;
-  const auto rio = sim::simulate_decentralized(wl.flow, wl.mapping(8), dp);
+  const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
+  const auto rio = sim::simulate_decentralized(image, wl.mapping(8), dp);
   CentralizedParams cp;
   cp.workers = 8;
-  const auto coor = sim::simulate_centralized(wl.flow, cp);
+  const auto coor = sim::simulate_centralized(image, cp);
   EXPECT_GE(rio.makespan, ideal);
   EXPECT_GE(coor.makespan, ideal);
 }
@@ -252,11 +267,12 @@ TEST(SimHeterogeneous, StragglerSlowsStaticMappingProportionally) {
   auto flow = independent_flow(240, 100000);
   DecentralizedParams dp;
   dp.workers = 4;
+  const stf::FlowImage image = stf::FlowImage::compile(flow);
   const auto base =
-      sim::simulate_decentralized(flow, rt::mapping::round_robin(4), dp);
+      sim::simulate_decentralized(image, rt::mapping::round_robin(4), dp);
   dp.worker_speed = {0.5, 1.0, 1.0, 1.0};
   const auto slow =
-      sim::simulate_decentralized(flow, rt::mapping::round_robin(4), dp);
+      sim::simulate_decentralized(image, rt::mapping::round_robin(4), dp);
   // The straggler's share takes 2x: makespan doubles (round-robin gives it
   // a fixed 1/4 of the work).
   EXPECT_NEAR(static_cast<double>(slow.makespan) /
@@ -268,9 +284,10 @@ TEST(SimHeterogeneous, DynamicSchedulerRoutesAroundStraggler) {
   auto flow = independent_flow(240, 100000);
   CentralizedParams cp;
   cp.workers = 4;
-  const auto base = sim::simulate_centralized(flow, cp);
+  const stf::FlowImage image = stf::FlowImage::compile(flow);
+  const auto base = sim::simulate_centralized(image, cp);
   cp.worker_speed = {0.5, 1.0, 1.0, 1.0};
-  const auto slow = sim::simulate_centralized(flow, cp);
+  const auto slow = sim::simulate_centralized(image, cp);
   // List scheduling hands the straggler fewer tasks: far below 2x.
   EXPECT_LT(static_cast<double>(slow.makespan),
             1.3 * static_cast<double>(base.makespan));
@@ -290,10 +307,11 @@ TEST(SimLatency, CrossWorkerEdgePaysOnlyWhenCut) {
   dp.own_per_access = 0;
   dp.cross_worker_latency = 555;
 
+  const stf::FlowImage image = stf::FlowImage::compile(flow);
   const auto same =
-      sim::simulate_decentralized(flow, rt::mapping::single(), dp);
+      sim::simulate_decentralized(image, rt::mapping::single(), dp);
   const auto cross =
-      sim::simulate_decentralized(flow, rt::mapping::round_robin(2), dp);
+      sim::simulate_decentralized(image, rt::mapping::round_robin(2), dp);
   EXPECT_EQ(same.makespan, 200u);
   EXPECT_EQ(cross.makespan, 200u + 555u);
 }
@@ -307,9 +325,10 @@ TEST(SimLatency, CentralizedPaysOnEveryEdge) {
   cp.master_per_task = 1;
   cp.master_per_access = 0;
   cp.worker_pop = 0;
-  const auto base = sim::simulate_centralized(flow, cp);
+  const stf::FlowImage image = stf::FlowImage::compile(flow);
+  const auto base = sim::simulate_centralized(image, cp);
   cp.cross_worker_latency = 1000;
-  const auto lat = sim::simulate_centralized(flow, cp);
+  const auto lat = sim::simulate_centralized(image, cp);
   // Three chain edges, each + 1000.
   EXPECT_EQ(lat.makespan - base.makespan, 3000u);
 }
@@ -330,8 +349,11 @@ TEST(SimFaults, InjectedFaultsAreDeterministicAndCosted) {
   p.retry.max_attempts = 3;
   p.retry.backoff_ns = 50;
 
-  const auto a = sim::simulate_decentralized(flow, rt::mapping::round_robin(4), p);
-  const auto b = sim::simulate_decentralized(flow, rt::mapping::round_robin(4), p);
+  const stf::FlowImage image = stf::FlowImage::compile(flow);
+  const auto a =
+      sim::simulate_decentralized(image, rt::mapping::round_robin(4), p);
+  const auto b =
+      sim::simulate_decentralized(image, rt::mapping::round_robin(4), p);
   EXPECT_EQ(a.makespan, b.makespan);
   EXPECT_EQ(a.injected_throws, b.injected_throws);
   EXPECT_EQ(a.injected_stalls, b.injected_stalls);
@@ -343,7 +365,7 @@ TEST(SimFaults, InjectedFaultsAreDeterministicAndCosted) {
   DecentralizedParams clean = p;
   clean.faults = {};
   const auto c =
-      sim::simulate_decentralized(flow, rt::mapping::round_robin(4), clean);
+      sim::simulate_decentralized(image, rt::mapping::round_robin(4), clean);
   EXPECT_GT(a.makespan, c.makespan);
   EXPECT_EQ(c.injected_throws, 0u);
 }
@@ -358,7 +380,8 @@ TEST(SimFaults, CentralizedCountsExhaustedTasks) {
   p.faults.seed = 11;
   p.faults.throw_rate = 0.2;
   p.retry.max_attempts = 1;
-  const auto rep = sim::simulate_centralized(flow, p);
+  const stf::FlowImage image = stf::FlowImage::compile(flow);
+  const auto rep = sim::simulate_centralized(image, p);
   EXPECT_GT(rep.injected_throws, 0u);
   EXPECT_EQ(rep.failed_tasks, rep.injected_throws);
   EXPECT_EQ(rep.retried_tasks, 0u);

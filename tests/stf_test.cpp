@@ -171,7 +171,8 @@ TEST(SequentialExecutor, RunsTasksInOrderWithEffects) {
     flow.add("mul", [d, i](TaskContext& ctx) { ctx.scalar(d) =
                         ctx.scalar(d) * 10 + i; },
              {readwrite(d)});
-  auto stats = SequentialExecutor{}.run(flow);
+  const FlowImage image = FlowImage::compile(flow);
+  auto stats = SequentialExecutor{}.run(image);
   EXPECT_EQ(flow.registry().typed<int>(d)[0], 1234);
   EXPECT_EQ(stats.tasks_executed(), 4u);
   EXPECT_EQ(stats.num_workers(), 1u);
@@ -181,7 +182,8 @@ TEST(SequentialExecutor, SkipsBodylessTasks) {
   TaskFlow flow;
   flow.add_virtual(100, {});
   flow.add("real", [](TaskContext&) {}, {});
-  auto stats = SequentialExecutor{}.run(flow);
+  const FlowImage image = FlowImage::compile(flow);
+  auto stats = SequentialExecutor{}.run(image);
   EXPECT_EQ(stats.tasks_executed(), 1u);
 }
 

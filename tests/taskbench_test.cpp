@@ -145,15 +145,18 @@ TEST_P(TaskBenchEngines, RioAndCoorMatchSequential) {
   };
 
   auto oracle = make();
-  stf::SequentialExecutor{}.run(oracle.flow);
+  const stf::FlowImage oracle_image = stf::FlowImage::compile(oracle.flow);
+  stf::SequentialExecutor{}.run(oracle_image);
 
   auto wl_rio = make();
   rt::Runtime rio_rt(engine::Launch{.workers = 3, .enable_guard = true});
-  rio_rt.run(wl_rio.flow, wl_rio.mapping(3));
+  const stf::FlowImage rio_image = stf::FlowImage::compile(wl_rio.flow);
+  rio_rt.run(rio_image, wl_rio.mapping(3));
 
   auto wl_coor = make();
   coor::Runtime coor_rt(engine::Launch{.workers = 3, .enable_guard = true});
-  coor_rt.run(wl_coor.flow);
+  const stf::FlowImage coor_image = stf::FlowImage::compile(wl_coor.flow);
+  coor_rt.run(coor_image);
 
   for (stf::DataId d = 0; d < oracle.flow.num_data(); ++d) {
     EXPECT_EQ(std::memcmp(wl_rio.flow.registry().raw(d),

@@ -76,21 +76,24 @@ TEST(PooledEngines, RioPooledMatchesSpawned) {
     return flow;
   };
   auto f1 = make();
+  const stf::FlowImage i1 = stf::FlowImage::compile(f1);
   rt::Runtime spawned(engine::Launch{.workers = 3});
-  spawned.run(f1, rt::mapping::round_robin(3));
+  spawned.run(i1, rt::mapping::round_robin(3));
 
   auto f2 = make();
+  const stf::FlowImage i2 = stf::FlowImage::compile(f2);
   ThreadPool pool(3);
   rt::Runtime pooled(engine::Launch{.workers = 3});
   pooled.attach_pool(&pool);
   for (int rep = 0; rep < 3; ++rep) {  // repeated runs on one pool
     auto f = make();
-    pooled.run(f, rt::mapping::round_robin(3));
+    const stf::FlowImage image = stf::FlowImage::compile(f);
+    pooled.run(image, rt::mapping::round_robin(3));
     EXPECT_EQ(*f.registry().typed<std::uint64_t>(
                   stf::DataHandle<std::uint64_t>{0}),
               150u);
   }
-  pooled.run(f2, rt::mapping::round_robin(3));
+  pooled.run(i2, rt::mapping::round_robin(3));
   EXPECT_EQ(*f1.registry().typed<std::uint64_t>(
                 stf::DataHandle<std::uint64_t>{0}),
             *f2.registry().typed<std::uint64_t>(
@@ -106,8 +109,9 @@ TEST(PooledEngines, CoorPooledExecutesAll) {
   ThreadPool pool(4);  // 3 workers + master
   coor::Runtime rt(engine::Launch{.workers = 3, .enable_guard = true});
   rt.attach_pool(&pool);
+  const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
   for (int rep = 0; rep < 3; ++rep) {
-    const auto stats = rt.run(wl.flow);
+    const auto stats = rt.run(image);
     EXPECT_EQ(stats.tasks_executed(), wl.flow.num_tasks());
   }
 }
@@ -123,14 +127,17 @@ TEST(PooledEngines, HybridWithAndWithoutPoolAgree) {
   };
   auto ref = make();
   auto h_ref = workloads::make_hpl_lu(ref, 2);
-  stf::SequentialExecutor{}.run(h_ref.workload.flow);
+  const stf::FlowImage ref_image =
+      stf::FlowImage::compile(h_ref.workload.flow);
+  stf::SequentialExecutor{}.run(ref_image);
 
   hybrid::Runtime rt(engine::Launch{.workers = 2});
   for (int rep = 0; rep < 2; ++rep) {
     SCOPED_TRACE(rep == 0 ? "spawning run" : "pool-reusing run");
     auto a = make();
     auto h = workloads::make_hpl_lu(a, 2);
-    rt.run(h.workload.flow, h.partial_mapping());
+    const stf::FlowImage image = stf::FlowImage::compile(h.workload.flow);
+    rt.run(image, h.partial_mapping());
     EXPECT_EQ(a.max_abs_diff(ref), 0.0);
     EXPECT_EQ(*h.perm, *h_ref.perm);
   }

@@ -46,7 +46,8 @@ TEST(PinnedRuntimes, RioWithPinningStillCorrect) {
     flow.add("inc", [d](stf::TaskContext& ctx) { ctx.scalar(d) += 2; },
              {stf::readwrite(d)});
   rt::Runtime runtime(engine::Launch{.workers = 2, .pin_workers = true});
-  runtime.run(flow, rt::mapping::round_robin(2));
+  const stf::FlowImage image = stf::FlowImage::compile(flow);
+  runtime.run(image, rt::mapping::round_robin(2));
   EXPECT_EQ(*flow.registry().typed<std::uint64_t>(d), 80u);
 }
 
@@ -57,7 +58,8 @@ TEST(PinnedRuntimes, CoorWithPinningStillCorrect) {
   spec.task_cost = 10;
   auto wl = workloads::make_lu_dag(spec);
   coor::Runtime runtime(engine::Launch{.workers = 2, .pin_workers = true});
-  const auto stats = runtime.run(wl.flow);
+  const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
+  const auto stats = runtime.run(image);
   EXPECT_EQ(stats.tasks_executed(), wl.flow.num_tasks());
 }
 

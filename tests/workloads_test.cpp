@@ -103,7 +103,8 @@ TEST(GemmNumeric, MatchesBlockedDgemm) {
   a.fill_random(1);
   b.fill_random(2);
   auto wl = make_gemm_numeric(a, b, c);
-  stf::SequentialExecutor{}.run(wl.flow);
+  const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
+  stf::SequentialExecutor{}.run(image);
 
   // Dense reference on the same values.
   std::vector<double> da(n * n), db(n * n), dc(n * n, 0.0);
@@ -174,7 +175,8 @@ TEST(CholeskyNumeric, ReconstructsSpdMatrix) {
   a.symmetrize();
   TiledMatrix original = a;
   auto wl = make_cholesky_numeric(a);
-  stf::SequentialExecutor{}.run(wl.flow);
+  const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
+  stf::SequentialExecutor{}.run(image);
   // L * L^T must reproduce the original (lower triangle holds L).
   double worst = 0;
   for (std::size_t r = 0; r < n; ++r) {
@@ -214,7 +216,8 @@ TEST(StencilNumeric, ConservesMassRoughly) {
   a[10] = 64.0;
   const double before = 64.0;
   auto wl = make_stencil_numeric(chunks, len, steps, a, b);
-  stf::SequentialExecutor{}.run(wl.flow);
+  const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
+  stf::SequentialExecutor{}.run(image);
   const auto& result = (steps % 2 == 0) ? a : b;
   double after = 0;
   for (double v : result) after += v;
