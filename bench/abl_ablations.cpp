@@ -28,8 +28,7 @@ void ablate_wait_policy(const bench::Options& opt) {
   const std::uint32_t nt = opt.quick ? 4 : 6;
   support::Table table({"policy", "time_ms", "waits"});
   for (auto policy :
-       {support::WaitPolicy::kSpin, support::WaitPolicy::kSpinYield,
-        support::WaitPolicy::kBlock}) {
+       {support::WaitPolicy::kSpinYield, support::WaitPolicy::kBlock}) {
     workloads::LuDagSpec spec;
     spec.row_tiles = nt;
     spec.col_tiles = nt;

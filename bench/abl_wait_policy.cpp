@@ -1,134 +1,194 @@
-// abl_wait_policy — the wait-policy ablation advertised in support/wait.hpp.
+// abl_wait_policy — the wait-policy table (BENCH_wait_policy.json).
 //
-// Algorithm 2's two wait loops can spin, spin-then-yield, or park on a
-// futex (std::atomic::wait). The right choice depends on whether stalls
-// happen at all and on how oversubscribed the machine is, so the ablation
-// runs the real rio engine over two extreme workloads:
+// Algorithm 2's two wait loops, coor's ready-ring pops and the block
+// policy's doorbell parks all wait through support::Backoff
+// (support/wait.hpp). This bench prices each policy on the path users take:
+// every cell is one engine::Registry backend run through Backend::run at
+// W = 3 with pinned workers and the workload's own mapping, on the four
+// bench/e2e flow shapes:
 //
-//   * no-stall  — private per-worker chains (micro_unroll's workload): no
-//     get_* ever waits, so the columns isolate each policy's PUBLICATION
-//     cost (kBlock pays a notify per protocol write even with no waiter);
-//   * ping-pong — one read-write chain alternating between two workers:
-//     every task stalls on the other worker, so the columns show wake-up
-//     latency and, on oversubscribed hosts, kSpin's livelock-by-timeslice
-//     pathology (this is why the engines default to kSpinYield).
+//   * fine-independent — 16384 empty tasks without accesses: nothing ever
+//     waits, so the rows price publication and the coor master;
+//   * random-deps      — 4096 tasks, 2 reads + 1 readwrite over 128
+//     objects: many short cross-worker waits;
+//   * chain-handoff    — 4096 readwrite tasks on one object, round-robin
+//     owners: every dependency crosses workers on the critical path, so the
+//     rows price the wake-up latency of each policy;
+//   * cholesky-numeric — 8x8 tiles of 96x96 doubles: coarse kernels, where
+//     the policy should not matter.
+//
+// seq runs once per flow as the reference (it never waits). Each row gives
+// the median and quartiles of `repeats` timed runs, one per round, so that
+// a slow phase of the host hits every cell alike. The cell order is
+// shuffled anew each round (fixed seed), and each timed run follows
+// kWarmRuns untimed runs of the same cell: the first runs after another
+// engine pay for waking this executor's parked pool threads, which is a
+// cost of the cell order, not of the policy (a fixed order put 10-70% on
+// whichever policy came first on fine-independent). The inputs
+// are restored before every run. `vs_best` divides a row's median by the
+// best policy's median for the same engine and flow.
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "rio/mapping.hpp"
-#include "rio/runtime.hpp"
 #include "support/clock.hpp"
-#include "support/thread_pool.hpp"
+#include "support/rng.hpp"
+#include "stf/data_registry.hpp"
 #include "stf/flow_image.hpp"
-#include "stf/task_flow.hpp"
+#include "workloads/workloads.hpp"
 
 using namespace rio;
 
 namespace {
 
-constexpr std::size_t kChains = 64;  // divisible by every tested p
+constexpr std::uint32_t kWorkers = 3;
+constexpr int kWarmRuns = 2;
 
-stf::TaskFlow make_private_chains(std::size_t n) {
-  stf::TaskFlow flow;
-  std::vector<stf::DataHandle<std::uint64_t>> chain;
-  chain.reserve(kChains);
-  for (std::size_t c = 0; c < kChains; ++c)
-    chain.push_back(
-        flow.create_data<std::uint64_t>("chain" + std::to_string(c)));
-  for (std::size_t i = 0; i < n; ++i)
-    flow.add_virtual(0, {stf::write(chain[i % kChains])});
-  return flow;
+/// Linear-interpolation quantile (q in [0, 1]) of an unsorted sample.
+double quantile(std::vector<double> v, double q) {
+  std::sort(v.begin(), v.end());
+  const double pos = q * static_cast<double>(v.size() - 1);
+  const auto lo = static_cast<std::size_t>(std::floor(pos));
+  const std::size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (v[hi] - v[lo]) * (pos - static_cast<double>(lo));
 }
 
-stf::TaskFlow make_pingpong(std::size_t n) {
-  stf::TaskFlow flow;
-  auto x = flow.create_data<std::uint64_t>("x");
-  for (std::size_t i = 0; i < n; ++i)
-    flow.add_virtual(0, {stf::readwrite(x)});
-  return flow;
-}
+/// One flow shape: its workload, compiled image and pristine inputs.
+struct Flow {
+  std::string name;
+  std::unique_ptr<workloads::TiledMatrix> matrix;  // cholesky's data
+  workloads::Workload wl;
+  std::unique_ptr<stf::FlowImage> image;
+  stf::DataSnapshot pristine;
+};
 
-template <typename RunFn>
-double min_wall_ms(int reps, RunFn&& run) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    support::Stopwatch sw;
-    run();
-    best = std::min(best, static_cast<double>(sw.elapsed_ns()) * 1e-6);
+std::vector<Flow> make_flows(bool quick) {
+  using workloads::BodyKind;
+  std::vector<Flow> flows(4);
+  flows[0].name = "fine-independent";
+  flows[0].wl = workloads::make_independent({.num_tasks = quick ? 2048u : 16384u,
+                                             .task_cost = 0,
+                                             .body = BodyKind::kCounter,
+                                             .num_workers = kWorkers});
+  flows[1].name = "random-deps";
+  flows[1].wl = workloads::make_random_deps({.num_tasks = quick ? 1024u : 4096u,
+                                             .num_data = 128,
+                                             .reads_per_task = 2,
+                                             .writes_per_task = 1,
+                                             .task_cost = 2000,
+                                             .body = BodyKind::kFold,
+                                             .seed = 42,
+                                             .num_workers = kWorkers});
+  flows[2].name = "chain-handoff";
+  flows[2].wl = workloads::make_chain({.num_tasks = quick ? 1024u : 4096u,
+                                       .task_cost = 200,
+                                       .body = BodyKind::kFold,
+                                       .num_workers = kWorkers});
+  flows[3].name = "cholesky-numeric";
+  flows[3].matrix = std::make_unique<workloads::TiledMatrix>(quick ? 4 : 8,
+                                                             quick ? 48 : 96);
+  flows[3].matrix->fill_random_diagonally_dominant(42);
+  flows[3].matrix->symmetrize();
+  flows[3].wl = workloads::make_cholesky_numeric(*flows[3].matrix, kWorkers);
+  for (Flow& f : flows) {
+    f.image = std::make_unique<stf::FlowImage>(
+        stf::FlowImage::compile(f.wl.flow));
+    const stf::DataRegistry& reg = f.image->registry();
+    for (stf::DataId id = 0; id < reg.size(); ++id) f.pristine.add(reg, id);
   }
-  return best;
+  return flows;
 }
+
+/// One table row: a (flow, engine, policy) cell and its samples.
+struct Cell {
+  Flow* flow;
+  const engine::Backend* backend;
+  const char* policy;  // "none" for seq
+  engine::Launch launch;
+  std::vector<double> ms;
+};
 
 }  // namespace
 
 int main(int argc, char** argv) {
   const auto opt = bench::Options::parse(argc, argv);
   bench::JsonReporter json("wait_policy", opt);
-
-  const std::size_t n_free = opt.quick ? (1u << 12) : (1u << 15);
-  const std::size_t n_ping = opt.quick ? 256 : 1024;
-  const int reps = opt.quick ? 3 : 5;
-  const std::vector<support::WaitPolicy> policies = {
-      support::WaitPolicy::kSpin, support::WaitPolicy::kSpinYield,
-      support::WaitPolicy::kBlock};
+  const int repeats = opt.quick ? 3 : 21;
 
   bench::header("Ablation: wait policy",
-                "publication cost (no-stall chains) and wake-up latency "
-                "(cross-worker ping-pong) of spin / spin-yield / block");
+                "run time per policy x engine x e2e flow shape through "
+                "Backend::run, W = 3 (median and quartiles)");
 
-  support::ThreadPool pool(2);
-  const stf::TaskFlow free_flow = make_private_chains(n_free);
-  const stf::FlowImage free_image = stf::FlowImage::compile(free_flow);
-  const stf::TaskFlow ping_flow = make_pingpong(n_ping);
-  const stf::FlowImage ping_image = stf::FlowImage::compile(ping_flow);
-  const rt::Mapping two = rt::mapping::round_robin(2);
+  std::vector<Flow> flows = make_flows(opt.quick);
+  const std::vector<support::WaitPolicy> policies = {
+      support::WaitPolicy::kSpinYield, support::WaitPolicy::kBlock};
+  const engine::Registry& registry = engine::Registry::instance();
 
-  support::Table no_stall(
-      {"policy", "wall_ms", "ns_per_task"});
-  support::Table pingpong(
-      {"policy", "wall_ms", "us_per_handoff", "stalls"});
-  for (const support::WaitPolicy policy : policies) {
-    const engine::Launch cfg{.workers = 2,
-                             .wait_policy = policy,
-                             .collect_stats = false};
-    rt::Runtime eng(cfg);
-    eng.attach_pool(&pool);
-    const double free_ms =
-        min_wall_ms(reps, [&] { eng.run(free_image, two); });
-    no_stall.row()
-        .str(support::to_string(policy))
-        .num(free_ms, 3)
-        .num(free_ms * 1e6 / static_cast<double>(n_free), 1);
-
-    engine::Launch scfg = cfg;
-    scfg.collect_stats = true;  // count the stalls to prove the shape
-    rt::Runtime stalling(scfg);
-    stalling.attach_pool(&pool);
-    std::uint64_t stalls = 0;
-    const double ping_ms = min_wall_ms(reps, [&] {
-      const auto stats = stalling.run(ping_image, two);
-      stalls = 0;
-      for (const auto& wst : stats.workers) stalls += wst.waits;
-    });
-    pingpong.row()
-        .str(support::to_string(policy))
-        .num(ping_ms, 3)
-        .num(ping_ms * 1e3 / static_cast<double>(n_ping), 2)
-        .integer(static_cast<long long>(stalls));
+  std::vector<Cell> cells;
+  for (Flow& f : flows) {
+    engine::Launch base;
+    base.workers = kWorkers;
+    base.pin_workers = true;
+    base.mapping = f.wl.mapping(kWorkers);
+    cells.push_back({&f, registry.find("seq"), "none", base, {}});
+    for (const char* name : {"rio", "rio-pruned", "coor"}) {
+      for (const support::WaitPolicy policy : policies) {
+        engine::Launch launch = base;
+        launch.wait_policy = policy;
+        cells.push_back(
+            {&f, registry.find(name), support::to_string(policy), launch, {}});
+      }
+    }
   }
 
-  std::cout << "-- no-stall private chains (" << n_free << " tasks) --\n";
-  bench::emit(no_stall, opt, json, "no_stall");
-  std::cout << "-- cross-worker ping-pong (" << n_ping << " tasks) --\n";
-  bench::emit(pingpong, opt, json, "pingpong");
+  auto run_once = [](Cell& c) {
+    c.flow->pristine.restore(c.flow->image->registry());
+    const std::uint64_t t0 = support::monotonic_ns();
+    (void)c.backend->run(*c.flow->image, c.launch);
+    return static_cast<double>(support::monotonic_ns() - t0) * 1e-6;
+  };
+  std::vector<std::size_t> order(cells.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  support::Xoshiro256 rng(42);
+  for (int r = 0; r < repeats; ++r) {
+    for (std::size_t i = order.size(); i > 1; --i)
+      std::swap(order[i - 1], order[rng.bounded(i)]);
+    for (const std::size_t i : order) {
+      for (int w = 0; w < kWarmRuns; ++w) (void)run_once(cells[i]);
+      cells[i].ms.push_back(run_once(cells[i]));
+    }
+  }
 
-  std::cout << "Expected shape: without stalls the policies tie (kBlock pays\n"
-               "an uncontended notify per write); under ping-pong, kSpin\n"
-               "degrades badly when workers outnumber cores while kBlock\n"
-               "parks cleanly — the reason kSpinYield is the default.\n";
+  support::Table table({"flow", "engine", "policy", "repeats", "p25_ms",
+                        "median_ms", "p75_ms", "vs_best"});
+  for (const Cell& c : cells) {
+    double best = 1e300;
+    for (const Cell& o : cells)
+      if (o.flow == c.flow && o.backend == c.backend)
+        best = std::min(best, quantile(o.ms, 0.5));
+    const double median = quantile(c.ms, 0.5);
+    table.row()
+        .str(c.flow->name)
+        .str(std::string(c.backend->name()))
+        .str(c.policy)
+        .integer(static_cast<long long>(c.ms.size()))
+        .num(quantile(c.ms, 0.25), 3)
+        .num(median, 3)
+        .num(quantile(c.ms, 0.75), 3)
+        .num(median / best, 3);
+  }
+  bench::emit(table, opt, json, "policies");
+  json.note("workers", std::to_string(kWorkers));
+  json.note("pin_workers", "true");
+
+  std::cout << "Expected shape: the default (spin-yield) stays within 10% of\n"
+               "the best policy on every rio row; block pays a futex round\n"
+               "trip on chain-handoff, and no policy matters on cholesky.\n";
   bench::finish(json);
   return 0;
 }

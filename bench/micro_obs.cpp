@@ -96,7 +96,6 @@ int main(int argc, char** argv) {
     const auto run_mode = [&](bool stats, obs::Hub* hub) {
       engine::Launch launch;
       launch.workers = w;
-      launch.wait_policy = support::WaitPolicy::kSpin;
       launch.mapping = rt::mapping::round_robin(w);
       launch.collect_stats = stats;
       launch.obs = hub;

@@ -4,7 +4,7 @@
 // one worker, so wall time is pure unroll + protocol publication cost):
 //
 //   * section "protocol" — the micro_unroll shape (1 write/task, 64
-//     chains), swept across workers x policy x engine, so spin rows are
+//     chains), swept across workers x policy x engine, so its rows are
 //     directly comparable with BENCH_unroll.json;
 //   * section "fan" — 8 writes/task (8 chain groups x 8 chains), where a
 //     per-word notify would dominate the block policy: the shape that
@@ -112,8 +112,7 @@ void run_section(const Sweep& s, const char* section,
   for (const std::uint32_t w : {1u, 2u, 4u}) {
     const rt::Mapping mapping = rt::mapping::round_robin(w);
     for (const support::WaitPolicy policy :
-         {support::WaitPolicy::kSpin, support::WaitPolicy::kSpinYield,
-          support::WaitPolicy::kBlock}) {
+         {support::WaitPolicy::kSpinYield, support::WaitPolicy::kBlock}) {
       // One timed (telemetry-free) + one counted (obs-attached) engine per
       // configuration; the counted run never contributes to wall_ms.
       // make_run constructs the engine eagerly (outside the stopwatch, as
@@ -206,7 +205,7 @@ int main(int argc, char** argv) {
   run_section(sweep, "fan", stf::FlowImage::compile(make_fans(n)));
 
   std::cout
-      << "Expected shape: block-policy rio within noise of spin/yield "
+      << "Expected shape: block-policy rio within noise of spin-yield "
          "(doorbell batching elides per-word notifies on stall-free "
          "workloads: issued_per_task ~ 0, also in the "
       << kFan

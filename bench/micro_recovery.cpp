@@ -91,7 +91,6 @@ std::vector<const engine::Backend*> recovery_backends() {
 engine::Launch base_launch(const engine::Backend& b, std::uint32_t workers) {
   engine::Launch l;
   l.workers = workers;
-  l.wait_policy = support::WaitPolicy::kSpin;
   l.collect_stats = false;
   if (b.caps().needs_mapping) l.mapping = rt::mapping::round_robin(workers);
   return l;

@@ -72,8 +72,7 @@ int main(int argc, char** argv) {
   const int reps = opt.quick ? 3 : 7;
   const std::vector<std::uint32_t> workers = {1, 2, 4};
   const std::vector<support::WaitPolicy> policies = {
-      support::WaitPolicy::kSpin, support::WaitPolicy::kSpinYield,
-      support::WaitPolicy::kBlock};
+      support::WaitPolicy::kSpinYield, support::WaitPolicy::kBlock};
 
   bench::header("micro_unroll",
                 std::to_string(n) +

@@ -159,7 +159,7 @@ const std::vector<Flag>& flags() {
       number("--task-size", "N", &O::task_size,
              "counter iterations / virtual instructions"),
       text("--mapping", "M", &O::mapping, "rr | block | owner"),
-      text("--policy", "P", &O::policy, "spin | yield | block (wait policy)"),
+      text("--policy", "P", &O::policy, "yield | block (wait policy)"),
       text("--scheduler", "S", &O::scheduler,
            "fifo | lifo | locality | priority (coor)"),
       text("--queue", "Q", &O::queue,

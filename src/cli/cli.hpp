@@ -43,7 +43,7 @@ struct Options {
   bool engine_given = false;   ///< --engine was passed explicitly
   std::uint32_t workers = 2;
   std::string mapping = "owner";    ///< rr | block | owner
-  std::string policy = "yield";     ///< spin | yield | block
+  std::string policy = "yield";     ///< yield | block
   std::string scheduler = "fifo";   ///< fifo | lifo | locality | priority
   std::string queue = coor::to_string(engine::Launch{}.queue);
   ///< locked | ring (coor ready queue); defaults to engine::Launch's

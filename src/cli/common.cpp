@@ -128,8 +128,7 @@ rt::Mapping make_mapping(const Options& o, const workloads::Workload& wl) {
 support::WaitPolicy parse_policy(const std::string& name) {
   using P = support::WaitPolicy;
   return pick<P>("policy", name,
-                 {{"spin", P::kSpin}, {"yield", P::kSpinYield},
-                  {"block", P::kBlock}});
+                 {{"yield", P::kSpinYield}, {"block", P::kBlock}});
 }
 
 coor::QueueKind parse_queue(const std::string& name) {

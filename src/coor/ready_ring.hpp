@@ -226,7 +226,7 @@ class ReadyRingT {
         wait_changed(version_, ver, policy, nullptr, spins);
         fetch_add(waiters_, std::uint64_t{0} - 1);
       } else {
-        // Spin policies and watchdog-armed runs poll; the abort flag
+        // kSpinYield and watchdog-armed runs poll; the abort flag
         // (watchdog) must be able to unblock us without a notify.
         if (!wait_changed(version_, ver, policy, abort, spins)) {
           if (auto v = try_pop()) return v;

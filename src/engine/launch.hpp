@@ -5,8 +5,10 @@
 // through, so a run knob is declared exactly once. Each engine reads only
 // the fields its backend's Capabilities declare; a knob the backend cannot
 // honour must stay at its default or Backend::run() refuses the launch
-// (UnsupportedLaunch). Defaults favour correctness on any machine
-// (yielding waits survive oversubscription); benches flip the knobs.
+// (UnsupportedLaunch). Defaults favour correctness on any machine: the
+// default wait policy spins in bounded bursts for 5 µs and then yields, so
+// it survives oversubscription and still notices a cross-worker handoff
+// within about one pause (support/wait.hpp). Benches flip the knobs.
 //
 // Header-only and free of engine code, so the runtimes include it without
 // depending on the registry.

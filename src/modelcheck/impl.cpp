@@ -814,8 +814,9 @@ class Explorer {
     // execute_owned() runs it minus telemetry: get_* every access, the
     // task start/finish markers, terminate_*, then — under kBlock — the
     // waits park on the worker's bell, publishes skip the per-word notify
-    // and the release boundary rings every peer's bell (the production
-    // doorbell gate). Returns false when the worker dies on this task.
+    // and the release boundary of a task with accesses rings every peer's
+    // bell (the production doorbell gate). Returns false when the worker
+    // dies on this task.
     auto execute_owned = [&](std::uint32_t w, const stf::Task& task,
                              std::vector<rt::LocalDataState>& local) {
       Word<std::uint64_t>* bell = use_bells ? &bells[w] : nullptr;
@@ -838,7 +839,7 @@ class Explorer {
           rt::terminate_read(shared[a.data], local[a.data], policy,
                              !use_bells);
       }
-      if (use_bells) {
+      if (use_bells && !task.accesses.empty()) {
         for (std::uint32_t peer = 0; peer < opts_.workers; ++peer)
           if (peer != w) rt::ring_doorbell(bells[peer], policy);
       }

@@ -92,8 +92,8 @@ inline void declare_write(LocalDataState& local, stf::TaskId task_id) noexcept {
   local.last_registered_write = task_id;
 }
 
-/// Placeholder doorbell type for callers that never park on a bell (spin
-/// policies, watched runs, the sequential declare loops).
+/// Placeholder doorbell type for callers that never park on a bell
+/// (kSpinYield, watched runs, the sequential declare loops).
 struct NoBell {};
 
 /// acquire_for: the protocol wait both executors share. Blocks until the

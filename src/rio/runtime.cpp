@@ -251,9 +251,11 @@ void execute_owned(const stf::Task& task, WorkerCtx& ctx) {
       terminate_read(ctx.shared[a.data], ctx.local[a.data], ctx.policy,
                      word_notify);
   }
-  if (ctx.use_bells) {
+  if (ctx.use_bells && !task.accesses.empty()) {
     // One bump per peer per task — the whole release boundary batched into
-    // (p - 1) RMWs, with the futex syscall only when a peer is parked.
+    // (p - 1) RMWs, with the futex syscall only when a peer is parked. A
+    // task without accesses published no word a peer could wait on, so it
+    // rings no bell (and counts no wakeup below).
     std::uint64_t issued = 0;
     for (std::uint32_t w = 0; w < ctx.num_workers; ++w) {
       if (w == ctx.self) continue;

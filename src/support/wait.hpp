@@ -1,30 +1,48 @@
 // Wait policies for dependency stalls.
 //
 // Algorithm 2 of the paper contains two "wait for <shared word> == <local
-// value>" loops. How a worker waits is a policy decision with a large
-// performance impact:
-//   * pure spinning has the lowest wake-up latency but burns a hardware
-//     thread, and livelocks when workers are oversubscribed on few cores;
-//   * spin-then-yield keeps low latency while remaining safe under
-//     oversubscription (this reproduction's test machine has one core);
-//   * C++20 std::atomic::wait parks the thread in the kernel (futex on
-//     Linux), which is what a production runtime wants for long stalls.
+// value>" loops; coor's ready-ring pops and the block policy's doorbell
+// parks wait for a word to change. All of them wait through one loop here,
+// in two phases:
+//   * a spin phase of bounded bursts: at most Backoff::kBurst pauses
+//     between two loads of the waited word, for a wall-time budget of
+//     Backoff::kSpinBudgetNs;
+//   * then kSpinYield yields the thread between checks (safe when workers
+//     outnumber cores), and kBlock parks it in the kernel with
+//     std::atomic::wait (futex on Linux).
 //
-// The policy is a template parameter of the hot loops and a runtime knob of
-// the public API, so benches can ablate it (bench/abl_wait_policy).
+// Why the burst is bounded: a cross-worker handoff in a chain waits about
+// two task lengths, around 1 µs, and every handoff is on the critical
+// path. A burst that grows towards 64 pauses (a pause costs 14-16 ns on
+// the 4-vCPU KVM guest the benches run on) is still pausing when the word
+// flips, so the waiter oversleeps each handoff; on bench/e2e's
+// chain-handoff such a burst doubled rio's run time. One pause per check
+// notices the flip within about 20 ns.
+//
+// Why the budget is time: 5 µs is about 320 pauses here, but a 140-cycle
+// pause or a TSan build would stretch a pause count several times over.
+// The clock is read once per Backoff::kClockStride checks, and never on
+// the already-satisfied fast path, which constructs no Backoff.
+//
+// With a bounded burst a policy that never yields wins nowhere: in the
+// committed policy table (BENCH_wait_policy.json, docs/perf.md) the default
+// is within 10% of the best policy on every rio row.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <thread>
 
+#include "support/clock.hpp"
+
 namespace rio::support {
 
-/// Selects how a worker waits for a shared atomic to reach a target value.
+/// Selects how a worker waits, once the spin phase is over, for a shared
+/// atomic to reach a target value. The values are fixed (0 is unused) so
+/// that printed test parameters keep their bytes.
 enum class WaitPolicy : std::uint8_t {
-  kSpin,       ///< busy-poll with a pause instruction, never yield
-  kSpinYield,  ///< short pause burst, then std::this_thread::yield
-  kBlock,      ///< short spin, then std::atomic::wait (futex)
+  kSpinYield = 1,  ///< bounded spin, then std::this_thread::yield
+  kBlock = 2,      ///< bounded spin, then std::atomic::wait (futex)
 };
 
 /// Architectural pause: lowers power and frees pipeline slots for the
@@ -39,114 +57,120 @@ inline void cpu_pause() noexcept {
 #endif
 }
 
-/// Exponential spin backoff with an oversubscription escape hatch.
-/// After kSpinLimit rounds the caller should fall back to yielding or
-/// blocking; the backoff object tracks that state.
+/// Bounded spin backoff with a wall-time budget.
+///
+/// Each spin() is one check interval: at most kBurst pauses before the
+/// caller loads the waited word again. The spin phase ends on time, not on
+/// a round count: the clock is read once every kClockStride checks, the
+/// first read starts the budget, and the first read past kSpinBudgetNs ends
+/// the phase for good. After that spin() returns 0 and the caller yields or
+/// parks.
 class Backoff {
  public:
-  /// One backoff round. Returns true while still in the spin phase.
-  bool spin() noexcept {
-    if (rounds_ >= kSpinLimit) return false;
-    const std::uint32_t iters = std::uint32_t{1} << (rounds_ < 6 ? rounds_ : 6);
-    for (std::uint32_t i = 0; i < iters; ++i) cpu_pause();
-    ++rounds_;
-    return true;
+  static constexpr std::uint32_t kBurst = 1;            ///< pauses per check
+  static constexpr std::uint32_t kClockStride = 16;     ///< checks per clock read
+  static constexpr std::uint64_t kSpinBudgetNs = 5000;  ///< spin phase length
+
+  /// One check interval. Returns the pauses it performed: kBurst while the
+  /// spin phase lasts, 0 (and no pause) once the budget is spent.
+  std::uint32_t spin() noexcept {
+    if (spent_) return 0;
+    if (++checks_ % kClockStride == 0) {
+      const std::uint64_t now = monotonic_ns();
+      if (deadline_ == 0) {
+        deadline_ = now + kSpinBudgetNs;
+      } else if (now >= deadline_) {
+        spent_ = true;
+        return 0;
+      }
+    }
+    for (std::uint32_t i = 0; i < kBurst; ++i) cpu_pause();
+    return kBurst;
   }
 
   void yield() noexcept { std::this_thread::yield(); }
 
-  void reset() noexcept { rounds_ = 0; }
-
  private:
-  static constexpr std::uint32_t kSpinLimit = 10;
-  std::uint32_t rounds_ = 0;
+  std::uint64_t deadline_ = 0;  ///< 0 until the first clock read
+  std::uint32_t checks_ = 0;
+  bool spent_ = false;
 };
 
-/// Blocks until `word.load(acquire) == expected`, following `policy`.
+namespace detail {
+
+/// The one wait loop: one Backoff step, then `ready()`, until it holds.
+/// After the spin phase a kBlock wait calls `park()` (which blocks until
+/// the word may have moved) and every other wait yields. A non-null
+/// `abort` is polled once per check, and it turns kBlock into the yielding
+/// poll too: a futex park cannot observe the abort flag. Returns false on
+/// abort. A non-null `spins` receives the number of checks, accumulated in
+/// a local and flushed on exit so the loop stays free of extra memory
+/// traffic.
+template <typename Ready, typename Park>
+bool wait_loop(Ready&& ready, Park&& park, WaitPolicy policy,
+               const std::atomic<bool>* abort, std::uint64_t* spins) noexcept {
+  Backoff backoff;
+  std::uint64_t checks = 0;
+  bool reached = true;
+  for (;;) {
+    ++checks;
+    if (abort != nullptr && abort->load(std::memory_order_acquire)) {
+      reached = false;
+      break;
+    }
+    if (backoff.spin() == 0) {
+      if (policy == WaitPolicy::kBlock && abort == nullptr)
+        park();
+      else
+        backoff.yield();
+    }
+    if (ready()) break;
+  }
+  if (spins != nullptr) *spins += checks;
+  return reached;
+}
+
+}  // namespace detail
+
+/// Blocks until `word.load(acquire) == expected`, following `policy`, or
+/// until `*abort` becomes true — the progress watchdog's escape hatch for
+/// waits whose expected value will never arrive. Returns true when
+/// equality was reached, false on abort.
 ///
 /// The predicate is an equality on purpose: both waits in Algorithm 2
 /// compare a thread-local replica against the shared state, and equality
 /// (not >=) is what keeps the protocol correct for writes that reset
 /// nb_reads_since_write to zero.
-///
-/// A non-null `spins` receives the number of wait rounds performed — the
-/// telemetry feed for the obs spin-iteration counter. The tally is
-/// accumulated in a local and flushed on exit so the hot loop stays free
-/// of extra memory traffic.
-template <typename T>
-void wait_until_equal(const std::atomic<T>& word, T expected,
-                      WaitPolicy policy,
-                      std::uint64_t* spins = nullptr) noexcept {
-  if (word.load(std::memory_order_acquire) == expected) return;
-  Backoff backoff;
-  std::uint64_t rounds = 0;
-  for (;;) {
-    ++rounds;
-    switch (policy) {
-      case WaitPolicy::kSpin:
-        cpu_pause();
-        break;
-      case WaitPolicy::kSpinYield:
-        if (!backoff.spin()) backoff.yield();
-        break;
-      case WaitPolicy::kBlock: {
-        if (backoff.spin()) break;
-        // atomic::wait needs the *current* (unwanted) value; re-read it to
-        // avoid a missed wakeup between the check and the park.
-        T current = word.load(std::memory_order_acquire);
-        if (current == expected) {
-          if (spins != nullptr) *spins += rounds;
-          return;
-        }
-        word.wait(current, std::memory_order_acquire);
-        break;
-      }
-    }
-    if (word.load(std::memory_order_acquire) == expected) {
-      if (spins != nullptr) *spins += rounds;
-      return;
-    }
-  }
-}
-
-/// Abortable wait: like wait_until_equal, but additionally gives up when
-/// `*abort` becomes true — the progress watchdog's escape hatch for waits
-/// whose expected value will never arrive. Returns true when equality was
-/// reached, false on abort. A null abort delegates to the plain wait.
-///
-/// With a non-null abort the kBlock policy degrades to a spin/yield poll:
-/// a futex park cannot observe the abort flag, and the watchdog must be
-/// able to unblock every waiter without touching the protocol words.
 template <typename T>
 bool wait_until_equal_or(const std::atomic<T>& word, T expected,
                          WaitPolicy policy, const std::atomic<bool>* abort,
                          std::uint64_t* spins = nullptr) noexcept {
-  if (abort == nullptr) {
-    wait_until_equal(word, expected, policy, spins);
-    return true;
-  }
-  if (word.load(std::memory_order_acquire) == expected) return true;
-  Backoff backoff;
-  std::uint64_t rounds = 0;
-  for (;;) {
-    ++rounds;
-    if (abort->load(std::memory_order_acquire)) {
-      if (spins != nullptr) *spins += rounds;
-      return false;
-    }
-    if (policy == WaitPolicy::kSpin) {
-      cpu_pause();
-    } else if (!backoff.spin()) {
-      backoff.yield();
-    }
-    if (word.load(std::memory_order_acquire) == expected) {
-      if (spins != nullptr) *spins += rounds;
-      return true;
-    }
-  }
+  const auto ready = [&] {
+    return word.load(std::memory_order_acquire) == expected;
+  };
+  if (ready()) return true;
+  return detail::wait_loop(
+      ready,
+      [&] {
+        // atomic::wait needs the *current* (unwanted) value; re-read it to
+        // avoid a missed wakeup between the check and the park.
+        const T current = word.load(std::memory_order_acquire);
+        if (current != expected) word.wait(current, std::memory_order_acquire);
+      },
+      policy, abort, spins);
 }
 
-/// Blocks until `word.load(acquire) != old`, following `policy`.
+/// wait_until_equal_or without an abort flag.
+template <typename T>
+void wait_until_equal(const std::atomic<T>& word, T expected,
+                      WaitPolicy policy,
+                      std::uint64_t* spins = nullptr) noexcept {
+  wait_until_equal_or(word, expected, policy, nullptr, spins);
+}
+
+/// Blocks until `word.load(acquire) != old`, following `policy`, or until
+/// `*abort` becomes true. Returns true when the word moved, false on
+/// abort.
 ///
 /// The inequality predicate is the doorbell/version shape: producers only
 /// ever *bump* the word (monotone fetch_add), so "changed since I sampled
@@ -155,64 +179,16 @@ bool wait_until_equal_or(const std::atomic<T>& word, T expected,
 /// std::atomic::wait(old) already returns when the word differs from old,
 /// so there is no check/park re-read gap to close.
 template <typename T>
-void wait_until_changed(const std::atomic<T>& word, T old, WaitPolicy policy,
-                        std::uint64_t* spins = nullptr) noexcept {
-  if (word.load(std::memory_order_acquire) != old) return;
-  Backoff backoff;
-  std::uint64_t rounds = 0;
-  for (;;) {
-    ++rounds;
-    switch (policy) {
-      case WaitPolicy::kSpin:
-        cpu_pause();
-        break;
-      case WaitPolicy::kSpinYield:
-        if (!backoff.spin()) backoff.yield();
-        break;
-      case WaitPolicy::kBlock:
-        if (backoff.spin()) break;
-        word.wait(old, std::memory_order_acquire);
-        break;
-    }
-    if (word.load(std::memory_order_acquire) != old) {
-      if (spins != nullptr) *spins += rounds;
-      return;
-    }
-  }
-}
-
-/// Abortable variant of wait_until_changed, mirroring wait_until_equal_or:
-/// returns true when the word moved, false on abort. With a non-null abort
-/// the kBlock policy degrades to a spin/yield poll — a futex park cannot
-/// observe the abort flag, and the watchdog must be able to unblock every
-/// waiter without touching the protocol words.
-template <typename T>
 bool wait_until_changed_or(const std::atomic<T>& word, T old,
                            WaitPolicy policy, const std::atomic<bool>* abort,
                            std::uint64_t* spins = nullptr) noexcept {
-  if (abort == nullptr) {
-    wait_until_changed(word, old, policy, spins);
-    return true;
-  }
-  if (word.load(std::memory_order_acquire) != old) return true;
-  Backoff backoff;
-  std::uint64_t rounds = 0;
-  for (;;) {
-    ++rounds;
-    if (abort->load(std::memory_order_acquire)) {
-      if (spins != nullptr) *spins += rounds;
-      return false;
-    }
-    if (policy == WaitPolicy::kSpin) {
-      cpu_pause();
-    } else if (!backoff.spin()) {
-      backoff.yield();
-    }
-    if (word.load(std::memory_order_acquire) != old) {
-      if (spins != nullptr) *spins += rounds;
-      return true;
-    }
-  }
+  const auto ready = [&] {
+    return word.load(std::memory_order_acquire) != old;
+  };
+  if (ready()) return true;
+  return detail::wait_loop(
+      ready, [&] { word.wait(old, std::memory_order_acquire); }, policy,
+      abort, spins);
 }
 
 /// Store + wake for the kBlock policy. Release ordering publishes all task
@@ -226,7 +202,6 @@ void store_and_notify(std::atomic<T>& word, T value, WaitPolicy policy) noexcept
 /// Human-readable policy name for bench/report output.
 constexpr const char* to_string(WaitPolicy p) noexcept {
   switch (p) {
-    case WaitPolicy::kSpin: return "spin";
     case WaitPolicy::kSpinYield: return "spin-yield";
     case WaitPolicy::kBlock: return "block";
   }

@@ -68,9 +68,9 @@ coor::ReadyRing make_ring(std::size_t capacity) {
 TEST(ReadyRing, FifoOrderAndEmpty) {
   auto ring = make_ring(8);
   EXPECT_FALSE(ring.try_pop().has_value());
-  EXPECT_FALSE(ring.push(1, support::WaitPolicy::kSpin));  // nobody parked
-  ring.push(2, support::WaitPolicy::kSpin);
-  ring.push(3, support::WaitPolicy::kSpin);
+  EXPECT_FALSE(ring.push(1, support::WaitPolicy::kSpinYield));  // nobody parked
+  ring.push(2, support::WaitPolicy::kSpinYield);
+  ring.push(3, support::WaitPolicy::kSpinYield);
   EXPECT_EQ(ring.try_pop().value(), 1u);
   EXPECT_EQ(ring.try_pop().value(), 2u);
   EXPECT_EQ(ring.size(), 1u);
@@ -81,7 +81,7 @@ TEST(ReadyRing, FifoOrderAndEmpty) {
 TEST(ReadyRing, CapacityRoundsUpToPowerOfTwo) {
   auto ring = make_ring(5);  // rounds to 8
   for (std::uint64_t i = 0; i < 8; ++i)
-    ring.push(i, support::WaitPolicy::kSpin);
+    ring.push(i, support::WaitPolicy::kSpinYield);
   for (std::uint64_t i = 0; i < 8; ++i)
     EXPECT_EQ(ring.try_pop().value(), i);
 }
@@ -92,9 +92,9 @@ TEST(ReadyRing, OverflowFailsWithStructuredError) {
   // silent value loss or a livelocked chase.
   auto ring = make_ring(4);
   for (std::uint64_t i = 0; i < 4; ++i)
-    ring.push(i, support::WaitPolicy::kSpin);
+    ring.push(i, support::WaitPolicy::kSpinYield);
   try {
-    ring.push(99, support::WaitPolicy::kSpin);
+    ring.push(99, support::WaitPolicy::kSpinYield);
     FAIL() << "expected RingOverflow";
   } catch (const coor::RingOverflow& e) {
     EXPECT_EQ(e.capacity(), 4u);
@@ -108,13 +108,13 @@ TEST(ReadyRing, OverflowFailsWithStructuredError) {
 
 TEST(ReadyRing, HighWatermarkTracksPeakOccupancy) {
   auto ring = make_ring(8);
-  ring.push(0, support::WaitPolicy::kSpin);
-  ring.push(1, support::WaitPolicy::kSpin);
-  ring.push(2, support::WaitPolicy::kSpin);
+  ring.push(0, support::WaitPolicy::kSpinYield);
+  ring.push(1, support::WaitPolicy::kSpinYield);
+  ring.push(2, support::WaitPolicy::kSpinYield);
   EXPECT_EQ(ring.high_watermark(), 3u);
   (void)ring.try_pop();
   (void)ring.try_pop();
-  ring.push(3, support::WaitPolicy::kSpin);
+  ring.push(3, support::WaitPolicy::kSpinYield);
   EXPECT_EQ(ring.high_watermark(), 3u);  // peak, not current (current = 2)
 }
 

@@ -12,6 +12,7 @@
 
 #include <cstring>
 #include <optional>
+#include <tuple>
 
 #include "coor/coor.hpp"
 #include "engine/registry.hpp"
@@ -191,8 +192,7 @@ TEST_P(RingFuzz, RingQueueMatchesSequential) {
   for (auto scheduler :
        {coor::SchedulerKind::kFifo, coor::SchedulerKind::kLifo}) {
     for (auto policy :
-         {support::WaitPolicy::kSpin, support::WaitPolicy::kSpinYield,
-          support::WaitPolicy::kBlock}) {
+         {support::WaitPolicy::kSpinYield, support::WaitPolicy::kBlock}) {
       auto flow = make_fuzz_flow(spec);
       engine::Launch cfg;
       cfg.workers = spec.workers;
@@ -210,6 +210,70 @@ TEST_P(RingFuzz, RingQueueMatchesSequential) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RingFuzz,
                          ::testing::Range<std::uint64_t>(1, 6));
+
+// Policy x seed oracle matrix: every backend that runs bodies and honours
+// Launch::wait_policy must reproduce the sequential bytes under each
+// policy, launched through Backend::run. The fuzz flows draw 0 to
+// max_accesses accesses per task, so about a quarter of the tasks are
+// access-free: under kBlock those ring no doorbell, and matching bytes show
+// that no waiter depended on such a ring.
+class PolicyFuzz : public ::testing::TestWithParam<
+                       std::tuple<support::WaitPolicy, std::uint64_t>> {};
+
+TEST_P(PolicyFuzz, WaitingBackendsMatchSequential) {
+  const auto [policy, seed] = GetParam();
+  FuzzSpec spec;
+  spec.seed = seed * 389 + 11;
+  support::Xoshiro256 meta(spec.seed * 31 + 7);
+  spec.num_tasks = 80 + static_cast<std::uint32_t>(meta.bounded(120));
+  spec.num_data = 4 + static_cast<std::uint32_t>(meta.bounded(16));
+  spec.workers = 2 + static_cast<std::uint32_t>(meta.bounded(3));
+
+  auto oracle = make_fuzz_flow(spec);
+  std::size_t access_free = 0;
+  for (const stf::Task& t : oracle.tasks()) access_free += t.accesses.empty();
+  ASSERT_GT(access_free, 0u);
+  const stf::FlowImage oracle_image = stf::FlowImage::compile(oracle);
+  stf::SequentialExecutor{}.run(oracle_image);
+
+  std::vector<stf::WorkerId> owners(spec.num_tasks);
+  for (auto& o : owners)
+    o = static_cast<stf::WorkerId>(meta.bounded(spec.workers));
+  const auto mapping = rt::mapping::table(owners);
+
+  std::size_t ran = 0;
+  for (const engine::Backend* backend : engine::Registry::instance().all()) {
+    const engine::Capabilities& caps = backend->caps();
+    if (!caps.executes_bodies || !caps.uses_wait_policy) continue;
+    const std::string label =
+        std::string(backend->name()) + "/" + support::to_string(policy);
+    SCOPED_TRACE(label);
+
+    auto flow = make_fuzz_flow(spec);
+    const stf::FlowImage image = stf::FlowImage::compile(flow);
+    engine::Launch launch;
+    launch.workers = spec.workers;
+    launch.wait_policy = policy;
+    if (caps.needs_mapping) launch.mapping = mapping;
+    (void)backend->run(image, launch);
+    expect_same_data(flow, oracle, label.c_str());
+    ++ran;
+  }
+  EXPECT_GE(ran, 4u);  // rio, rio-pruned, coor and hybrid at least
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PolicySeeds, PolicyFuzz,
+    ::testing::Combine(::testing::Values(support::WaitPolicy::kSpinYield,
+                                         support::WaitPolicy::kBlock),
+                       ::testing::Range<std::uint64_t>(1, 7)),
+    [](const auto& i) {
+      return std::string(std::get<0>(i.param) ==
+                                 support::WaitPolicy::kSpinYield
+                             ? "SpinYield"
+                             : "Block") +
+             "_" + std::to_string(std::get<1>(i.param));
+    });
 
 // Streaming replay fuzz: the same flow driven through run_program must
 // agree with the materialized execution.

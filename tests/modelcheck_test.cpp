@@ -196,7 +196,7 @@ TEST(ImplModel, CleanProtocolVerifiesOnEveryEngine) {
                       mc::impl::EngineKind::kRioPruned,
                       mc::impl::EngineKind::kCoor}) {
     for (auto policy :
-         {support::WaitPolicy::kSpin, support::WaitPolicy::kBlock}) {
+         {support::WaitPolicy::kSpinYield, support::WaitPolicy::kBlock}) {
       const auto r =
           mc::impl::verify(flow, mapping, impl_opts(engine, policy));
       EXPECT_TRUE(r.ok()) << mc::impl::to_string(engine) << "/"
@@ -214,7 +214,7 @@ TEST(ImplModel, DporAndNaiveAgreeAndDporExploresNoMore) {
                                  independent_flow(3)};
   for (const auto& flow : flows) {
     auto opts = impl_opts(mc::impl::EngineKind::kRio,
-                          support::WaitPolicy::kSpin);
+                          support::WaitPolicy::kSpinYield);
     const auto dpor = mc::impl::verify(flow, mapping, opts);
     opts.dpor = false;
     const auto naive = mc::impl::verify(flow, mapping, opts);
@@ -234,7 +234,7 @@ TEST(ImplModel, DporAndNaiveAgreeOnCoor) {
   const stf::TaskFlow flows[] = {chain_flow(2), independent_flow(2)};
   for (const auto& flow : flows) {
     auto opts = impl_opts(mc::impl::EngineKind::kCoor,
-                          support::WaitPolicy::kSpin);
+                          support::WaitPolicy::kSpinYield);
     opts.workers = 1;
     const auto dpor = mc::impl::verify(flow, mapping, opts);
     opts.dpor = false;
@@ -252,7 +252,7 @@ TEST(ImplModel, DporPrunesIndependentTasks) {
   const auto flow = independent_flow(3);
   const auto mapping = rt::mapping::round_robin(2);
   auto opts = impl_opts(mc::impl::EngineKind::kRio,
-                        support::WaitPolicy::kSpin);
+                        support::WaitPolicy::kSpinYield);
   const auto dpor = mc::impl::verify(flow, mapping, opts);
   opts.dpor = false;
   const auto naive = mc::impl::verify(flow, mapping, opts);
@@ -265,7 +265,7 @@ TEST(ImplModel, PreemptionBoundShrinksExploration) {
   const auto flow = chain_flow(4);
   const auto mapping = rt::mapping::round_robin(2);
   auto opts = impl_opts(mc::impl::EngineKind::kRio,
-                        support::WaitPolicy::kSpin);
+                        support::WaitPolicy::kSpinYield);
   const auto unbounded = mc::impl::verify(flow, mapping, opts);
   opts.max_preemptions = 1;
   const auto bounded = mc::impl::verify(flow, mapping, opts);
@@ -283,7 +283,7 @@ TEST(ImplModel, WaitFreeRingVerifiesOnCoor) {
   const stf::TaskFlow flows[] = {chain_flow(2), independent_flow(2)};
   for (const auto& flow : flows) {
     for (auto policy :
-         {support::WaitPolicy::kSpin, support::WaitPolicy::kBlock}) {
+         {support::WaitPolicy::kSpinYield, support::WaitPolicy::kBlock}) {
       auto opts = impl_opts(mc::impl::EngineKind::kCoor, policy);
       opts.workers = 1;
       opts.queue = coor::QueueKind::kRing;
@@ -363,13 +363,13 @@ TEST(ImplModel, DroppedNotifyIsCaughtWithReplayableWitness) {
 }
 
 TEST(ImplModel, DroppedNotifyHarmlessUnderSpin) {
-  // The same broken shim is invisible to spin waiting (no parking), so the
-  // checker must stay quiet: the bug is policy-specific and the checker
-  // must not over-report.
+  // The same broken shim is invisible to spin-yield waiting (it never
+  // parks), so the checker must stay quiet: the bug is policy-specific and
+  // the checker must not over-report.
   const auto flow = chain_flow(3);
   const auto mapping = rt::mapping::round_robin(2);
   auto opts = impl_opts(mc::impl::EngineKind::kRio,
-                        support::WaitPolicy::kSpin);
+                        support::WaitPolicy::kSpinYield);
   opts.drop_notify = true;
   const auto r = mc::impl::verify(flow, mapping, opts);
   EXPECT_TRUE(r.ok()) << "[" << r.violation_kind << "] " << r.violation;
@@ -385,7 +385,7 @@ TEST(ImplModel, RecoveryVerifiesOnEveryEngine) {
   for (auto engine : {mc::impl::EngineKind::kRio,
                       mc::impl::EngineKind::kRioPruned,
                       mc::impl::EngineKind::kCoor}) {
-    auto opts = impl_opts(engine, support::WaitPolicy::kSpin);
+    auto opts = impl_opts(engine, support::WaitPolicy::kSpinYield);
     opts.recover = true;
     opts.crash_task = 1;  // one of the forked readers
     const auto r = mc::impl::verify(flow, mapping, opts);
@@ -405,7 +405,7 @@ TEST(ImplModel, RecoveryFrontiersFollowTheChainPrefixes) {
   const auto flow = chain_flow(5);
   const auto mapping = rt::mapping::round_robin(2);
   auto opts = impl_opts(mc::impl::EngineKind::kRio,
-                        support::WaitPolicy::kSpin);
+                        support::WaitPolicy::kSpinYield);
   opts.recover = true;
   opts.crash_task = 3;
   const auto r = mc::impl::verify(flow, mapping, opts);
@@ -436,7 +436,7 @@ TEST(ImplModel, CleanWitnessReplayCompletes) {
   const auto flow = fork_join_flow();
   const auto mapping = rt::mapping::round_robin(2);
   const auto opts = impl_opts(mc::impl::EngineKind::kRioPruned,
-                              support::WaitPolicy::kSpin);
+                              support::WaitPolicy::kSpinYield);
   // Harvest a complete schedule by replaying an empty exploration first:
   // run verify, then re-execute nothing — instead build the schedule from
   // a fresh verify's behaviour being deterministic.

@@ -329,6 +329,32 @@ TEST(ObsReconcile, RetryCountersMatchInjector) {
   EXPECT_EQ(snap.total(obs::Counter::kFaultsInjected), 2u);
 }
 
+// Under kBlock a rio release rings every peer's doorbell, but a task without
+// accesses published no word a peer could wait on, so it rings none: an
+// access-free flow counts zero wakeups on both rio front ends.
+TEST(ObsReconcile, BlockRioRingsNoBellForAccessFreeTasks) {
+  const std::uint32_t p = 3;
+  auto wl = workloads::make_independent({.num_tasks = 600,
+                                         .task_cost = 0,
+                                         .body = workloads::BodyKind::kCounter,
+                                         .num_workers = p});
+  const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
+  for (const char* name : {"rio", "rio-pruned"}) {
+    SCOPED_TRACE(name);
+    obs::Hub hub;
+    const engine::Launch launch{.workers = p,
+                                .wait_policy = support::WaitPolicy::kBlock,
+                                .mapping = wl.mapping(p),
+                                .obs = &hub};
+    (void)engine::Registry::instance().find(name)->run(image, launch);
+    const obs::CounterSnapshot snap = hub.counter_snapshot();
+    EXPECT_EQ(snap.total(obs::Counter::kTasksExecuted), wl.flow.num_tasks());
+    EXPECT_EQ(snap.total(obs::Counter::kWakeups), 0u);
+    EXPECT_EQ(snap.total(obs::Counter::kWakeupsIssued), 0u);
+    EXPECT_EQ(snap.total(obs::Counter::kWakeupsElided), 0u);
+  }
+}
+
 // ------------------------------------------------------------- sampler ----
 
 constexpr std::size_t kSynthetic = 16384;

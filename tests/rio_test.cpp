@@ -39,8 +39,8 @@ TEST(DataObject, FreshStatesAgree) {
   rt::SharedDataState shared;
   rt::LocalDataState local;
   // A read with no prior write must not block.
-  EXPECT_FALSE(rt::get_read(shared, local, WaitPolicy::kSpin));
-  EXPECT_FALSE(rt::get_write(shared, local, WaitPolicy::kSpin));
+  EXPECT_FALSE(rt::get_read(shared, local, WaitPolicy::kSpinYield));
+  EXPECT_FALSE(rt::get_write(shared, local, WaitPolicy::kSpinYield));
 }
 
 TEST(DataObject, TerminateWritePublishes) {
@@ -54,7 +54,7 @@ TEST(DataObject, TerminateWritePublishes) {
   // An observer that registered the same write passes immediately.
   rt::LocalDataState observer;
   rt::declare_write(observer, 3);
-  EXPECT_FALSE(rt::get_read(shared, observer, WaitPolicy::kSpin));
+  EXPECT_FALSE(rt::get_read(shared, observer, WaitPolicy::kSpinYield));
 }
 
 TEST(DataObject, TerminateReadCounts) {
@@ -265,8 +265,8 @@ INSTANTIATE_TEST_SUITE_P(
                       RandomGraphParam{4, 2, WaitPolicy::kBlock},
                       RandomGraphParam{5, 5, WaitPolicy::kSpinYield},
                       RandomGraphParam{6, 8, WaitPolicy::kBlock},
-                      RandomGraphParam{7, 3, WaitPolicy::kSpin},
-                      RandomGraphParam{8, 2, WaitPolicy::kSpin}));
+                      RandomGraphParam{7, 3, WaitPolicy::kSpinYield},
+                      RandomGraphParam{8, 2, WaitPolicy::kSpinYield}));
 
 // ------------------------------------------------------ numeric oracles ----
 

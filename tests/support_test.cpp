@@ -97,24 +97,32 @@ TEST_P(WaitPolicyTest, AlreadySatisfiedReturnsImmediately) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, WaitPolicyTest,
-                         ::testing::Values(WaitPolicy::kSpin,
-                                           WaitPolicy::kSpinYield,
+                         ::testing::Values(WaitPolicy::kSpinYield,
                                            WaitPolicy::kBlock),
                          [](const auto& i) {
-                           const std::string name = to_string(i.param);
-                           return name == "spin"         ? "Spin"
-                                  : name == "spin-yield" ? "SpinYield"
-                                                         : "Block";
+                           return i.param == WaitPolicy::kSpinYield
+                                      ? "SpinYield"
+                                      : "Block";
                          });
 
+// The spin phase is bounded per check and in wall time: every check interval
+// pauses at most kBurst times, and the phase lasts at least the budget (the
+// budget starts at the first clock read, inside the timed window) and then
+// ends for good.
 TEST(Backoff, SpinPhaseEventuallyEnds) {
   Backoff b;
-  int rounds = 0;
-  while (b.spin()) ++rounds;
-  EXPECT_GT(rounds, 0);
-  EXPECT_LT(rounds, 64);
-  b.reset();
-  EXPECT_TRUE(b.spin());
+  std::uint64_t checks = 0;
+  const std::uint64_t t0 = monotonic_ns();
+  while (const std::uint32_t pauses = b.spin()) {
+    ASSERT_LE(pauses, Backoff::kBurst);
+    ++checks;
+  }
+  const std::uint64_t elapsed = monotonic_ns() - t0;
+  EXPECT_GE(elapsed, Backoff::kSpinBudgetNs);
+  EXPECT_LT(elapsed, std::uint64_t{1'000'000'000});
+  EXPECT_GE(checks, std::uint64_t{Backoff::kClockStride});
+  EXPECT_EQ(b.spin(), 0u);
+  EXPECT_EQ(b.spin(), 0u);
 }
 
 // ------------------------------------------------------------ inline_vec ---

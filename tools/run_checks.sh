@@ -34,9 +34,10 @@
 #      report, and the optimized image must stay byte-identical to the
 #      sequential oracle on BOTH rio and coor (optimize exits 3 on any
 #      divergence; docs/passes.md);
-#  12. bench JSON reporters — micro_unroll, micro_protocol, micro_recovery,
-#      micro_obs, micro_fuse and fig7_workers emit BENCH_*.json, all must
-#      parse; BENCH_unroll.json, BENCH_protocol.json, BENCH_recovery.json,
+#  12. bench JSON reporters — micro_unroll, micro_protocol, abl_wait_policy
+#      (full length), micro_recovery, micro_obs, micro_fuse and
+#      fig7_workers emit BENCH_*.json, all must parse; BENCH_unroll.json,
+#      BENCH_protocol.json, BENCH_wait_policy.json, BENCH_recovery.json,
 #      BENCH_obs_overhead.json and BENCH_fuse.json are kept at the repo
 #      root (committed reference numbers, see docs/perf.md);
 #  13. `rioflow verify --quick` — the implementation-level model checker
@@ -313,6 +314,14 @@ if (cd "$ROOT" && "$BUILD/bench/micro_protocol" --quick --json >/dev/null); then
 else
   fail "micro_protocol --quick --json"
 fi
+# Full length (about 10 s): the committed policy table keeps its 21 repeats.
+if (cd "$ROOT" && "$BUILD/bench/abl_wait_policy" --json >/dev/null); then
+  if ! json_ok "$ROOT/BENCH_wait_policy.json"; then
+    fail "BENCH_wait_policy.json does not parse"
+  fi
+else
+  fail "abl_wait_policy --json"
+fi
 if (cd "$ROOT" && "$BUILD/bench/micro_recovery" --quick --json >/dev/null); then
   if ! json_ok "$ROOT/BENCH_recovery.json"; then
     fail "BENCH_recovery.json does not parse"
@@ -412,15 +421,15 @@ else
     "$TSAN_BUILD/rioflow" chaos --quick --workers 3 --faults crash \
       >/dev/null || fail "chaos --faults crash under TSan"
     # New wait/notify configurations: doorbell-batched block wakeups on the
-    # rio engines; on coor the wait-free MPMC ring (spin + parked consumers)
-    # and the locked deque, each requested explicitly.
+    # rio engines; on coor the wait-free MPMC ring (yielding + parked
+    # consumers) and the locked deque, each requested explicitly.
     for e in rio rio-pruned; do
       "$TSAN_BUILD/rioflow" --engine "$e" --workload cholesky --tiles 3 \
         --task-size 50 --workers 2 --policy block >/dev/null ||
         fail "$e --policy block under TSan"
     done
     for q in ring locked; do
-      for p in spin block; do
+      for p in yield block; do
         "$TSAN_BUILD/rioflow" --engine coor --workload cholesky --tiles 3 \
           --task-size 50 --workers 2 --queue "$q" --policy "$p" \
           >/dev/null || fail "coor --queue $q --policy $p under TSan"
