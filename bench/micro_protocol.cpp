@@ -14,9 +14,9 @@
 // Engines:
 //   * rio / rio-pruned — Algorithm 2 publications; under kBlock the
 //     per-worker doorbells batch wakeups (src/rio/doorbell.hpp);
-//   * coor-locked — centralized runtime, mutex+condvar ReadyQueue;
-//   * coor-ring — centralized runtime, wait-free MPMC ready ring
-//     (coor/ready_ring.hpp).
+//   * coor — centralized runtime, fifo dispatch through the wait-free MPMC
+//     ready ring (coor/ready_ring.hpp). docs/perf.md keeps the last
+//     numbers of the mutex+condvar deque it replaced for fifo.
 //
 // Each configuration is timed cold (no telemetry, collect_stats off), then
 // re-run once with an obs::Hub attached to count wakeups: wakeups/task is
@@ -159,21 +159,16 @@ void run_section(const Sweep& s, const char* section,
       measure("rio", rio_run(false));
       measure("rio-pruned", rio_run(true));
       if (s.with_coor) {
-        const auto coor_run = [&](coor::QueueKind queue) {
-          return [&, queue](obs::Hub* hub) {
-            engine::Launch cfg;
-            cfg.workers = w;
-            cfg.queue = queue;
-            cfg.wait_policy = policy;
-            cfg.collect_stats = false;
-            cfg.obs = hub;
-            auto eng = std::make_shared<coor::Runtime>(cfg);
-            eng->attach_pool(s.pool);
-            return [&, eng] { eng->run(image); };
-          };
-        };
-        measure("coor-locked", coor_run(coor::QueueKind::kLocked));
-        measure("coor-ring", coor_run(coor::QueueKind::kRing));
+        measure("coor", [&](obs::Hub* hub) {
+          engine::Launch cfg;
+          cfg.workers = w;
+          cfg.wait_policy = policy;
+          cfg.collect_stats = false;
+          cfg.obs = hub;
+          auto eng = std::make_shared<coor::Runtime>(cfg);
+          eng->attach_pool(s.pool);
+          return [&, eng] { eng->run(image); };
+        });
       }
     }
   }
@@ -209,8 +204,8 @@ int main(int argc, char** argv) {
          "(doorbell batching elides per-word notifies on stall-free "
          "workloads: issued_per_task ~ 0, also in the "
       << kFan
-      << "-write \"fan\" section); coor-ring at or below coor-locked "
-         "(wait-free push/pop, wakeups only when a consumer is parked).\n";
+      << "-write \"fan\" section); coor issues wakeups only when a "
+         "consumer is parked (wait-free ring push/pop).\n";
   bench::finish(json);
   return 0;
 }

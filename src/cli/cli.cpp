@@ -162,8 +162,6 @@ const std::vector<Flag>& flags() {
       text("--policy", "P", &O::policy, "yield | block (wait policy)"),
       text("--scheduler", "S", &O::scheduler,
            "fifo | lifo | locality | priority (coor)"),
-      text("--queue", "Q", &O::queue,
-           "locked | ring (coor ready queue; ring: wait-free, fifo only)"),
       number("--repeat", "N", &O::repeat, "repetitions (best time reported)",
              1),
       number("--seed", "N", &O::seed, "workload seed"),

@@ -14,8 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "engine/launch.hpp"
-
 namespace rio::cli {
 
 // One field per flag; the flag table in cli.cpp documents each of them
@@ -45,8 +43,6 @@ struct Options {
   std::string mapping = "owner";    ///< rr | block | owner
   std::string policy = "yield";     ///< yield | block
   std::string scheduler = "fifo";   ///< fifo | lifo | locality | priority
-  std::string queue = coor::to_string(engine::Launch{}.queue);
-  ///< locked | ring (coor ready queue); defaults to engine::Launch's
   int repeat = 1;
 
   // Analysis (lint / check).

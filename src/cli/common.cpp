@@ -131,11 +131,6 @@ support::WaitPolicy parse_policy(const std::string& name) {
                  {{"yield", P::kSpinYield}, {"block", P::kBlock}});
 }
 
-coor::QueueKind parse_queue(const std::string& name) {
-  using Q = coor::QueueKind;
-  return pick<Q>("queue", name, {{"locked", Q::kLocked}, {"ring", Q::kRing}});
-}
-
 analysis::Severity parse_fail_on(const std::string& name) {
   using S = analysis::Severity;
   return pick<S>("--fail-on", name,
@@ -154,7 +149,6 @@ engine::Launch make_launch(const Options& o, const engine::Backend& backend,
                              {{"fifo", S::kFifo}, {"lifo", S::kLifo},
                               {"locality", S::kLocality},
                               {"priority", S::kPriority}});
-  launch.queue = parse_queue(o.queue);
   // A priority scheduler needs priorities: the dependency graph's bottom
   // levels, snapshotted by the image compile that follows.
   if (backend.caps().uses_scheduler &&

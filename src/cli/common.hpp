@@ -89,11 +89,10 @@ int run_optimize(const Options& o, std::ostream& out);  // optimize.cpp
 [[nodiscard]] rt::Mapping make_mapping(const Options& o,
                                        const workloads::Workload& wl);
 [[nodiscard]] support::WaitPolicy parse_policy(const std::string& name);
-[[nodiscard]] coor::QueueKind parse_queue(const std::string& name);
 [[nodiscard]] analysis::Severity parse_fail_on(const std::string& name);
 
-/// The engine::Launch of the CLI knobs: workers, mapping, policy,
-/// scheduler and queue. Under --scheduler priority on a backend that
+/// The engine::Launch of the CLI knobs: workers, mapping, policy and
+/// scheduler. Under --scheduler priority on a backend that
 /// honours a scheduler it also stores bottom-level priorities in the flow,
 /// so it must run before the image is compiled. Capability mismatches are
 /// the registry's job: they surface from the run as UnsupportedLaunch.

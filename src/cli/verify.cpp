@@ -69,10 +69,8 @@ int run_verify(const Options& o, std::ostream& out) {
 
   const rt::Mapping mapping = make_mapping(wo, wl);
   mo.policy = parse_policy(wo.policy);
-  mo.queue = parse_queue(wo.queue);
-  if (mo.queue != engine::Launch{}.queue &&
-      mo.engine != mc::impl::EngineKind::kCoor)
-    throw Fail{1, "--queue applies to the coor engine only"};
+  // coor's fifo queue is the wait-free ring: check the real ring code.
+  mo.queue = mc::impl::CoorQueue::kRing;
   mo.workers = wo.workers;
   mo.dpor = !o.naive;
   mo.max_preemptions = o.max_preemptions;
@@ -92,8 +90,7 @@ int run_verify(const Options& o, std::ostream& out) {
 
   out << "-- verify: " << wl.name << " on " << engine << " (" << mo.workers
       << " workers, " << o.policy << " policy, "
-      << (coor ? std::string(coor::to_string(mo.queue)) + " queue, "
-               : std::string())
+      << (coor ? "ring queue, " : "")
       << (mo.dpor ? "dpor" : "naive");
   if (mo.max_preemptions >= 0)
     out << ", <=" << mo.max_preemptions << " preemptions";
@@ -128,8 +125,7 @@ int run_verify(const Options& o, std::ostream& out) {
       << "  \"workload\": " << support::json_quote(wl.name) << ",\n"
       << "  \"workers\": " << mo.workers << ",\n"
       << "  \"policy\": " << support::json_quote(o.policy) << ",\n"
-      << "  \"queue\": " << support::json_quote(coor::to_string(mo.queue))
-      << ",\n"
+      << "  \"queue\": " << (coor ? "\"ring\"" : "null") << ",\n"
       << "  \"dpor\": " << yes_no(mo.dpor) << ",\n"
       << "  \"max_preemptions\": " << mo.max_preemptions << ",\n"
       << "  \"recover\": " << yes_no(mo.recover) << ",\n"

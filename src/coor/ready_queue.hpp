@@ -4,8 +4,7 @@
 // causes under fine-grained load is the phenomenon the paper attributes to
 // centralized execution models (Section 3.3, cost model (1)). It serves
 // the lifo, priority and locality schedulers (a per-worker variant with
-// stealing implements the locality ablation), and fifo under
-// engine::Launch::queue = kLocked. Default fifo dispatch uses the
+// stealing implements the locality ablation). Fifo dispatch uses the
 // wait-free ring in ready_ring.hpp instead.
 #pragma once
 

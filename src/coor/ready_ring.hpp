@@ -2,8 +2,8 @@
 //
 // The locked ReadyQueue (ready_queue.hpp) is the paper's cost-model-(1)
 // bottleneck made concrete: every dispatch serializes on one mutex. This
-// ring replaces it for central FIFO dispatch (engine::Launch's default
-// queue; it pops FIFO only, so lifo keeps the locked deque) with the
+// ring replaces it for central FIFO dispatch (the fifo scheduler, coor's
+// default; it pops FIFO only, so lifo keeps the locked deque) with the
 // classic bounded MPMC design
 // (per-slot sequence words + CAS-claimed cursors, à la Vyukov): producers
 // claim a slot by CAS on `tail_`, publish the value with a release store of
@@ -34,6 +34,10 @@
 // this interleaving space directly (kBlock parks are futex-faithful) and
 // the drop_notify shim demonstrates the wake is load-bearing.
 //
+// A watchdog abort needs no path of its own: the fire callback close()s
+// the ring, and close() bumps `version_` like a push, so a parked consumer
+// wakes, sees `closed_` and drains.
+//
 // Every shared word is accessed through the proto:: seam (unqualified
 // calls resolved by ADL), so mc::impl can substitute its instrumented
 // Word<T> and model-check this exact code. The word type is a template
@@ -54,21 +58,6 @@
 #include "support/wait.hpp"
 
 namespace rio::coor {
-
-/// Which ready-queue implementation the engine uses for central modes.
-enum class QueueKind : std::uint8_t {
-  kLocked,  ///< mutex + condvar deque (ready_queue.hpp) — all schedulers
-  kRing,    ///< wait-free MPMC ring — central fifo only; the engine
-            ///< falls back to kLocked for kLifo/kPriority/kLocality
-};
-
-constexpr const char* to_string(QueueKind k) noexcept {
-  switch (k) {
-    case QueueKind::kLocked: return "locked";
-    case QueueKind::kRing: return "ring";
-  }
-  return "?";
-}
 
 /// The structured "ring sized too small" error: the capacity contract
 /// (>= total pushes over the ring's lifetime) was violated and a push was
@@ -202,13 +191,15 @@ class ReadyRingT {
   }
 
   /// Blocking pop: waits (per policy) while the ring is open and empty;
-  /// returns nullopt once closed and drained, or on abort.
+  /// returns nullopt once closed and drained.
   std::optional<std::uint64_t> pop_blocking(support::WaitPolicy policy,
-                                            const std::atomic<bool>* abort,
                                             std::uint64_t* spins) {
     using proto::fetch_add;
     using proto::load_acq;
     using proto::wait_changed;
+    // Only a parking consumer registers: push() probes waiters_ under
+    // kBlock alone.
+    const bool parks = policy == support::WaitPolicy::kBlock;
     for (;;) {
       // Sample the doorbell BEFORE the pop attempt: a push that lands
       // after the failed attempt bumps version_ past the sample, so the
@@ -221,18 +212,9 @@ class ReadyRingT {
         if (auto v = try_pop()) return v;
         return std::nullopt;
       }
-      if (policy == support::WaitPolicy::kBlock && abort == nullptr) {
-        fetch_add(waiters_, std::uint64_t{1});
-        wait_changed(version_, ver, policy, nullptr, spins);
-        fetch_add(waiters_, std::uint64_t{0} - 1);
-      } else {
-        // kSpinYield and watchdog-armed runs poll; the abort flag
-        // (watchdog) must be able to unblock us without a notify.
-        if (!wait_changed(version_, ver, policy, abort, spins)) {
-          if (auto v = try_pop()) return v;
-          return std::nullopt;
-        }
-      }
+      if (parks) fetch_add(waiters_, std::uint64_t{1});
+      wait_changed(version_, ver, policy, spins);
+      if (parks) fetch_add(waiters_, std::uint64_t{0} - 1);
     }
   }
 

@@ -76,9 +76,8 @@ struct Engine {
   const engine::Launch& cfg;
   std::deque<TaskNode> nodes;  // one per task of the range
   std::deque<ReadyQueue> queues;  // 1 (central) or workers (locality)
-  // Wait-free central queue (ready_ring.hpp), engaged for queue == kRing in
-  // fifo mode only: a ring pops FIFO, so lifo, priority and locality keep
-  // the locked queues whatever the queue knob says.
+  // Wait-free central queue (ready_ring.hpp), the fifo scheduler's: a ring
+  // pops FIFO, so lifo, priority and locality keep the locked queues.
   std::optional<ReadyRing> ring;
   std::atomic<std::uint64_t> completed{0};
   std::atomic<bool> done{false};
@@ -93,7 +92,6 @@ struct Engine {
   std::exception_ptr first_error;
   std::mutex error_mu;
   stf::DeathBoard deaths;  // crash blotter; observed by the tripwire
-  bool watched = false;    // effective (crash-armed forces a watchdog)
 
   void record_failure(std::exception_ptr error) {
     std::lock_guard lock(error_mu);
@@ -117,7 +115,7 @@ struct Engine {
       for (std::size_t d = 0; d < nd; ++d)
         reduction_locks[d].value.store(0, std::memory_order_relaxed);
     }
-    if (c.queue == QueueKind::kRing && c.scheduler == SchedulerKind::kFifo) {
+    if (c.scheduler == SchedulerKind::kFifo) {
       ring.emplace(std::max<std::size_t>(n, 1),
                    [](std::atomic<std::uint64_t>& w, std::uint64_t v) {
                      w.store(v, std::memory_order_relaxed);
@@ -129,12 +127,6 @@ struct Engine {
       for (std::size_t q = 0; q < nq; ++q) queues.emplace_back(prioritized);
     }
     if (cfg.enable_guard) guard.enable(r.num_data());
-  }
-
-  /// Watchdog abort flag for ring pops (nullptr when unwatched, so the
-  /// block policy may park; see pop_blocking's degradation contract).
-  [[nodiscard]] const std::atomic<bool>* pop_abort() const noexcept {
-    return watched ? &aborted : nullptr;
   }
 
   void close_queues() {
@@ -228,7 +220,7 @@ struct Engine {
   std::optional<stf::TaskId> next_task(std::uint32_t w, bool& stole,
                                        std::uint64_t* spins) {
     stole = false;
-    if (ring) return ring->pop_blocking(cfg.wait_policy, pop_abort(), spins);
+    if (ring) return ring->pop_blocking(cfg.wait_policy, spins);
     if (queues.size() == 1) return queues[0].pop();
     // Locality mode: own queue first, then (optionally) steal, then block
     // briefly on the own queue again.
@@ -279,15 +271,10 @@ support::RunStats Runtime::run(const stf::ImageRange& range) {
   std::vector<std::vector<stf::SyncEvent>> syncs(p);
   std::vector<std::uint64_t> worker_wall(p, 0);
 
-  // Crash-armed plans force a watchdog (same contract as rt::launch): a
-  // worker death must escalate as stf::WorkerLost, never hang the run.
   const bool crash_armed =
       cfg_.fault != nullptr && cfg_.fault->plan().crash_armed();
-  const std::uint64_t watchdog_ns =
-      cfg_.watchdog_ns > 0 ? cfg_.watchdog_ns
-                           : (crash_armed ? 100'000'000ULL : 0);
+  const std::uint64_t watchdog_ns = engine::armed_watchdog_ns(cfg_);
   const bool watched = watchdog_ns > 0;
-  eng.watched = watched;
   std::vector<support::WorkerProbe> probes(watched ? p : 0);
   stf::ResilienceOpts res_proto;
   res_proto.retry = cfg_.retry;

@@ -34,7 +34,7 @@ namespace rio::coor {
 class Runtime {
  public:
   /// Reads the Launch fields the coor backend declares (engine.hpp):
-  /// workers, wait_policy, scheduler, queue, work_stealing, the collect_*
+  /// workers, wait_policy, scheduler, work_stealing, the collect_*
   /// flags, enable_guard, pin_workers, the resilience and recovery knobs
   /// and obs (worker slots 0..p-1, master slot p).
   explicit Runtime(engine::Launch launch);

@@ -162,7 +162,6 @@ class CoorBackend final : public Backend {
                                 .supports_guard = true,
                                 .uses_wait_policy = true,
                                 .uses_scheduler = true,
-                                .uses_queue = true,
                                 .has_master = true,
                                 .supports_recovery = true};
     return c;

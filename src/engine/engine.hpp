@@ -57,8 +57,6 @@ struct Capabilities {
   bool partial_mapping = false;  ///< consumes an rt::PartialMapping
   bool uses_wait_policy = false;  ///< honours Launch::wait_policy
   bool uses_scheduler = false;    ///< honours Launch::scheduler/work_stealing
-  bool uses_queue = false;        ///< honours Launch::queue (central
-                                  ///< ready-queue implementation; coor only)
   bool in_order = false;   ///< per-worker in-order execution (what
                            ///< Trace::validate's worker_in_order checks)
   bool has_master = false;  ///< RunStats carries an extra master slot (p)

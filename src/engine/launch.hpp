@@ -19,7 +19,6 @@
 #include "support/fault.hpp"
 #include "support/wait.hpp"
 #include "coor/ready_queue.hpp"
-#include "coor/ready_ring.hpp"
 #include "rio/mapping.hpp"
 #include "stf/frontier.hpp"
 
@@ -36,13 +35,9 @@ struct Launch {
   ///< uses_wait_policy backends only. coor's workers read it only while
   ///< they pop the ring; the locked queues always block on a condvar.
   coor::SchedulerKind scheduler = coor::SchedulerKind::kFifo;
-  ///< uses_scheduler backends only
-  coor::QueueKind queue = coor::QueueKind::kRing;
-  ///< uses_queue backends only. kRing (the default) selects the wait-free
-  ///< MPMC ready ring for fifo scheduling; kLifo, kPriority and kLocality
-  ///< keep the locked queues whatever this says (coor/ready_ring.hpp).
-  ///< kLocked forces the mutex + condvar deque for fifo too. Hybrid's
-  ///< dynamic phases run under the default.
+  ///< uses_scheduler backends only. kFifo pops the wait-free MPMC ready
+  ///< ring (coor/ready_ring.hpp); kLifo, kPriority and kLocality the
+  ///< locked queues (coor/ready_queue.hpp)
   bool work_stealing = false;  ///< uses_scheduler backends only (locality
                                ///< mode: steal from siblings)
   rt::Mapping mapping{};  ///< full static mapping (needs_mapping)
@@ -69,15 +64,14 @@ struct Launch {
   support::FaultInjector* fault = nullptr;  ///< not owned
   std::uint64_t watchdog_ns = 0;  ///< > 0: fail the run with
                                   ///< stf::StallError after this no-progress
-                                  ///< window instead of hanging
+                                  ///< window instead of hanging; see
+                                  ///< armed_watchdog_ns()
 
   // Recovery (docs/robustness.md "worker loss"), supports_recovery backends
   // only. Both borrowed, both optional, both indexed by global task id.
   // `resume`: tasks marked done in the frontier replay as protocol no-ops.
   // `checkpoint`: live completion board this run marks into (the caller
   // sizes it via reset()); a later attempt resumes from its capture().
-  // Crash-armed fault plans auto-arm a default watchdog so a worker death
-  // always escalates as stf::WorkerLost instead of hanging.
   const stf::Frontier* resume = nullptr;
   stf::CompletionBoard* checkpoint = nullptr;
 
@@ -85,5 +79,21 @@ struct Launch {
                             ///< Null = telemetry off: no counters, no
                             ///< recorder, zero allocation on that path.
 };
+
+/// The watchdog window a crash-armed fault plan arms when
+/// Launch::watchdog_ns is 0. The crash tripwire polls every window / 8
+/// (support/watchdog.hpp), so a recorded death aborts the run within about
+/// 12.5 ms.
+inline constexpr std::uint64_t kCrashWatchdogNs = 100'000'000;  // 100 ms
+
+/// The window a run arms: `watchdog_ns` when set, else kCrashWatchdogNs for
+/// a crash-armed fault plan (a worker death must escalate as
+/// stf::WorkerLost, never hang the survivors), else 0: unwatched.
+[[nodiscard]] inline std::uint64_t armed_watchdog_ns(const Launch& launch) {
+  if (launch.watchdog_ns > 0) return launch.watchdog_ns;
+  const bool crash_armed =
+      launch.fault != nullptr && launch.fault->plan().crash_armed();
+  return crash_armed ? kCrashWatchdogNs : 0;
+}
 
 }  // namespace rio::engine

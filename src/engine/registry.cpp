@@ -101,7 +101,6 @@ std::vector<std::pair<std::string_view, bool>> capability_list(
           {"partial_mapping", c.partial_mapping},
           {"uses_wait_policy", c.uses_wait_policy},
           {"uses_scheduler", c.uses_scheduler},
-          {"uses_queue", c.uses_queue},
           {"in_order", c.in_order},
           {"has_master", c.has_master},
           {"supports_recovery", c.supports_recovery}};
@@ -131,8 +130,6 @@ std::vector<std::string> unsupported_knobs(const Capabilities& caps,
     bad.emplace_back("scheduler (backend lacks uses_scheduler)");
   if (launch.work_stealing && !caps.uses_scheduler)
     bad.emplace_back("work_stealing (backend lacks uses_scheduler)");
-  if (launch.queue != defaults.queue && !caps.uses_queue)
-    bad.emplace_back("queue (backend lacks uses_queue)");
   if ((launch.resume != nullptr || launch.checkpoint != nullptr) &&
       !caps.supports_recovery)
     bad.emplace_back("resume/checkpoint (backend lacks supports_recovery)");

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "analysis/vector_clock.hpp"
+#include "coor/ready_ring.hpp"
 #include "coor/sync_ops.hpp"
 #include "support/assert.hpp"
 #include "support/clock.hpp"
@@ -587,8 +588,7 @@ bool wait_equal(const Word<T>& w, T expected, WaitPolicy policy,
 /// primitive (rio bells, ready-ring version word). Same futex-faithful
 /// probe/park structure as wait_equal, with the inverted condition.
 template <typename T>
-bool wait_changed(const Word<T>& w, T old, WaitPolicy policy,
-                  const std::atomic<bool>* /*abort*/ = nullptr,
+void wait_changed(const Word<T>& w, T old, WaitPolicy policy,
                   std::uint64_t* /*spins*/ = nullptr) {
   if (policy != WaitPolicy::kBlock) {
     // Spin model: one await step, enabled only once the word moved (fair
@@ -599,7 +599,7 @@ bool wait_changed(const Word<T>& w, T old, WaitPolicy policy,
     op.operand = enc(old);
     op.mask = width_mask<T>();
     w.c->perform(op);
-    return true;
+    return;
   }
   for (;;) {
     Op probe;
@@ -607,7 +607,7 @@ bool wait_changed(const Word<T>& w, T old, WaitPolicy policy,
     probe.word = w.id;
     probe.mask = width_mask<T>();
     const std::uint64_t v = w.c->perform(probe);
-    if (v != enc(old)) return true;
+    if (v != enc(old)) return;
     Op park;
     park.kind = OpKind::kPark;
     park.word = w.id;
@@ -769,14 +769,14 @@ class Explorer {
     std::vector<CoorNode> nodes;
     Word<std::uint64_t> completed;
     // Per-worker doorbells: the rio engines' kBlock path parks on bells
-    // (word_notify = false + release-boundary ring_doorbell), exactly as
-    // the production launch() gates it for unwatched block runs.
+    // and rings them at the release boundary, exactly as the production
+    // launch() engages them for every block run.
     std::vector<Word<std::uint64_t>> bells;
     const bool use_bells =
         opts_.engine != EngineKind::kCoor && policy == WaitPolicy::kBlock;
     // kCoor + kRing: the REAL ReadyRingT code instantiated on the
     // instrumented word type — CAS slot claims, version/waiters doorbell
-    // pair and all. kLocked keeps the one-step queue abstraction.
+    // pair and all. kOneStep keeps the one-step queue abstraction.
     std::optional<coor::ReadyRingT<Word<std::uint64_t>>> ring;
 
     if (opts_.engine != EngineKind::kCoor) {
@@ -800,7 +800,7 @@ class Explorer {
         node.mu = ctl.new_word(0);
       }
       completed = {&ctl, ctl.new_word(0)};
-      if (opts_.queue == coor::QueueKind::kRing) {
+      if (opts_.queue == CoorQueue::kRing) {
         ring.emplace(std::max<std::size_t>(n_tasks, 1),
                      [&](Word<std::uint64_t>& wd, std::uint64_t v) {
                        wd = {&ctl, ctl.new_word(v)};
@@ -813,10 +813,9 @@ class Explorer {
     // The owned-task path both rio engines share, as the production
     // execute_owned() runs it minus telemetry: get_* every access, the
     // task start/finish markers, terminate_*, then — under kBlock — the
-    // waits park on the worker's bell, publishes skip the per-word notify
-    // and the release boundary of a task with accesses rings every peer's
-    // bell (the production doorbell gate). Returns false when the worker
-    // dies on this task.
+    // waits park on the worker's bell and the release boundary of a task
+    // with accesses rings every peer's bell (the production doorbell
+    // gate). Returns false when the worker dies on this task.
     auto execute_owned = [&](std::uint32_t w, const stf::Task& task,
                              std::vector<rt::LocalDataState>& local) {
       Word<std::uint64_t>* bell = use_bells ? &bells[w] : nullptr;
@@ -833,11 +832,9 @@ class Explorer {
       ctl.task_finished(task.id);
       for (const stf::Access& a : task.accesses) {
         if (stf::is_write(a.mode))
-          rt::terminate_write(shared[a.data], local[a.data], task.id, policy,
-                              !use_bells);
+          rt::terminate_write(shared[a.data], local[a.data], task.id);
         else
-          rt::terminate_read(shared[a.data], local[a.data], policy,
-                             !use_bells);
+          rt::terminate_read(shared[a.data], local[a.data]);
       }
       if (use_bells && !task.accesses.empty()) {
         for (std::uint32_t peer = 0; peer < opts_.workers; ++peer)
@@ -912,7 +909,7 @@ class Explorer {
           } else {
             for (;;) {
               const std::optional<std::uint64_t> li =
-                  ring ? ring->pop_blocking(policy, nullptr, nullptr)
+                  ring ? ring->pop_blocking(policy, nullptr)
                        : ctl.queue_pop();
               if (!li) break;
               ctl.task_started(*li);

@@ -39,7 +39,6 @@
 #include <vector>
 
 #include "support/wait.hpp"
-#include "coor/ready_ring.hpp"
 #include "rio/mapping.hpp"
 #include "stf/task_flow.hpp"
 
@@ -57,15 +56,18 @@ constexpr const char* to_string(EngineKind e) noexcept {
   return "?";
 }
 
+/// The ready-queue model kCoor runs under. kRing checks the real ReadyRingT
+/// code (CAS claims, doorbell-pair parking) instantiated on the
+/// instrumented word type: coor's fifo queue, what `rioflow verify` checks.
+/// kOneStep models a queue as one atomic push/pop step, which keeps the
+/// exhaustive two-worker checks of the dependency counters small.
+enum class CoorQueue : std::uint8_t { kOneStep, kRing };
+
 struct Options {
   EngineKind engine = EngineKind::kRio;
   std::uint32_t workers = 2;  ///< virtual workers (<= 4; coor adds a master)
   support::WaitPolicy policy = support::WaitPolicy::kBlock;
-  /// Ready-queue implementation for kCoor: kRing checks the real
-  /// ReadyRingT code (CAS claims, doorbell-pair parking) instantiated on
-  /// the instrumented word type; kLocked models the mutex+condvar queue as
-  /// one atomic push/pop step. Ignored by the rio engines.
-  coor::QueueKind queue = coor::QueueKind::kLocked;
+  CoorQueue queue = CoorQueue::kOneStep;  ///< ignored by the rio engines
   bool dpor = true;           ///< false: naive full enumeration (tests)
   int max_preemptions = -1;   ///< bounded search; < 0 explores everything
   std::uint64_t max_interleavings = 200'000;  ///< exploration budget

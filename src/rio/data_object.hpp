@@ -30,9 +30,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <type_traits>
 
 #include "support/align.hpp"
+#include "support/assert.hpp"
 #include "support/wait.hpp"
 #include "rio/doorbell.hpp"
 #include "rio/proto.hpp"
@@ -92,10 +92,6 @@ inline void declare_write(LocalDataState& local, stf::TaskId task_id) noexcept {
   local.last_registered_write = task_id;
 }
 
-/// Placeholder doorbell type for callers that never park on a bell
-/// (kSpinYield, watched runs, the sequential declare loops).
-struct NoBell {};
-
 /// acquire_for: the protocol wait both executors share. Blocks until the
 /// shared last-executed write equals `expected_writer`; a write access
 /// additionally waits until the shared read count equals `expected_reads`
@@ -107,12 +103,10 @@ struct NoBell {};
 /// non-null `spins` accumulates wait rounds for the obs spin-iteration
 /// counter.
 ///
-/// A non-NoBell `bell` switches the kBlock policy to doorbell parking
-/// (src/rio/doorbell.hpp): the worker parks on its own bell instead of the
-/// sync word, and producers must publish with word_notify = false plus a
-/// ring_doorbell() at their release boundary. Bells imply abort == nullptr
-/// (watched runs keep the classic per-word path).
-template <typename Shared, typename Bell = NoBell>
+/// Under kBlock the caller passes its own doorbell (src/rio/doorbell.hpp)
+/// and parks on it instead of the sync word; producers ring_doorbell() at
+/// their release boundary. The word wait serves kSpinYield only.
+template <typename Shared, typename Bell = std::atomic<std::uint64_t>>
 inline bool acquire_for(const Shared& shared, stf::TaskId expected_writer,
                         std::uint64_t expected_reads, bool for_write,
                         support::WaitPolicy policy,
@@ -120,41 +114,30 @@ inline bool acquire_for(const Shared& shared, stf::TaskId expected_writer,
                         std::uint64_t* spins = nullptr, Bell* bell = nullptr) {
   using proto::load_acq;
   using proto::wait_equal;
+  const auto wait = [&](const auto& word, auto expected) {
+    if (bell != nullptr)
+      return bell_wait_equal(word, expected, *bell, abort, spins);
+    RIO_ASSERT_MSG(policy != support::WaitPolicy::kBlock,
+                   "a kBlock wait parks on the waiter's doorbell");
+    return wait_equal(word, expected, policy, abort, spins);
+  };
   bool stalled = false;
   if (load_acq(shared.last_executed_write.value) != expected_writer) {
     stalled = true;
-    if constexpr (!std::is_same_v<Bell, NoBell>) {
-      if (bell != nullptr) {
-        bell_wait_equal(shared.last_executed_write.value, expected_writer,
-                        *bell, spins);
-      } else if (!wait_equal(shared.last_executed_write.value, expected_writer,
-                             policy, abort, spins)) {
-        return stalled;
-      }
-    } else if (!wait_equal(shared.last_executed_write.value, expected_writer,
-                           policy, abort, spins)) {
+    if (!wait(shared.last_executed_write.value, expected_writer))
       return stalled;  // aborted: skip the dependent read-count wait too
-    }
   }
   if (for_write &&
       load_acq(shared.nb_reads_since_write.value) != expected_reads) {
     stalled = true;
-    if constexpr (!std::is_same_v<Bell, NoBell>) {
-      if (bell != nullptr) {
-        bell_wait_equal(shared.nb_reads_since_write.value, expected_reads,
-                        *bell, spins);
-        return stalled;
-      }
-    }
-    wait_equal(shared.nb_reads_since_write.value, expected_reads, policy,
-               abort, spins);
+    wait(shared.nb_reads_since_write.value, expected_reads);
   }
   return stalled;
 }
 
 /// get_read: block until every write this worker registered before the
 /// current task has been performed.
-template <typename Shared, typename Bell = NoBell>
+template <typename Shared, typename Bell = std::atomic<std::uint64_t>>
 inline bool get_read(const Shared& shared, const LocalDataState& local,
                      support::WaitPolicy policy,
                      const std::atomic<bool>* abort = nullptr,
@@ -166,7 +149,7 @@ inline bool get_read(const Shared& shared, const LocalDataState& local,
 
 /// get_write: additionally block until all reads since that write have been
 /// performed.
-template <typename Shared, typename Bell = NoBell>
+template <typename Shared, typename Bell = std::atomic<std::uint64_t>>
 inline bool get_write(const Shared& shared, const LocalDataState& local,
                       support::WaitPolicy policy,
                       const std::atomic<bool>* abort = nullptr,
@@ -177,56 +160,39 @@ inline bool get_write(const Shared& shared, const LocalDataState& local,
 }
 
 /// publish_read: the shared half of terminate_read — one more read
-/// performed. The read counter is a wait target under kBlock, so waiters
-/// are notified after the increment — unless the run uses doorbells
-/// (word_notify = false), in which case the producer's release-boundary
-/// ring_doorbell() carries the wake instead.
+/// performed. Waiters are woken by the producer's release-boundary
+/// ring_doorbell(), not here.
 template <typename Shared>
-inline void publish_read(Shared& shared, support::WaitPolicy policy,
-                         bool word_notify = true) {
+inline void publish_read(Shared& shared) {
   using proto::fetch_add;
-  using proto::notify;
   fetch_add(shared.nb_reads_since_write.value, std::uint64_t{1});
-  if (word_notify) notify(shared.nb_reads_since_write.value, policy);
 }
 
 /// publish_write: the shared half of terminate_write — reset the shared
 /// read counter BEFORE publishing the new write id. A successor passes its
 /// first wait only after observing the new id (acquire), so it can never
-/// see the stale pre-reset read count. Both words are wait targets under
-/// kBlock; notify both (or neither, under doorbells).
+/// see the stale pre-reset read count.
 template <typename Shared>
-inline void publish_write(Shared& shared, stf::TaskId task_id,
-                          support::WaitPolicy policy,
-                          bool word_notify = true) {
-  using proto::notify;
+inline void publish_write(Shared& shared, stf::TaskId task_id) {
   using proto::store_rel;
   using proto::store_rlx;
   store_rlx(shared.nb_reads_since_write.value, std::uint64_t{0});
   store_rel(shared.last_executed_write.value, task_id);
-  if (word_notify) {
-    notify(shared.last_executed_write.value, policy);
-    notify(shared.nb_reads_since_write.value, policy);
-  }
 }
 
 /// terminate_read: publish that one more read was performed, then register
 /// it locally like any other worker would.
 template <typename Shared>
-inline void terminate_read(Shared& shared, LocalDataState& local,
-                           support::WaitPolicy policy,
-                           bool word_notify = true) {
-  publish_read(shared, policy, word_notify);
+inline void terminate_read(Shared& shared, LocalDataState& local) {
+  publish_read(shared);
   declare_read(local);
 }
 
 /// terminate_write: publish the new write, then register it locally.
 template <typename Shared>
 inline void terminate_write(Shared& shared, LocalDataState& local,
-                            stf::TaskId task_id,
-                            support::WaitPolicy policy,
-                            bool word_notify = true) {
-  publish_write(shared, task_id, policy, word_notify);
+                            stf::TaskId task_id) {
+  publish_write(shared, task_id);
   declare_write(local, task_id);
 }
 

@@ -1,15 +1,13 @@
 // Per-worker doorbells: batched block-policy wakeups for Algorithm 2.
 //
-// Before PR 7 every publish under the kBlock policy paid a notify per sync
-// word — up to two futex-wake syscalls per access even when nobody was
-// parked. The doorbell scheme moves parking off the protocol words
-// entirely: each worker owns ONE doorbell word, and a stalled worker parks
-// on its own bell instead of the sync word it is waiting for. Producers
-// then publish a whole task's accesses with plain release stores
-// (word_notify = false) and ring every other worker's bell ONCE at the
-// task's release boundary — one RMW per peer per task instead of one
-// syscall per word, and the futex wake itself is issued only when the
-// bell's owner is actually parked.
+// A notify per published sync word would cost up to two futex-wake
+// syscalls per access even when nobody is parked. Doorbells move parking
+// off the protocol words entirely: each worker owns ONE doorbell word, and
+// a stalled worker parks on its own bell instead of the sync word it is
+// waiting for. Producers publish a whole task's accesses with plain
+// release stores and ring every other worker's bell ONCE at the task's
+// release boundary — one RMW per peer per task, and the futex wake itself
+// is issued only when the bell's owner is actually parked.
 //
 // The bell is a single 64-bit word combining the two doorbell roles:
 //   * low 32 bits  — waiter count. Only the OWNER ever touches these
@@ -31,11 +29,15 @@
 // bell value), so mc::impl explores exactly this protocol and drop_notify
 // on the bell path is caught as a lost wakeup.
 //
-// Bells are only engaged for kBlock runs WITHOUT a watchdog: abort-aware
-// waits must poll (a futex park cannot observe the abort flag), so watched
-// runs keep the classic per-word path and its degradation semantics.
+// Every kBlock run parks on bells, watched or not. The watchdog's abort
+// takes the sync word's place in the same argument: the fire callback
+// stores `abort` and THEN rings every worker's bell, and a waiter checks
+// `abort` after its registering RMW and before it parks. Whichever RMW on
+// the bell lands second sees the other side's first step, so a parked
+// worker either sees the abort or is woken by the ring.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 
 #include "rio/proto.hpp"
@@ -47,18 +49,21 @@ inline constexpr std::uint64_t kBellWaiter = 1;
 inline constexpr std::uint64_t kBellWaiterMask = 0xffffffffull;
 inline constexpr std::uint64_t kBellVersion = std::uint64_t{1} << 32;
 
-/// Waits until `word == expected`, parking on the caller's own doorbell.
-/// Only the bell's owner may call this (single-registrant invariant).
-/// Producers must ring_doorbell() after publishing, so every version bump
-/// is a "something you may be waiting for changed" hint; spurious bumps
-/// simply re-check the word and park again.
+/// Waits until `word == expected`, parking on the caller's own doorbell,
+/// or until `*abort` (when non-null) becomes true. Returns true when
+/// equality was reached, false on abort. Only the bell's owner may call
+/// this (single-registrant invariant). Producers must ring_doorbell()
+/// after publishing, and whoever sets `abort` must ring every bell after
+/// it, so every version bump is a "something you may be waiting for
+/// changed" hint; spurious bumps simply re-check and park again.
 template <typename Word, typename Bell, typename T>
-void bell_wait_equal(const Word& word, T expected, Bell& bell,
-                     std::uint64_t* spins) {
+bool bell_wait_equal(const Word& word, T expected, Bell& bell,
+                     const std::atomic<bool>* abort, std::uint64_t* spins) {
   using proto::fetch_add;
   using proto::load_acq;
   using proto::wait_changed;
   std::uint64_t rounds = 0;
+  bool reached = true;
   for (;;) {
     if (load_acq(word) == expected) break;
     ++rounds;
@@ -69,10 +74,16 @@ void bell_wait_equal(const Word& word, T expected, Bell& bell,
       fetch_add(bell, std::uint64_t{0} - kBellWaiter);
       break;
     }
-    wait_changed(bell, seen, support::WaitPolicy::kBlock, nullptr, spins);
+    if (abort != nullptr && abort->load(std::memory_order_acquire)) {
+      fetch_add(bell, std::uint64_t{0} - kBellWaiter);
+      reached = false;
+      break;
+    }
+    wait_changed(bell, seen, support::WaitPolicy::kBlock, spins);
     fetch_add(bell, std::uint64_t{0} - kBellWaiter);
   }
   if (spins != nullptr) *spins += rounds;
+  return reached;
 }
 
 /// Bumps one peer's bell at a release boundary. Returns true when a futex

@@ -42,12 +42,10 @@
 //       -> bool                             true when equality was reached,
 //                                           false on abort; must re-check
 //                                           the value before parking
-//   * wait_changed(const W<T>&, T old, WaitPolicy,
-//                  const std::atomic<bool>* abort, std::uint64_t* spins)
-//       -> bool                             true when the word moved away
-//                                           from `old`, false on abort;
-//                                           kBlock parks futex-style on the
-//                                           sampled value
+//   * wait_changed(const W<T>&, T old, WaitPolicy, std::uint64_t* spins)
+//                                           returns once the word moved
+//                                           away from `old`; kBlock parks
+//                                           futex-style on the sampled value
 //   * notify(W<T>&, WaitPolicy)             wake all waiters iff kBlock
 #pragma once
 
@@ -94,11 +92,10 @@ inline bool wait_equal(const std::atomic<T>& word, T expected,
 }
 
 template <typename T>
-inline bool wait_changed(const std::atomic<T>& word, T old,
+inline void wait_changed(const std::atomic<T>& word, T old,
                          support::WaitPolicy policy,
-                         const std::atomic<bool>* abort = nullptr,
                          std::uint64_t* spins = nullptr) noexcept {
-  return support::wait_until_changed_or(word, old, policy, abort, spins);
+  support::wait_until_changed(word, old, policy, spins);
 }
 
 template <typename T>

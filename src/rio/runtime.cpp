@@ -20,11 +20,6 @@
 namespace rio::rt {
 namespace {
 
-/// Watchdog window auto-armed for crash-capable fault plans: the tripwire
-/// detects a recorded death within one poll (~window/8), so recovery
-/// latency is bounded by ~12ms, not by task-flow drain time.
-constexpr std::uint64_t kDefaultCrashWatchdogNs = 100'000'000;  // 100ms
-
 /// Everything one worker needs while unrolling the flow. Lives on the
 /// worker's stack; the vectors are worker-private by construction.
 struct WorkerCtx {
@@ -34,13 +29,11 @@ struct WorkerCtx {
   const stf::DataRegistry* registry = nullptr;
   support::WaitPolicy policy = support::WaitPolicy::kSpinYield;
 
-  // Doorbell batching (src/rio/doorbell.hpp), engaged for kBlock runs
-  // without a watchdog: this worker parks on bells[self] instead of sync
-  // words, publishes with word_notify = false, and rings every peer's bell
-  // once per completed task.
+  // Doorbells (src/rio/doorbell.hpp), non-null exactly under kBlock: this
+  // worker parks on bells[self] instead of sync words and rings every
+  // peer's bell once per completed task.
   support::AlignedAtomic<std::uint64_t>* bells = nullptr;
   std::uint32_t num_workers = 1;
-  bool use_bells = false;
 
   // Instrumentation (all optional). `timed` is the union of every consumer
   // of the clock reads: the tau buckets and the flight recorder both draw
@@ -117,7 +110,7 @@ void execute_owned(const stf::Task& task, WorkerCtx& ctx) {
     }
   }
   std::atomic<std::uint64_t>* bell =
-      ctx.use_bells ? &ctx.bells[ctx.self].value : nullptr;
+      ctx.bells != nullptr ? &ctx.bells[ctx.self].value : nullptr;
   for (const stf::Access& a : task.accesses) {
     // The expected producer, read before get_* observes the counters —
     // the same pair the watchdog probe and stall_diag print.
@@ -242,16 +235,13 @@ void execute_owned(const stf::Task& task, WorkerCtx& ctx) {
            ctx.sync_stamp->fetch_add(1, std::memory_order_acq_rel)});
   }
 
-  const bool word_notify = !ctx.use_bells;
   for (const stf::Access& a : task.accesses) {
     if (is_write(a.mode))
-      terminate_write(ctx.shared[a.data], ctx.local[a.data], task.id,
-                      ctx.policy, word_notify);
+      terminate_write(ctx.shared[a.data], ctx.local[a.data], task.id);
     else
-      terminate_read(ctx.shared[a.data], ctx.local[a.data], ctx.policy,
-                     word_notify);
+      terminate_read(ctx.shared[a.data], ctx.local[a.data]);
   }
-  if (ctx.use_bells && !task.accesses.empty()) {
+  if (ctx.bells != nullptr && !task.accesses.empty()) {
     // One bump per peer per task — the whole release boundary batched into
     // (p - 1) RMWs, with the futex syscall only when a peer is parked. A
     // task without accesses published no word a peer could wait on, so it
@@ -337,19 +327,12 @@ support::RunStats launch(const engine::Launch& cfg, const char* engine,
                          std::size_t num_data, stf::SyncTrace& sync_out,
                          RunArenas& arenas, UnrollFn&& unroll) {
   const std::uint32_t p = cfg.workers;
-  // Crash-armed plans force a watchdog (default window when unset): a
-  // worker death must escalate as stf::WorkerLost, never hang the run —
-  // and watched waits are abort-pollable, which the drain relies on.
   const bool crash_armed =
       cfg.fault != nullptr && cfg.fault->plan().crash_armed();
-  const std::uint64_t watchdog_ns =
-      cfg.watchdog_ns > 0 ? cfg.watchdog_ns
-                          : (crash_armed ? kDefaultCrashWatchdogNs : 0);
+  const std::uint64_t watchdog_ns = engine::armed_watchdog_ns(cfg);
   const bool watched = watchdog_ns > 0;
-  // Doorbell batching replaces per-word notifies for unwatched kBlock runs;
-  // watched runs keep the per-word path so abort-aware waits can poll.
-  const bool use_bells =
-      cfg.wait_policy == support::WaitPolicy::kBlock && !watched;
+  // Every kBlock run parks on doorbells, watched or not.
+  const bool block = cfg.wait_policy == support::WaitPolicy::kBlock;
 
   // Recycled sync-word arena: reset in place when it already fits.
   // SharedDataState holds atomics (not copyable), so growth recreates.
@@ -363,7 +346,7 @@ support::RunStats launch(const engine::Launch& cfg, const char* engine,
       shared[d].nb_reads_since_write.value.store(0, std::memory_order_relaxed);
     }
   }
-  if (use_bells) {
+  if (block) {
     if (arenas.bells.size() < p) {
       arenas.bells =
           std::vector<support::AlignedAtomic<std::uint64_t>>(p);
@@ -394,9 +377,8 @@ support::RunStats launch(const engine::Launch& cfg, const char* engine,
     c.local = arenas.locals[w].data();
     c.registry = &registry;
     c.policy = cfg.wait_policy;
-    c.bells = use_bells ? arenas.bells.data() : nullptr;
+    c.bells = block ? arenas.bells.data() : nullptr;
     c.num_workers = p;
-    c.use_bells = use_bells;
     c.collect_stats = cfg.collect_stats;
     c.collect_sync = cfg.collect_sync;
     c.guard = cfg.enable_guard ? &guard : nullptr;
@@ -439,8 +421,9 @@ support::RunStats launch(const engine::Launch& cfg, const char* engine,
 
   // Progress watchdog: a monitor thread watches the sum of per-worker
   // executed-task counters; if it freezes for the whole window, capture the
-  // diagnostic (while workers are still stuck), then cancel + abort so every
-  // wait drains and the run fails with StallError instead of hanging.
+  // diagnostic (while workers are still stuck), then cancel + abort and
+  // ring every bell so every wait, parked ones included, drains and the run
+  // fails with StallError instead of hanging.
   std::optional<support::Watchdog> watchdog;
   if (watched) {
     watchdog.emplace(
@@ -469,6 +452,11 @@ support::RunStats launch(const engine::Launch& cfg, const char* engine,
         [&] {
           cancelled.store(true, std::memory_order_release);
           abort.store(true, std::memory_order_release);
+          // After the store: a parker registered before this ring is
+          // woken, one registering after it sees the abort.
+          if (block)
+            for (std::uint32_t w = 0; w < p; ++w)
+              ring_doorbell(arenas.bells[w].value, cfg.wait_policy);
         },
         // Tripwire: a recorded worker death aborts the run at the next
         // poll even while survivors still make progress elsewhere.

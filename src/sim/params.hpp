@@ -82,8 +82,11 @@ struct DecentralizedParams {
   // crash fault in the plan wastes the crashed attempt, burns the watchdog
   // detection window on EVERY worker (the run aborts globally before the
   // supervisor evicts and resumes), and replays each already-completed
-  // task as a protocol no-op on the resumed attempt. Calibrated to the
-  // real engines' defaults: 100 us watchdog, single-digit-ns replay ops.
+  // task as a protocol no-op on the resumed attempt. The detection window
+  // models 100 µs, not the real engines' latency: they arm a 100 ms
+  // watchdog (engine::kCrashWatchdogNs) whose tripwire polls every
+  // window / 8, so a death is detected within about 12.5 ms. Replay ops
+  // cost single-digit ns.
   std::uint64_t crash_detect_ticks = 100'000;
   std::uint64_t replay_per_task = 5;
 

@@ -27,6 +27,12 @@
 // With a bounded burst a policy that never yields wins nowhere: in the
 // committed policy table (BENCH_wait_policy.json, docs/perf.md) the default
 // is within 10% of the best policy on every rio row.
+//
+// Abort: a wait may carry the progress watchdog's abort flag, checked once
+// per check, and kBlock parks whatever the flag is. A futex park cannot see
+// the flag, so the one rule is on the other side: whoever sets `abort` must
+// then bump and wake every word a waiter may be parked on (rio's doorbells,
+// coor's ring version), so a parked waiter re-checks and sees it.
 #pragma once
 
 #include <atomic>
@@ -100,12 +106,10 @@ namespace detail {
 
 /// The one wait loop: one Backoff step, then `ready()`, until it holds.
 /// After the spin phase a kBlock wait calls `park()` (which blocks until
-/// the word may have moved) and every other wait yields. A non-null
-/// `abort` is polled once per check, and it turns kBlock into the yielding
-/// poll too: a futex park cannot observe the abort flag. Returns false on
-/// abort. A non-null `spins` receives the number of checks, accumulated in
-/// a local and flushed on exit so the loop stays free of extra memory
-/// traffic.
+/// the word may have moved) and a kSpinYield wait yields. A non-null
+/// `abort` is checked once per check; returns false on abort. A non-null
+/// `spins` receives the number of checks, accumulated in a local and
+/// flushed on exit so the loop stays free of extra memory traffic.
 template <typename Ready, typename Park>
 bool wait_loop(Ready&& ready, Park&& park, WaitPolicy policy,
                const std::atomic<bool>* abort, std::uint64_t* spins) noexcept {
@@ -119,7 +123,7 @@ bool wait_loop(Ready&& ready, Park&& park, WaitPolicy policy,
       break;
     }
     if (backoff.spin() == 0) {
-      if (policy == WaitPolicy::kBlock && abort == nullptr)
+      if (policy == WaitPolicy::kBlock)
         park();
       else
         backoff.yield();
@@ -160,17 +164,9 @@ bool wait_until_equal_or(const std::atomic<T>& word, T expected,
       policy, abort, spins);
 }
 
-/// wait_until_equal_or without an abort flag.
-template <typename T>
-void wait_until_equal(const std::atomic<T>& word, T expected,
-                      WaitPolicy policy,
-                      std::uint64_t* spins = nullptr) noexcept {
-  wait_until_equal_or(word, expected, policy, nullptr, spins);
-}
-
-/// Blocks until `word.load(acquire) != old`, following `policy`, or until
-/// `*abort` becomes true. Returns true when the word moved, false on
-/// abort.
+/// Blocks until `word.load(acquire) != old`, following `policy`. It takes
+/// no abort flag: an abort reaches these waits as a bump of the word itself
+/// (a rung doorbell, a closed ring).
 ///
 /// The inequality predicate is the doorbell/version shape: producers only
 /// ever *bump* the word (monotone fetch_add), so "changed since I sampled
@@ -179,24 +175,15 @@ void wait_until_equal(const std::atomic<T>& word, T expected,
 /// std::atomic::wait(old) already returns when the word differs from old,
 /// so there is no check/park re-read gap to close.
 template <typename T>
-bool wait_until_changed_or(const std::atomic<T>& word, T old,
-                           WaitPolicy policy, const std::atomic<bool>* abort,
-                           std::uint64_t* spins = nullptr) noexcept {
+void wait_until_changed(const std::atomic<T>& word, T old, WaitPolicy policy,
+                        std::uint64_t* spins = nullptr) noexcept {
   const auto ready = [&] {
     return word.load(std::memory_order_acquire) != old;
   };
-  if (ready()) return true;
-  return detail::wait_loop(
+  if (ready()) return;
+  detail::wait_loop(
       ready, [&] { word.wait(old, std::memory_order_acquire); }, policy,
-      abort, spins);
-}
-
-/// Store + wake for the kBlock policy. Release ordering publishes all task
-/// side effects before dependents are allowed through.
-template <typename T>
-void store_and_notify(std::atomic<T>& word, T value, WaitPolicy policy) noexcept {
-  word.store(value, std::memory_order_release);
-  if (policy == WaitPolicy::kBlock) word.notify_all();
+      nullptr, spins);
 }
 
 /// Human-readable policy name for bench/report output.

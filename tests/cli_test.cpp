@@ -156,7 +156,7 @@ TEST(CliRun, UnknownTaskbenchPatternFails) {
 
 TEST(CliRun, SchedulerOnBackendWithoutSchedulerExitsTwo) {
   // rio has no scheduler: a non-default --scheduler is refused with the
-  // structured capability error, exactly like --queue ring.
+  // structured capability error.
   std::string text;
   EXPECT_EQ(run_args({"--engine", "rio", "--workload", "chain", "--tasks",
                       "64", "--scheduler", "priority"},
@@ -399,23 +399,24 @@ TEST(CliChaos, BadFaultRateFails) {
   EXPECT_FALSE(parse_args({"chaos", "--fault-rate", "-inf"}, o, error));
 }
 
-TEST(CliChaos, HonoursQueue) {
+TEST(CliChaos, HonoursScheduler) {
   std::string text;
-  EXPECT_EQ(run_args({"chaos", "--quick", "--engines", "coor", "--queue",
+  EXPECT_EQ(run_args({"chaos", "--quick", "--engines", "coor", "--scheduler",
                       "bogus"},
                      &text),
             1);
-  EXPECT_NE(text.find("unknown queue 'bogus'"), std::string::npos) << text;
-  // The locked deque serves the sweep on coor; rio has no ready queue, so
-  // the same knob is refused there: chaos passes it through.
+  EXPECT_NE(text.find("unknown scheduler 'bogus'"), std::string::npos)
+      << text;
+  // lifo serves the sweep on coor through the locked deque; rio has no
+  // scheduler, so the same knob is refused there: chaos passes it through.
   EXPECT_EQ(run_args({"chaos", "--quick", "--workload", "chain", "--tasks",
-                      "32", "--task-size", "20", "--queue", "locked",
+                      "32", "--task-size", "20", "--scheduler", "lifo",
                       "--engines", "coor"},
                      &text),
             0)
       << text;
   EXPECT_EQ(run_args({"chaos", "--quick", "--workload", "chain", "--tasks",
-                      "32", "--task-size", "20", "--queue", "locked",
+                      "32", "--task-size", "20", "--scheduler", "lifo",
                       "--engines", "rio"},
                      &text),
             2)
@@ -738,11 +739,9 @@ TEST(CliUsage, NamesEveryCommandSchemaFlagAndDefault) {
   // Spot checks straight from the structs, independent of the renderers.
   for (const std::string& value :
        {std::to_string(defaults.workers), std::to_string(defaults.tasks),
-        defaults.queue, defaults.engines, defaults.fail_on})
+        defaults.scheduler, defaults.engines, defaults.fail_on})
     EXPECT_NE(text.find("[" + value + "]"), std::string::npos) << value;
-  EXPECT_EQ(defaults.queue,
-            rio::coor::to_string(rio::engine::Launch{}.queue));
-  EXPECT_EQ(rio::cli::flags().size(), 42u);  // plus -h
+  EXPECT_EQ(rio::cli::flags().size(), 41u);  // plus -h
 }
 
 }  // namespace

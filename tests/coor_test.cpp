@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -122,22 +124,30 @@ TEST(ReadyRing, CloseDrainsThenEnds) {
   auto ring = make_ring(4);
   ring.push(5, support::WaitPolicy::kBlock);
   ring.close(support::WaitPolicy::kBlock);
-  EXPECT_EQ(
-      ring.pop_blocking(support::WaitPolicy::kBlock, nullptr, nullptr).value(),
-      5u);
+  EXPECT_EQ(ring.pop_blocking(support::WaitPolicy::kBlock, nullptr).value(),
+            5u);
   EXPECT_FALSE(
-      ring.pop_blocking(support::WaitPolicy::kBlock, nullptr, nullptr)
-          .has_value());
+      ring.pop_blocking(support::WaitPolicy::kBlock, nullptr).has_value());
 }
 
-TEST(ReadyRing, AbortUnblocksWithoutNotify) {
-  // Watchdog degradation: an armed abort flag must unblock a parked
-  // consumer with no producer push — the abort-aware polling path.
+TEST(ReadyRing, CloseWakesParkedBlockConsumer) {
+  // The watchdog's abort path on coor: the fire callback close()s the
+  // ring. A kBlock consumer parked on the empty ring must return nullopt
+  // after close() from another thread, with no push. 50 ms is 10 000 times
+  // the 5 µs spin budget, so the consumer is parked when close() comes.
   auto ring = make_ring(4);
-  std::atomic<bool> abort{true};  // pre-aborted: the pop must return fast
-  EXPECT_FALSE(
-      ring.pop_blocking(support::WaitPolicy::kBlock, &abort, nullptr)
-          .has_value());
+  std::atomic<bool> returned{false};
+  std::optional<std::uint64_t> popped{99};
+  std::thread consumer([&] {
+    popped = ring.pop_blocking(support::WaitPolicy::kBlock, nullptr);
+    returned.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(returned.load());  // parked: nothing to pop, not closed
+  ring.close(support::WaitPolicy::kBlock);
+  consumer.join();
+  EXPECT_TRUE(returned.load());
+  EXPECT_FALSE(popped.has_value());
 }
 
 TEST(ReadyRing, MpmcDeliversEveryValueExactlyOnce) {
@@ -156,8 +166,7 @@ TEST(ReadyRing, MpmcDeliversEveryValueExactlyOnce) {
       ring.close(support::WaitPolicy::kBlock);
   };
   auto consume = [&] {
-    while (auto v =
-               ring.pop_blocking(support::WaitPolicy::kBlock, nullptr, nullptr))
+    while (auto v = ring.pop_blocking(support::WaitPolicy::kBlock, nullptr))
       seen[*v].fetch_add(1);
   };
   std::thread p0(produce, 0), p1(produce, kPerProducer);

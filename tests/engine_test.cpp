@@ -102,7 +102,7 @@ TEST(EngineRegistry, FindAndStructuredUnknownNameError) {
 TEST(EngineRegistry, CapabilityListIsStableAndComplete) {
   const engine::Capabilities caps{.executes_bodies = true, .in_order = true};
   const auto list = engine::capability_list(caps);
-  EXPECT_EQ(list.size(), 16u);  // one entry per Capabilities flag
+  EXPECT_EQ(list.size(), 15u);  // one entry per Capabilities flag
   bool saw_exec = false, saw_virtual = false, saw_recovery = false;
   for (const auto& [name, value] : list) {
     if (name == "executes_bodies") saw_exec = value;
@@ -190,47 +190,11 @@ TEST(EngineValidate, RejectsEveryUnsupportedKnobAtOnce) {
   }
 }
 
-TEST(EngineValidate, RingQueueRejectedWithoutUsesQueue) {
-  // The queue knob is coor-only today; every backend that does not declare
-  // uses_queue must reject a launch with the NON-default queue kind (kLocked
-  // while the ring is the default) with the structured error, and
-  // every backend that does declare it must run that kind to the oracle.
-  const coor::QueueKind other = engine::Launch{}.queue == coor::QueueKind::kRing
-                                    ? coor::QueueKind::kLocked
-                                    : coor::QueueKind::kRing;
-  const std::string label = std::string("+") + coor::to_string(other);
-  auto oracle = make_fold_chain(60, 6);
-  const stf::FlowImage oracle_image = stf::FlowImage::compile(oracle);
-  stf::SequentialExecutor{}.run(oracle_image);
-  for (const engine::Backend* backend : engine::Registry::instance().all()) {
-    SCOPED_TRACE(std::string(backend->name()));
-    engine::Launch launch;
-    launch.workers = 2;
-    launch.queue = other;
-    if (backend->caps().needs_mapping)
-      launch.mapping = rt::mapping::round_robin(2);
-    auto flow = make_fold_chain(60, 6);
-    if (!backend->caps().uses_queue) {
-      try {
-        (void)backend->run(stf::FlowImage::compile(flow), launch);
-        FAIL() << "expected UnsupportedLaunch for queue=" << label;
-      } catch (const engine::UnsupportedLaunch& e) {
-        EXPECT_NE(std::string(e.what()).find("queue"), std::string::npos)
-            << e.what();
-      }
-    } else {
-      (void)backend->run(stf::FlowImage::compile(flow), launch);
-      if (backend->caps().executes_bodies)
-        expect_same_data(flow, oracle, std::string(backend->name()) + label);
-    }
-  }
-}
-
 TEST(EngineValidate, DefaultLaunchRunsOnEveryBackend) {
   // The capability checks compare each knob with its Launch default, so a
   // default Launch (plus the mapping needs_mapping backends require) runs
   // on every backend — also on those that never read a knob whose default
-  // changed, like hybrid and the ring queue.
+  // changed, like hybrid and the scheduler.
   auto oracle = make_fold_chain(60, 6);
   const stf::FlowImage oracle_image = stf::FlowImage::compile(oracle);
   stf::SequentialExecutor{}.run(oracle_image);

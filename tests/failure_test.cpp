@@ -6,8 +6,15 @@
 // watchdog (docs/robustness.md).
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
+#include <mutex>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <tuple>
 #include <vector>
 
 #include "coor/coor.hpp"
@@ -241,11 +248,50 @@ TEST(Resilience, RioWatchdogFailsStalledRun) {
   }
 }
 
-TEST(Resilience, WatchdogFailsStalledRunOnEveryWatchdogBackend) {
-  // Registry matrix: every executes_bodies backend with supports_watchdog
-  // (rio, rio-pruned, coor, hybrid) escalates a hung task to StallError.
-  // Task 20 lands in the hybrid default partial's dynamic phase, so the
-  // hybrid row exercises the coor-side watchdog behind the phase barrier.
+/// Runs `fn` on the calling thread and ends the process if it has not
+/// returned after `bound`. A waiter an abort leaves parked never returns,
+/// so without this bound only ctest's timeout would end the test.
+template <typename Fn>
+void within(std::chrono::seconds bound, Fn&& fn) {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool done = false;
+  std::thread guard([&] {
+    std::unique_lock lock(mu);
+    if (!cv.wait_for(lock, bound, [&] { return done; })) {
+      std::fprintf(stderr,
+                   "run still waiting after %lld s: the abort left a waiter "
+                   "parked\n",
+                   static_cast<long long>(bound.count()));
+      std::abort();
+    }
+  });
+  fn();
+  {
+    std::lock_guard lock(mu);
+    done = true;
+  }
+  cv.notify_all();
+  guard.join();
+}
+
+enum class Fault : std::uint8_t { kStall, kCrash };
+
+// Abort drain, wait policy x fault: on every executes_bodies backend with
+// supports_watchdog (rio, rio-pruned, coor, hybrid) a run whose progress
+// stops must fail, whether its waiters yield or park. A 10 s injected stall
+// under a 200 ms window throws StallError; a crash_tasks plan run without
+// the supervisor arms the default crash watchdog and throws WorkerLost.
+// Under kBlock a crash leaves the survivors parked on a task that never
+// publishes, so only the abort's wake gets them out (an interrupted stall
+// publishes its task and rings on its own). Task 20 lands in the hybrid
+// default partial's dynamic phase, so the hybrid row exercises the
+// coor-side watchdog behind the phase barrier.
+class WatchdogDrain : public ::testing::TestWithParam<
+                          std::tuple<support::WaitPolicy, Fault>> {};
+
+TEST_P(WatchdogDrain, FailsPromptlyOnEveryWatchdogBackend) {
+  const auto [policy, fault] = GetParam();
   for (const engine::Backend* backend : engine::Registry::instance().all()) {
     const engine::Capabilities& caps = backend->caps();
     if (!caps.executes_bodies || !caps.supports_watchdog) continue;
@@ -254,19 +300,42 @@ TEST(Resilience, WatchdogFailsStalledRunOnEveryWatchdogBackend) {
     stf::DataHandle<int> d;
     auto flow = increment_chain(30, d);
     support::FaultPlan plan;
-    plan.stall_tasks = {20};
-    plan.stall_ns = 10'000'000'000ull;  // 10 s — far beyond the window
+    if (fault == Fault::kStall) {
+      plan.stall_tasks = {20};
+      plan.stall_ns = 10'000'000'000ull;  // 10 s — far beyond the window
+    } else {
+      plan.crash_tasks = {20};
+      plan.max_crashes = 1;
+    }
     support::FaultInjector injector(plan);
 
     engine::Launch launch;
     launch.workers = 2;
+    launch.wait_policy = policy;
     launch.fault = &injector;
-    launch.watchdog_ns = 200'000'000ull;
+    if (fault == Fault::kStall) launch.watchdog_ns = 200'000'000ull;
     if (caps.needs_mapping) launch.mapping = rt::mapping::round_robin(2);
-    EXPECT_THROW((void)backend->run(stf::FlowImage::compile(flow), launch),
-                 stf::StallError);
+    const stf::FlowImage image = stf::FlowImage::compile(flow);
+    within(std::chrono::seconds(5), [&] {
+      if (fault == Fault::kStall)
+        EXPECT_THROW((void)backend->run(image, launch), stf::StallError);
+      else
+        EXPECT_THROW((void)backend->run(image, launch), stf::WorkerLost);
+    });
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    PolicyByFault, WatchdogDrain,
+    ::testing::Combine(::testing::Values(support::WaitPolicy::kSpinYield,
+                                         support::WaitPolicy::kBlock),
+                       ::testing::Values(Fault::kStall, Fault::kCrash)),
+    [](const auto& i) {
+      return std::string(std::get<0>(i.param) == support::WaitPolicy::kBlock
+                             ? "Block"
+                             : "SpinYield") +
+             (std::get<1>(i.param) == Fault::kStall ? "_Stall" : "_Crash");
+    });
 
 TEST(Resilience, CoorWatchdogFailsStalledRun) {
   stf::DataHandle<int> d;

@@ -149,13 +149,6 @@ TEST_P(EngineFuzz, AllEnginesMatchSequential) {
       launch.scheduler = static_cast<coor::SchedulerKind>(meta.bounded(3));
       launch.work_stealing = meta.bounded(2) == 1;
     }
-    if (caps.uses_queue) {
-      // Both kinds explicitly, whatever the default: the wait-free MPMC
-      // ready ring serves fifo, and the runtime falls back to the locked
-      // deque for the other scheduler modes.
-      launch.queue = meta.bounded(2) == 1 ? coor::QueueKind::kRing
-                                          : coor::QueueKind::kLocked;
-    }
 
     (void)backend->run(stf::FlowImage::compile(flow), launch);
     if (caps.supports_obs) {
@@ -171,10 +164,10 @@ TEST_P(EngineFuzz, AllEnginesMatchSequential) {
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineFuzz,
                          ::testing::Range<std::uint64_t>(1, 21));
 
-// Wait-free ready ring fuzz: the byte-oracle property must hold with the
-// MPMC ring requested explicitly, under fifo (which it serves) and lifo
-// (which keeps the locked deque, since the ring pops FIFO only), and all
-// wait policies including parked (block) consumers.
+// Wait-free ready ring fuzz: the byte-oracle property must hold under fifo
+// (which the MPMC ring serves) and lifo (which keeps the locked deque,
+// since the ring pops FIFO only), and all wait policies including parked
+// (block) consumers.
 class RingFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(RingFuzz, RingQueueMatchesSequential) {
@@ -197,7 +190,6 @@ TEST_P(RingFuzz, RingQueueMatchesSequential) {
       engine::Launch cfg;
       cfg.workers = spec.workers;
       cfg.scheduler = scheduler;
-      cfg.queue = coor::QueueKind::kRing;
       cfg.wait_policy = policy;
       const stf::FlowImage image = stf::FlowImage::compile(flow);
       coor::Runtime(cfg).run(image);

@@ -275,7 +275,7 @@ TEST(ImplModel, PreemptionBoundShrinksExploration) {
 }
 
 TEST(ImplModel, WaitFreeRingVerifiesOnCoor) {
-  // --queue ring swaps the one-step locked-queue abstraction for the real
+  // CoorQueue::kRing swaps the one-step queue abstraction for the real
   // ReadyRingT code (CAS slot claims, per-slot sequence words, the
   // version+waiters doorbell pair) instantiated on the instrumented word
   // type. Small flows + one worker keep the space exhaustible.
@@ -286,7 +286,7 @@ TEST(ImplModel, WaitFreeRingVerifiesOnCoor) {
          {support::WaitPolicy::kSpinYield, support::WaitPolicy::kBlock}) {
       auto opts = impl_opts(mc::impl::EngineKind::kCoor, policy);
       opts.workers = 1;
-      opts.queue = coor::QueueKind::kRing;
+      opts.queue = mc::impl::CoorQueue::kRing;
       const auto r = mc::impl::verify(flow, mapping, opts);
       EXPECT_TRUE(r.ok()) << support::to_string(policy) << ": ["
                           << r.violation_kind << "] " << r.violation;
@@ -303,7 +303,7 @@ TEST(ImplModel, WaitFreeRingTwoWorkersWithinBudget) {
   const auto mapping = rt::mapping::round_robin(2);
   auto opts = impl_opts(mc::impl::EngineKind::kCoor,
                         support::WaitPolicy::kBlock);
-  opts.queue = coor::QueueKind::kRing;
+  opts.queue = mc::impl::CoorQueue::kRing;
   opts.max_interleavings = 300;
   const auto r = mc::impl::verify(flow, mapping, opts);
   EXPECT_TRUE(r.ok()) << "[" << r.violation_kind << "] " << r.violation;
@@ -320,7 +320,7 @@ TEST(ImplModel, DroppedNotifyOnRingIsCaughtAsLostWakeup) {
   auto opts = impl_opts(mc::impl::EngineKind::kCoor,
                         support::WaitPolicy::kBlock);
   opts.workers = 1;
-  opts.queue = coor::QueueKind::kRing;
+  opts.queue = mc::impl::CoorQueue::kRing;
   opts.drop_notify = true;
   const auto r = mc::impl::verify(flow, mapping, opts);
   ASSERT_FALSE(r.ok());

@@ -329,29 +329,54 @@ TEST(ObsReconcile, RetryCountersMatchInjector) {
   EXPECT_EQ(snap.total(obs::Counter::kFaultsInjected), 2u);
 }
 
-// Under kBlock a rio release rings every peer's doorbell, but a task without
-// accesses published no word a peer could wait on, so it rings none: an
-// access-free flow counts zero wakeups on both rio front ends.
-TEST(ObsReconcile, BlockRioRingsNoBellForAccessFreeTasks) {
+// Under kBlock a rio release rings every peer's doorbell, watched or not:
+// a task with accesses counts W - 1 wakeups, each issued or elided. A task
+// without accesses published no word a peer could wait on, so it rings
+// none: an access-free flow counts zero wakeups. Both hold on both rio
+// front ends, unwatched and under a watchdog that never fires.
+TEST(ObsReconcile, BlockRioRingsBellsOnlyForTasksWithAccesses) {
   const std::uint32_t p = 3;
-  auto wl = workloads::make_independent({.num_tasks = 600,
-                                         .task_cost = 0,
-                                         .body = workloads::BodyKind::kCounter,
-                                         .num_workers = p});
-  const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
-  for (const char* name : {"rio", "rio-pruned"}) {
-    SCOPED_TRACE(name);
-    obs::Hub hub;
-    const engine::Launch launch{.workers = p,
-                                .wait_policy = support::WaitPolicy::kBlock,
-                                .mapping = wl.mapping(p),
-                                .obs = &hub};
-    (void)engine::Registry::instance().find(name)->run(image, launch);
-    const obs::CounterSnapshot snap = hub.counter_snapshot();
-    EXPECT_EQ(snap.total(obs::Counter::kTasksExecuted), wl.flow.num_tasks());
-    EXPECT_EQ(snap.total(obs::Counter::kWakeups), 0u);
-    EXPECT_EQ(snap.total(obs::Counter::kWakeupsIssued), 0u);
-    EXPECT_EQ(snap.total(obs::Counter::kWakeupsElided), 0u);
+  const std::size_t n = 600;
+  auto access_free = workloads::make_independent(
+      {.num_tasks = n,
+       .task_cost = 0,
+       .body = workloads::BodyKind::kCounter,
+       .num_workers = p});
+  // One write per task over 2p chains: under round-robin chain c stays on
+  // worker c mod p, so the run never stalls.
+  stf::TaskFlow chains;
+  std::vector<stf::DataHandle<std::uint64_t>> chain;
+  for (std::uint32_t c = 0; c < 2 * p; ++c)
+    chain.push_back(
+        chains.create_data<std::uint64_t>("chain" + std::to_string(c)));
+  for (std::size_t i = 0; i < n; ++i)
+    chains.add_virtual(0, {stf::write(chain[i % chain.size()])});
+  const stf::FlowImage free_image = stf::FlowImage::compile(access_free.flow);
+  const stf::FlowImage chain_image = stf::FlowImage::compile(chains);
+
+  for (const bool watched : {false, true}) {
+    for (const bool accesses : {false, true}) {
+      for (const char* name : {"rio", "rio-pruned"}) {
+        SCOPED_TRACE(std::string(name) + (watched ? " watched" : "") +
+                     (accesses ? " one-write" : " access-free"));
+        obs::Hub hub;
+        const engine::Launch launch{
+            .workers = p,
+            .wait_policy = support::WaitPolicy::kBlock,
+            .mapping = rt::mapping::round_robin(p),
+            .watchdog_ns = watched ? 60'000'000'000ull : 0,  // never fires
+            .obs = &hub};
+        (void)engine::Registry::instance().find(name)->run(
+            accesses ? chain_image : free_image, launch);
+        const obs::CounterSnapshot snap = hub.counter_snapshot();
+        const std::uint64_t wakeups = accesses ? (p - 1) * n : 0;
+        EXPECT_EQ(snap.total(obs::Counter::kTasksExecuted), n);
+        EXPECT_EQ(snap.total(obs::Counter::kWakeups), wakeups);
+        EXPECT_EQ(snap.total(obs::Counter::kWakeupsIssued) +
+                      snap.total(obs::Counter::kWakeupsElided),
+                  wakeups);
+      }
+    }
   }
 }
 

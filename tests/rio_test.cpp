@@ -46,7 +46,7 @@ TEST(DataObject, FreshStatesAgree) {
 TEST(DataObject, TerminateWritePublishes) {
   rt::SharedDataState shared;
   rt::LocalDataState writer_local;
-  rt::terminate_write(shared, writer_local, 3, WaitPolicy::kSpinYield);
+  rt::terminate_write(shared, writer_local, 3);
   EXPECT_EQ(shared.last_executed_write.value.load(), 3u);
   EXPECT_EQ(shared.nb_reads_since_write.value.load(), 0u);
   EXPECT_EQ(writer_local.last_registered_write, 3u);
@@ -60,8 +60,8 @@ TEST(DataObject, TerminateWritePublishes) {
 TEST(DataObject, TerminateReadCounts) {
   rt::SharedDataState shared;
   rt::LocalDataState local;
-  rt::terminate_read(shared, local, WaitPolicy::kSpinYield);
-  rt::terminate_read(shared, local, WaitPolicy::kSpinYield);
+  rt::terminate_read(shared, local);
+  rt::terminate_read(shared, local);
   EXPECT_EQ(shared.nb_reads_since_write.value.load(), 2u);
   EXPECT_EQ(local.nb_reads_since_write, 2u);
 }

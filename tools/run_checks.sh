@@ -9,10 +9,11 @@
 #      plus the injected-race fixture;
 #   7. `rioflow chaos --quick` — the fault sweep must survive with zero
 #      oracle mismatches, also on coor's locked ready queue
-#      (`--engines coor --queue locked`), and a `--faults crash` sweep must
+#      (`--engines coor --scheduler lifo`), and a `--faults crash` sweep must
 #      recover every permanent worker death by evict-and-remap with the
 #      oracle still matching (docs/robustness.md, "Worker loss and
-#      recovery");
+#      recovery"), under the default policy and under `--policy block`,
+#      where the abort must wake survivors parked on their doorbells;
 #   8. rioflow JSON reports — `profile --quick --json --trace` on two
 #      workloads x two engines, plus `chaos --json` and `lint --json`;
 #      every emitted document must parse (docs/observability.md);
@@ -45,10 +46,9 @@
 #      emit a parsing rio.verify.v1 report (docs/analysis.md). Every sync
 #      engine is checked under the default policy AND --policy block (the
 #      doorbell/parking rewrite) and again with --recover (crash +
-#      evicted-resume two-phase exploration); coor runs each of the three
-#      with both ready queues, --queue ring (the wait-free MPMC ring, the
-#      default) and --queue locked (the mutex+condvar deque lifo, priority
-#      and locality still use);
+#      evicted-resume two-phase exploration); coor is checked on the real
+#      wait-free ring, its fifo queue (modelcheck_test keeps the one-step
+#      queue model's exhaustive checks);
 #  14. ThreadSanitizer pass (skipped with RIO_SKIP_TSAN=1): rebuilds the
 #      failure suite + executor suite + hybrid suite + obs and causal
 #      suites + model checker + rioflow with RIO_SANITIZE=thread and reruns
@@ -57,8 +57,9 @@
 #      phase engines on their shared pool, the telemetry suites (span
 #      sampler and ring accounting driven from live workers on every real
 #      engine), the modelcheck suite, the quick
-#      chaos sweeps (transient AND crash kinds) and the new wait/notify
-#      configurations (block-policy doorbells, coor on both ready queues)
+#      chaos sweeps (transient AND crash kinds, the crash kind also under
+#      --policy block) and the wait/notify configurations (block-policy
+#      doorbells, coor's ring under fifo and locked deque under lifo)
 #      under TSan — the retry
 #      / watchdog / abort / eviction machinery, the controlled scheduler
 #      and the new lock-free primitives are exactly the kind of code TSan
@@ -135,16 +136,23 @@ if ! "$RIOFLOW" chaos --quick --workers 2 >/dev/null; then
   fail "chaos --quick (stall, oracle mismatch or unexpected error)"
 fi
 
-# The locked deque (the queue lifo, priority and locality still use): chaos
-# builds its launches like every other command, so --queue must reach coor.
-if ! "$RIOFLOW" chaos --quick --workers 2 --engines coor --queue locked \
+# The locked deque (the queue lifo, priority and locality use): chaos
+# builds its launches like every other command, so --scheduler must reach
+# coor.
+if ! "$RIOFLOW" chaos --quick --workers 2 --engines coor --scheduler lifo \
      >/dev/null; then
-  fail "chaos --quick --engines coor --queue locked"
+  fail "chaos --quick --engines coor --scheduler lifo"
 fi
 
 step "rioflow chaos: crash faults must recover by evict-and-remap"
 if ! "$RIOFLOW" chaos --quick --workers 3 --faults crash >/dev/null; then
   fail "chaos --faults crash (worker lost, oracle mismatch or error)"
+fi
+# Block policy: the survivors park on their doorbells (rio) or the ring
+# (coor) when a worker dies, and only the abort's wake gets them out.
+if ! "$RIOFLOW" chaos --quick --workers 3 --faults crash --policy block \
+     >/dev/null; then
+  fail "chaos --faults crash --policy block (parked survivors not woken)"
 fi
 
 json_ok() {  # validate without depending on a system json tool chain
@@ -354,25 +362,23 @@ fi
 
 step "rioflow verify: model-check the real protocol (rio.verify.v1)"
 VERJSON="$OBSDIR/verify.json"
-# Each sync engine, coor once per ready queue (the ring is the default; the
-# locked deque still serves lifo, priority and locality).
-for cfg in rio rio-pruned "coor --queue ring" "coor --queue locked"; do
-  # $cfg is split on purpose: an engine name plus, for coor, its queue flag.
-  if ! "$RIOFLOW" verify --engine $cfg --workload chain --quick \
+# Each sync engine; coor on the real wait-free ring.
+for e in rio rio-pruned coor; do
+  if ! "$RIOFLOW" verify --engine "$e" --workload chain --quick \
        >/dev/null; then
-    fail "verify --engine $cfg --quick (expected zero violations)"
+    fail "verify --engine $e --quick (expected zero violations)"
   fi
   # The parking rewrite: block-policy waits (doorbells on rio engines,
   # parked ring consumers on coor) must stay lost-wakeup free.
-  if ! "$RIOFLOW" verify --engine $cfg --workload chain --quick \
+  if ! "$RIOFLOW" verify --engine "$e" --workload chain --quick \
        --policy block >/dev/null; then
-    fail "verify --engine $cfg --policy block --quick"
+    fail "verify --engine $e --policy block --quick"
   fi
   # The eviction protocol: explore the crash, then the resumed workers-1
   # configuration under the evicted mapping.
-  if ! "$RIOFLOW" verify --engine $cfg --workload chain --quick \
+  if ! "$RIOFLOW" verify --engine "$e" --workload chain --quick \
        --recover >/dev/null; then
-    fail "verify --engine $cfg --recover --quick"
+    fail "verify --engine $e --recover --quick"
   fi
 done
 if "$RIOFLOW" verify --engine rio --workload chain --quick \
@@ -420,19 +426,24 @@ else
     # evict-and-resume paths race with the survivors by design.
     "$TSAN_BUILD/rioflow" chaos --quick --workers 3 --faults crash \
       >/dev/null || fail "chaos --faults crash under TSan"
-    # New wait/notify configurations: doorbell-batched block wakeups on the
-    # rio engines; on coor the wait-free MPMC ring (yielding + parked
-    # consumers) and the locked deque, each requested explicitly.
+    # The abort wake: the watchdog thread rings the bells (rio) and closes
+    # the ring (coor) while survivors park on them.
+    "$TSAN_BUILD/rioflow" chaos --quick --workers 3 --faults crash \
+      --policy block >/dev/null ||
+      fail "chaos --faults crash --policy block under TSan"
+    # Wait/notify configurations: doorbell-batched block wakeups on the rio
+    # engines; on coor the wait-free MPMC ring (fifo) and the locked deque
+    # (lifo), each with yielding and parked consumers.
     for e in rio rio-pruned; do
       "$TSAN_BUILD/rioflow" --engine "$e" --workload cholesky --tiles 3 \
         --task-size 50 --workers 2 --policy block >/dev/null ||
         fail "$e --policy block under TSan"
     done
-    for q in ring locked; do
+    for s in fifo lifo; do
       for p in yield block; do
         "$TSAN_BUILD/rioflow" --engine coor --workload cholesky --tiles 3 \
-          --task-size 50 --workers 2 --queue "$q" --policy "$p" \
-          >/dev/null || fail "coor --queue $q --policy $p under TSan"
+          --task-size 50 --workers 2 --scheduler "$s" --policy "$p" \
+          >/dev/null || fail "coor --scheduler $s --policy $p under TSan"
       done
     done
   else
